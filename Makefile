@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-telemetry race-fault race-sim race-service race-compact race-diagnose race-advise check fuzz fuzz-smoke bench bench-json bench-faultsim bench-faultpar bench-sim bench-service bench-compact bench-diagnose bench-advise clean
+.PHONY: all build vet test race check fuzz fuzz-smoke bench bench-json bench-faultsim bench-sim bench-service bench-compact bench-diagnose bench-advise clean
 
 all: check
 
@@ -20,47 +20,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-telemetry covers the span registry and the lock-free Progress
-# primitive — concurrently ticked by engine workers while the monitor
-# goroutine and /metrics scrapes read them.
-race-telemetry:
-	$(GO) test -race ./internal/telemetry/...
-
-# race-fault gives fast feedback on the engine's shard merge — the one
-# place in the tree with lock-free concurrent writes — before the full
-# race suite runs.
-race-fault:
-	$(GO) test -race ./internal/fault/...
-
-# race-sim covers the compiled-kernel program cache, the other shared
-# structure hit concurrently by every simulation worker.
-race-sim:
-	$(GO) test -race ./internal/sim/...
-
-# race-service covers the dftd job server — queue, worker pool, result
-# cache and graceful drain all exercise shared state under load.
-race-service:
-	$(GO) test -race ./internal/service/...
-
-# race-compact covers the compaction engine's sharded replay sessions —
-# worker-invariance tests drive the same session at several sharding
-# degrees.
-race-compact:
-	$(GO) test -race ./internal/compact/...
-
-# race-diagnose covers the fault-dictionary build (engine detail grades
-# at several backends and worker counts must agree byte-for-byte) and
-# the pooled per-dictionary simulator shared by concurrent lookups.
-race-diagnose:
-	$(GO) test -race ./internal/diagnose/...
-
-# race-advise covers the closed-loop advisor — sharded probe sessions
-# plus the long-running service job kind whose mid-run cancellation and
-# per-iteration checkpointing must stay clean under the race detector.
-race-advise:
-	$(GO) test -race ./internal/advise/... ./internal/service/...
-
-check: build vet race-telemetry race-fault race-sim race-service race-compact race-diagnose race-advise race fuzz-smoke
+check: build vet race fuzz-smoke
 
 # fuzz runs the coverage-guided differential fuzz targets: the compiled
 # kernel against the interpreter at every execution width, and every
@@ -91,13 +51,6 @@ bench-json:
 # the shard counters as a dft.run-report/v1 document.
 bench-faultsim:
 	DFT_BENCH_JSON=BENCH_faultsim.json $(GO) test -bench=BenchmarkEngineScaling -benchmem .
-
-# bench-faultpar compares the fault-parallel speed tier (faultparallel
-# SPMF and cpt critical-path tracing) against the PPSFP baseline on a
-# large no-drop grading, leaving the backend work counters as a
-# dft.run-report/v1 document.
-bench-faultpar:
-	DFT_BENCH_JSON=BENCH_faultpar.json $(GO) test -bench='BenchmarkEngineScaling/(nodrop|fewpats)' -benchmem .
 
 # bench-sim measures the interpreted vs compiled good-machine kernels
 # (scalar word and blocked) and leaves the kernel counters as a
@@ -137,4 +90,4 @@ bench-advise:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_telemetry.json BENCH_faultsim.json BENCH_faultpar.json BENCH_simkernel.json BENCH_service.json BENCH_compact.json BENCH_diagnose.json BENCH_advise.json
+	rm -f BENCH_telemetry.json BENCH_faultsim.json BENCH_simkernel.json BENCH_service.json BENCH_compact.json BENCH_diagnose.json BENCH_advise.json

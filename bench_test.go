@@ -353,11 +353,10 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 	// Speed-tier comparison: the same large grading without fault
 	// dropping (every fault graded against every pattern — the service
-	// tier's re-grading workload), once per backend. This is the
-	// BENCH_faultpar.json matrix: cpt grades the whole fault list from
-	// one good-machine pass per pattern, faultparallel packs 64 faulty
-	// machines per word, parallel is the PPSFP baseline.
-	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendFaultParallel, fault.BackendCPT} {
+	// tier's re-grading workload), once per backend: cpt grades the
+	// whole fault list from one good-machine pass per block, parallel
+	// is the PPSFP baseline.
+	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendCPT} {
 		b.Run("nodrop/"+be.String(), func(b *testing.B) {
 			eng := fault.NewEngine(c, fault.Options{Backend: be, Drop: fault.DropOff})
 			b.ResetTimer()
@@ -368,11 +367,10 @@ func BenchmarkEngineScaling(b *testing.B) {
 			}
 		})
 	}
-	// The SPMF sweet spot is the other corner of Eq. 1: a handful of
-	// patterns against the full fault list (incremental re-grading),
-	// where packing 64 faulty machines per word beats packing patterns.
+	// The other corner of Eq. 1: a handful of patterns against the
+	// full fault list (incremental re-grading), which Auto sends to cpt.
 	few := pats[:8]
-	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendFaultParallel, fault.BackendCPT} {
+	for _, be := range []fault.Backend{fault.BackendParallel, fault.BackendCPT} {
 		b.Run("fewpats/"+be.String(), func(b *testing.B) {
 			eng := fault.NewEngine(c, fault.Options{Backend: be, Drop: fault.DropOff})
 			b.ResetTimer()
@@ -761,16 +759,6 @@ func BenchmarkSeqATPGUnroll(b *testing.B) {
 		if _, err := seqatpg.Generate(c, f, seqatpg.Config{MaxFrames: 8}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkAblationSimDeductive(b *testing.B) {
-	c := circuits.ArrayMultiplier(5)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
-	pats := benchPatterns(c, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustFaultSim(b, c, cl.Reps, pats, fault.Options{Backend: fault.BackendDeductive})
 	}
 }
 

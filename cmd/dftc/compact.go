@@ -13,7 +13,6 @@ import (
 	"dft/internal/compact"
 	"dft/internal/core"
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
 
@@ -30,7 +29,6 @@ func cmdCompact(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed (pattern generation and X-fill)")
 	scan := fs.Bool("scan", false, "assume full scan (LSSD view)")
 	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
-	kernel := fs.String("kernel", "compiled", "simulation kernel: compiled or interp")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	outFile := fs.String("out", "", "write kept patterns here instead of stdout")
@@ -50,11 +48,6 @@ func cmdCompact(args []string) error {
 	if (*in == "") == (*random == 0) {
 		return fmt.Errorf("compact needs exactly one input: -in cubes.txt or -random N")
 	}
-	k, err := sim.ParseKernel(*kernel)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultKernel(k)
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
@@ -101,7 +94,7 @@ func cmdCompact(args []string) error {
 		rep := telemetry.NewReport("dftc", "compact", fs.Arg(0))
 		rep.Config = map[string]any{
 			"mode": mode.String(), "in": *in, "random": *random,
-			"seed": *seed, "scan": *scan, "workers": *workers, "kernel": k.String(),
+			"seed": *seed, "scan": *scan, "workers": *workers,
 		}
 		rep.Results = map[string]any{
 			"patterns_in":    st.PatternsIn,

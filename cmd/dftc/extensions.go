@@ -14,7 +14,6 @@ import (
 	"dft/internal/diagnose"
 	"dft/internal/fault"
 	"dft/internal/seqatpg"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
 
@@ -107,9 +106,8 @@ func cmdDiagnose(args []string) error {
 	patterns := fs.Int("patterns", 64, "random patterns for the dictionary")
 	seed := fs.Int64("seed", 6, "pattern seed")
 	scan := fs.Bool("scan", false, "assume full scan view")
-	engine := fs.String("engine", "auto", "grading backend: auto, parallel, faultparallel, cpt, deductive or serial")
+	engine := fs.String("engine", "auto", "grading backend: auto, parallel, cpt or serial")
 	workers := fs.Int("workers", 0, "grading workers (0 = all CPUs)")
-	kernel := fs.String("kernel", "compiled", "simulation kernel: compiled or interp")
 	timeout := fs.Duration("timeout", 0, "abort the build after this long (0 = no limit)")
 	compactFlag := fs.String("compact", "reverse", "compact the pattern set first: off, reverse, static, dynamic or full")
 	full := fs.Bool("full", false, "also store the per-output full-response tier")
@@ -132,11 +130,6 @@ func cmdDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	k, err := sim.ParseKernel(*kernel)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultKernel(k)
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
@@ -256,7 +249,7 @@ func cmdDiagnose(args []string) error {
 		rep.Config = map[string]any{
 			"patterns": dict.NumPats, "seed": *seed, "scan": *scan,
 			"engine": backend.String(), "workers": *workers,
-			"kernel": k.String(), "compact": *compactFlag, "full": *full,
+			"compact": *compactFlag, "full": *full,
 		}
 		rep.Results = map[string]any{
 			"universe":        len(cl.ClassOf),

@@ -8,9 +8,9 @@
 //
 //	dftc info      <file.bench> [-top N] [-json]
 //	dftc scoap     <file.bench> [-top N]
-//	dftc atpg      <file.bench> [-engine podem|dalg] [-scan] [-random N] [-compact off|reverse|static|dynamic|full] [-workers N] [-kernel compiled|interp] [-timeout D] [-json]
-//	dftc compact   <file.bench> [-mode reverse|static|full] [-in cubes.txt | -random N] [-seed S] [-scan] [-workers N] [-kernel compiled|interp] [-timeout D] [-json] [-out file]
-//	dftc faultsim  <file.bench> [-patterns N] [-seed S] [-scan] [-engine auto|parallel|faultparallel|cpt|deductive|serial] [-workers N] [-kernel compiled|interp] [-timeout D] [-json]
+//	dftc atpg      <file.bench> [-engine podem|dalg] [-scan] [-random N] [-compact off|reverse|static|dynamic|full] [-workers N] [-timeout D] [-json]
+//	dftc compact   <file.bench> [-mode reverse|static|full] [-in cubes.txt | -random N] [-seed S] [-scan] [-workers N] [-timeout D] [-json] [-out file]
+//	dftc faultsim  <file.bench> [-patterns N] [-seed S] [-scan] [-engine auto|parallel|cpt|serial] [-workers N] [-timeout D] [-json]
 //	dftc scan      <file.bench> [-style lssd|mux]
 //	dftc bilbo     <c1.bench> <c2.bench> [-patterns N]
 //	dftc syndrome  <file.bench>
@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strconv"
 	"time"
 
@@ -53,6 +54,7 @@ import (
 	"dft/internal/logic"
 	"dft/internal/lssd"
 	"dft/internal/sim"
+	"dft/internal/suggest"
 	"dft/internal/syndrome"
 	"dft/internal/telemetry"
 	"dft/internal/testability"
@@ -112,7 +114,12 @@ func run(args []string) error {
 		return nil
 	}
 	usage()
-	if near := closestSubcommand(cmd); near != "" {
+	names := make([]string, 0, len(subcommands))
+	for name := range subcommands {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if near := suggest.Closest(cmd, names); near != "" {
 		return fmt.Errorf("unknown subcommand %q (did you mean %q?)", cmd, near)
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
@@ -161,49 +168,6 @@ func stripStatsFlag(args []string) (out []string, stats bool) {
 		out = append(out, a)
 	}
 	return out, stats
-}
-
-// closestSubcommand returns the known subcommand nearest to cmd by
-// edit distance, or "" when nothing is plausibly close.
-func closestSubcommand(cmd string) string {
-	best, bestDist := "", len(cmd)/2+1 // allow at most ~half the name wrong
-	for name := range subcommands {
-		if d := editDistance(cmd, name); d < bestDist {
-			best, bestDist = name, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between two short names.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 func usage() {
@@ -263,11 +227,7 @@ fault-simulation engine (atpg/faultsim):
   -workers N        shard the fault list across N workers (0 = all CPUs);
                     results are bit-identical for every worker count
   -engine B         faultsim backend: auto (default), parallel (64-wide
-                    PPSFP), faultparallel (64 faulty machines per word),
-                    cpt (critical-path tracing), deductive (Armstrong
-                    fault lists), serial
-  -kernel K         good-machine kernel: compiled (default; flat opcode
-                    programs) or interp (levelized interpreter)
+                    PPSFP), cpt (critical-path tracing), serial
   -timeout D        abort the run after duration D (e.g. 30s, 5m); exits
                     non-zero with a context error. 0 (default) = no limit`)
 }
@@ -348,7 +308,6 @@ func cmdATPG(args []string) error {
 	compactFlag := fs.String("compact", "off", "compaction mode: off, reverse, static, dynamic or full")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
-	kernel := fs.String("kernel", "compiled", "simulation kernel: compiled or interp")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	if err := parseFlags(fs, args); err != nil {
@@ -357,11 +316,6 @@ func cmdATPG(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("atpg needs one .bench file")
 	}
-	k, err := sim.ParseKernel(*kernel)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultKernel(k)
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
@@ -399,7 +353,6 @@ func cmdATPG(args []string) error {
 			"compact": mode.String(),
 			"seed":    *seed,
 			"workers": *workers,
-			"kernel":  k.String(),
 		}
 		rep.Results = map[string]any{
 			"patterns":     len(ts.Patterns),
@@ -444,9 +397,8 @@ func cmdFaultSim(args []string) error {
 	n := fs.Int("patterns", 1024, "random patterns to grade")
 	seed := fs.Int64("seed", 1, "random seed")
 	scan := fs.Bool("scan", false, "assume full scan view")
-	engine := fs.String("engine", "auto", "backend: auto, parallel, faultparallel, cpt, deductive or serial")
+	engine := fs.String("engine", "auto", "backend: auto, parallel, cpt or serial")
 	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
-	kernel := fs.String("kernel", "compiled", "simulation kernel: compiled or interp")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	if err := parseFlags(fs, args); err != nil {
@@ -459,11 +411,6 @@ func cmdFaultSim(args []string) error {
 	if err != nil {
 		return err
 	}
-	k, err := sim.ParseKernel(*kernel)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultKernel(k)
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
@@ -506,17 +453,15 @@ func cmdFaultSim(args []string) error {
 		rep.Config = map[string]any{
 			"patterns": *n, "seed": *seed, "scan": *scan,
 			"engine": backend.String(), "workers": *workers,
-			"kernel": k.String(),
 		}
 		rep.Results = map[string]any{
 			"coverage":      res.Coverage(),
 			"kept_patterns": len(kept),
 			"targets":       len(res.Faults),
 		}
-		if p := sim.ActiveProgram(d.Circuit); p != nil {
-			rep.Results["folded_gates"] = p.Folded()
-			rep.Results["hashed_gates"] = p.Hashed()
-		}
+		p := sim.CompiledFor(d.Circuit)
+		rep.Results["folded_gates"] = p.Folded()
+		rep.Results["hashed_gates"] = p.Hashed()
 		return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
 	}
 	fmt.Printf("applied %d random patterns: coverage %.2f%% with %d kept patterns\n",

@@ -189,15 +189,20 @@ func TestFuzzSeedList(t *testing.T) {
 	}
 }
 
-// TestBadKernelFlagExits checks that a mistyped -kernel value makes the
-// CLI fail with the did-you-mean message instead of silently running
-// the default kernel.
+// TestBadKernelFlagExits checks that a deleted backend name makes the
+// CLI fail with the list of backends that remain, instead of silently
+// running the default, and that the removed -kernel flag is refused.
 func TestBadKernelFlagExits(t *testing.T) {
 	bench := writeBench(t, circuits.C17())
+	for _, cmd := range []string{"faultsim", "diagnose"} {
+		err := run([]string{cmd, bench, "-engine", "faultparallel"})
+		if err == nil || !strings.Contains(err.Error(), "want auto, parallel, cpt or serial") {
+			t.Fatalf("%s: err = %v, want the remaining backends listed", cmd, err)
+		}
+	}
 	for _, cmd := range []string{"faultsim", "atpg"} {
-		err := run([]string{cmd, bench, "-kernel", "compield"})
-		if err == nil || !strings.Contains(err.Error(), `did you mean "compiled"`) {
-			t.Fatalf("%s: err = %v, want kernel did-you-mean", cmd, err)
+		if err := run([]string{cmd, bench, "-kernel", "compiled"}); err == nil {
+			t.Fatalf("%s: -kernel still accepted", cmd)
 		}
 	}
 }

@@ -48,16 +48,13 @@ type SimEngine = fault.Engine
 
 // Re-exported SimOptions constants.
 const (
-	BackendAuto          = fault.Auto
-	BackendParallel      = fault.BackendParallel
-	BackendDeductive     = fault.BackendDeductive
-	BackendSerial        = fault.BackendSerial
-	BackendFaultParallel = fault.BackendFaultParallel
-	BackendCPT           = fault.BackendCPT
-	WorkersAuto          = fault.WorkersAuto
-	ParallelismAuto      = fault.ParallelismAuto
-	DropOn               = fault.DropOn
-	DropOff              = fault.DropOff
+	BackendAuto     = fault.Auto
+	BackendParallel = fault.BackendParallel
+	BackendSerial   = fault.BackendSerial
+	BackendCPT      = fault.BackendCPT
+	WorkersAuto     = fault.WorkersAuto
+	DropOn          = fault.DropOn
+	DropOff         = fault.DropOff
 )
 
 // ParseSimBackend maps a backend name (as accepted by dftc -engine and

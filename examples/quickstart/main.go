@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"dft/internal/atpg"
+	"dft/internal/compact"
 	"dft/internal/core"
 )
 
@@ -42,7 +43,7 @@ func main() {
 	}
 
 	// 2. Generate tests for every collapsed stuck-at fault.
-	tests := design.Generate(core.GenerateOptions{Engine: atpg.EnginePodem, Compact: true})
+	tests := design.Generate(core.GenerateOptions{Engine: atpg.EnginePodem, CompactMode: compact.ModeReverse})
 	fmt.Printf("\n%d patterns cover %.0f%% of %d fault classes\n",
 		len(tests.Patterns), tests.Coverage*100, tests.TargetN)
 	for i, p := range tests.Patterns {

@@ -36,7 +36,7 @@ func TestFacadeSimulate(t *testing.T) {
 	for _, opts := range []SimOptions{
 		{Backend: BackendParallel, Workers: 4},
 		{Backend: BackendSerial},
-		{Backend: BackendDeductive, Drop: DropOff},
+		{Backend: BackendCPT, Drop: DropOff},
 		{Backend: BackendAuto, Workers: WorkersAuto},
 	} {
 		got, err := Simulate(context.Background(), c, faults, pats, opts)

@@ -225,7 +225,7 @@ func (ne *netEval) eval(c *logic.Circuit, gen *Register, f *fault.Fault) []bool 
 		ne.in[i] = q[i]
 	}
 	if f == nil {
-		sim.EvalInto(c, ne.in, nil, ne.vals, ne.scratch)
+		sim.EvalInto(c, ne.in, nil, ne.vals)
 	} else {
 		fault.EvalFaultyInto(c, ne.in, nil, *f, ne.vals, ne.scratch)
 	}

@@ -199,14 +199,13 @@ func (bn *BedOfNails) InCircuitTest(patterns map[string][][]bool) ([]string, err
 	for _, m := range bn.B.Modules {
 		pats := patterns[m.Name]
 		bad := false
-		// The golden pass reuses one valuation and scratch across the
-		// module's whole pattern set.
+		// The golden pass reuses one valuation across the module's
+		// whole pattern set.
 		c := m.Logic
 		vals := make([]bool, c.NumNets())
-		scratch := make([]bool, c.MaxFanin())
 		for _, p := range pats {
 			got := m.Eval(p)
-			sim.EvalInto(c, p, nil, vals, scratch)
+			sim.EvalInto(c, p, nil, vals)
 			for i, po := range c.POs {
 				if got[i] != vals[po] {
 					bad = true

@@ -11,7 +11,11 @@
 // and always detects the same collapsed fault set.
 package compact
 
-import "fmt"
+import (
+	"fmt"
+
+	"dft/internal/suggest"
+)
 
 // Mode selects which compaction passes run. The zero value is Off.
 type Mode int
@@ -65,8 +69,8 @@ func (m Mode) String() string {
 var modeNames = []string{"off", "reverse", "static", "dynamic", "full"}
 
 // ParseMode maps a dftc -compact flag value to a Mode. Unknown names
-// get a did-you-mean suggestion when an accepted spelling is within
-// edit distance 3, mirroring fault.ParseBackend.
+// get a did-you-mean suggestion when an accepted spelling is close,
+// mirroring fault.ParseBackend.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "off", "":
@@ -81,47 +85,8 @@ func ParseMode(s string) (Mode, error) {
 		return ModeFull, nil
 	}
 	want := "want off, reverse, static, dynamic or full"
-	if sug := closestModeName(s); sug != "" {
+	if sug := suggest.Closest(s, modeNames); sug != "" {
 		return ModeOff, fmt.Errorf("compact: unknown mode %q (did you mean %q? %s)", s, sug, want)
 	}
 	return ModeOff, fmt.Errorf("compact: unknown mode %q (%s)", s, want)
-}
-
-// closestModeName suggests a mode name within edit distance 3.
-func closestModeName(s string) string {
-	best, bestDist := "", 4
-	for _, n := range modeNames {
-		if d := modeEditDistance(s, n); d < bestDist {
-			best, bestDist = n, d
-		}
-	}
-	return best
-}
-
-// modeEditDistance is the Levenshtein distance between a and b.
-func modeEditDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			d := prev[j] + 1
-			if c := cur[j-1] + 1; c < d {
-				d = c
-			}
-			if c := prev[j-1] + cost; c < d {
-				d = c
-			}
-			cur[j] = d
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }

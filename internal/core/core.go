@@ -146,9 +146,6 @@ type GenerateOptions struct {
 	RandomFirst   int
 	MaxBacktracks int
 	Seed          int64
-	// Compact is the legacy on/off switch, equivalent to CompactMode =
-	// compact.ModeReverse; CompactMode wins when both are set.
-	Compact bool
 	// CompactMode selects the compaction pipeline (off / reverse /
 	// static / dynamic / full) run on the generated set.
 	CompactMode compact.Mode
@@ -178,10 +175,6 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 	span.SetDetail(d.Circuit.Name)
 	defer span.End()
 	targets := d.Faults()
-	mode := opt.CompactMode
-	if mode == compact.ModeOff && opt.Compact {
-		mode = compact.ModeReverse
-	}
 	res, err := atpg.GenerateContext(ctx, d.Circuit, d.View(), targets, atpg.Config{
 		Engine:        opt.Engine,
 		MaxBacktracks: opt.MaxBacktracks,
@@ -189,7 +182,7 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		RandomFirst:   opt.RandomFirst,
 		Rand:          opt.Rand,
 		Workers:       opt.Workers,
-		Dynamic:       mode.Dynamic(),
+		Dynamic:       opt.CompactMode.Dynamic(),
 		Metrics:       opt.Metrics,
 	})
 	if err != nil {
@@ -202,9 +195,9 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		Aborted:    len(res.Aborted),
 		TargetN:    len(targets),
 	}
-	if mode.Enabled() {
+	if opt.CompactMode.Enabled() {
 		st, err := compact.Result(ctx, d.Circuit, d.View(), targets, res, compact.Options{
-			Mode:    mode,
+			Mode:    opt.CompactMode,
 			Workers: opt.Workers,
 			Rand:    opt.Rand,
 			Seed:    opt.Seed,

@@ -6,6 +6,7 @@ import (
 
 	"dft/internal/atpg"
 	"dft/internal/circuits"
+	"dft/internal/compact"
 )
 
 const c17Bench = `
@@ -108,11 +109,11 @@ func TestRandomTestsAndFaultGrade(t *testing.T) {
 func TestGenerateCompaction(t *testing.T) {
 	d := FromCircuit(circuits.RippleAdder(5))
 	full := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1})
-	compact := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1, Compact: true})
-	if len(compact.Patterns) > len(full.Patterns) {
-		t.Fatalf("compaction grew set: %d -> %d", len(full.Patterns), len(compact.Patterns))
+	small := d.Generate(GenerateOptions{Engine: atpg.EnginePodem, RandomFirst: 256, Seed: 1, CompactMode: compact.ModeReverse})
+	if len(small.Patterns) > len(full.Patterns) {
+		t.Fatalf("compaction grew set: %d -> %d", len(full.Patterns), len(small.Patterns))
 	}
-	if got := d.FaultGrade(compact.Patterns); got < full.RawCover {
+	if got := d.FaultGrade(small.Patterns); got < full.RawCover {
 		t.Fatalf("compacted grade %.3f below %.3f", got, full.RawCover)
 	}
 }

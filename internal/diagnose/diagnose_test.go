@@ -70,7 +70,7 @@ func TestTrueFaultInCandidatesAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := []fault.Backend{fault.BackendParallel, fault.BackendFaultParallel, fault.BackendCPT}
+	backends := []fault.Backend{fault.BackendParallel, fault.BackendCPT}
 	for _, be := range backends {
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%v/w%d", be, w), func(t *testing.T) {

@@ -10,8 +10,7 @@ import (
 
 // TestWorkerCountInvariance pins the engine's sharding contract: the
 // result is byte-identical at every worker count, for the fault-axis
-// backends (parallel) and the pattern-axis backends (faultparallel,
-// cpt) alike.
+// backend (parallel) and the pattern-axis backend (cpt) alike.
 func TestWorkerCountInvariance(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	u := Universe(c)
@@ -24,7 +23,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		pats[i] = p
 	}
-	for _, backend := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, backend := range []Backend{BackendParallel, BackendCPT} {
 		seq, err := Simulate(context.Background(), c, u, pats, Options{Backend: backend, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -51,7 +50,7 @@ func TestTinyFaultListManyWorkers(t *testing.T) {
 	c := circuits.C17()
 	u := Universe(c)[:3]
 	pats := [][]bool{{true, true, true, true, true}}
-	for _, backend := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, backend := range []Backend{BackendParallel, BackendCPT} {
 		res, err := Simulate(context.Background(), c, u, pats,
 			Options{Backend: backend, Workers: 16}) // workers > faults and > patterns
 		if err != nil {

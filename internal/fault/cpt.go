@@ -36,7 +36,7 @@ import (
 //
 // are exact everywhere, not only on fanout-free regions. The engine
 // shards the backend over pattern blocks with worker-local detection
-// arrays min-merged at the end, like SPMF.
+// arrays min-merged at the end.
 
 // cptKind classifies a net's combinational fanout for the
 // observability recursion.
@@ -402,4 +402,29 @@ func cptLoop(ctx context.Context, cs *cptSim, faults []Fault, pats *PackedPatter
 		}
 	}
 	return blocks, nil
+}
+
+// mergeDetections folds worker-local first-detection arrays into res
+// by per-fault minimum, preserving the global first-pattern semantics.
+func mergeDetections(res *Result, locals [][]int) {
+	for _, detBy := range locals {
+		if detBy == nil {
+			continue
+		}
+		for fi, p := range detBy {
+			if p < 0 {
+				continue
+			}
+			if !res.Detected[fi] || p < res.DetectedBy[fi] {
+				res.Detected[fi] = true
+				res.DetectedBy[fi] = p
+			}
+		}
+	}
+	res.NumCaught = 0
+	for _, d := range res.Detected {
+		if d {
+			res.NumCaught++
+		}
+	}
 }

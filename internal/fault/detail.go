@@ -74,13 +74,14 @@ func SimulateDetail(ctx context.Context, c *logic.Circuit, faults []Fault, patte
 
 // RunDetail is the engine's detail-grading path: exact per-pattern
 // detect rows for every fault, honoring context cancellation between
-// pattern blocks. Three scheduler shapes cover the packed backends —
+// pattern blocks. Two scheduler shapes cover the packed backends —
 // the PPSFP path shards the fault axis (each worker owns whole rows),
-// while the CPT and SPMF paths shard the pattern-block axis (each
-// worker owns one word column of every row) — so all writes are
-// disjoint and the rows are byte-identical at every worker count.
-// The serial and deductive backends have no packed per-pattern form;
-// they fall back to the PPSFP path, which computes the same rows.
+// while the CPT path shards the pattern-block axis (each worker owns
+// one word column of every row) — so all writes are disjoint and the
+// rows are byte-identical at every worker count. The serial backend
+// has no packed per-pattern form; it falls back to the PPSFP path,
+// which computes the same rows, and the span records the backend that
+// actually ran.
 func (e *Engine) RunDetail(ctx context.Context, faults []Fault, pats *PackedPatterns) (*DetailResult, error) {
 	if pats.NumInputs() != len(e.inputs) {
 		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
@@ -111,16 +112,16 @@ func (e *Engine) RunDetail(ctx context.Context, faults []Fault, pats *PackedPatt
 		// heuristic as Run with dropping off. Large jobs land on CPT
 		// (one observability pass per block, O(fanin) per fault), which
 		// is what makes engine-backed dictionary builds fast.
-		be = pickBackend(e.c, len(faults), nPats, false)
+		be = pickBackend(len(faults), nPats, false)
+	}
+	if be != BackendCPT {
+		be = BackendParallel
 	}
 	span.SetAttr("backend", be.String())
 	var err error
-	switch be {
-	case BackendCPT:
+	if be == BackendCPT {
 		err = e.detailCPT(ctx, faults, pats, dr, prog, span)
-	case BackendFaultParallel:
-		err = e.detailSPMF(ctx, faults, pats, dr, prog, span)
-	default:
+	} else {
 		err = e.detailParallel(ctx, faults, pats, dr, prog, span)
 	}
 	if err != nil {
@@ -299,101 +300,6 @@ func (e *Engine) detailCPT(ctx context.Context, faults []Fault, pats *PackedPatt
 				}
 			}
 			flush(cs)
-		}(wi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// detailSPMF shards the pattern-block axis over the fault-parallel
-// backend: injection groups are built once and shared read-only, each
-// worker claims whole 64-pattern blocks (so it owns word bi of every
-// row — sub-block sharding would race on shared row words), and one
-// gradeGroup pass yields 64 fault bits for one pattern.
-func (e *Engine) detailSPMF(ctx context.Context, faults []Fault, pats *PackedPatterns, dr *DetailResult, prog *telemetry.Progress, span *telemetry.Span) error {
-	reg := e.reg
-	nb := pats.NumBlocks()
-	nPats := pats.NumPatterns()
-	if prog != nil {
-		prog.AddTotal(int64(nb))
-	}
-	groups := buildSPMFGroups(e.c, faults, e.opts.lanes())
-	reg.Counter("fault.spmf.groups").Add(int64(len(groups)))
-	span.SetAttr("groups", strconv.Itoa(len(groups)))
-	block := func(s *spmfSim, bi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		base := bi * 64
-		end := base + 64
-		if end > nPats {
-			end = nPats
-		}
-		for p := base; p < end; p++ {
-			s.loadGood(pats.At(p))
-			bit := uint64(1) << uint(p-base)
-			for gi := range groups {
-				det := s.gradeGroup(&groups[gi])
-				for det != 0 {
-					j := bits.TrailingZeros64(det)
-					det &= det - 1
-					dr.Detect[groups[gi].base+j][bi] |= bit
-				}
-			}
-		}
-		reg.Counter("fault.sim.blocks").Inc()
-		if prog != nil {
-			prog.Inc()
-		}
-		return nil
-	}
-	flush := func(s *spmfSim) {
-		reg.Counter("fault.spmf.word_passes").Add(s.nPasses)
-		reg.Counter("fault.spmf.good_passes").Add(s.nGood)
-		s.nPasses, s.nGood = 0, 0
-	}
-	w := e.workers
-	if w > nb {
-		w = nb
-	}
-	span.SetAttr("workers", strconv.Itoa(w))
-	if w <= 1 {
-		s := e.spmfSim(0)
-		for bi := 0; bi < nb; bi++ {
-			if err := block(s, bi); err != nil {
-				flush(s)
-				return err
-			}
-		}
-		flush(s)
-		return nil
-	}
-	reg.Gauge("fault.sim.workers").Set(int64(w))
-	reg.Counter("fault.engine.runs").Inc()
-	var cursor atomic.Int64
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			s := e.spmfSim(wi)
-			for {
-				bi := int(cursor.Add(1)) - 1
-				if bi >= nb {
-					break
-				}
-				if err := block(s, bi); err != nil {
-					errs[wi] = err
-					break
-				}
-			}
-			flush(s)
 		}(wi)
 	}
 	wg.Wait()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
+	"dft/internal/telemetry"
 )
 
 func randomDetailPatterns(nIn, n int, seed int64) [][]bool {
@@ -51,7 +52,7 @@ func TestRunDetailMatchesSerialOracle(t *testing.T) {
 		}
 	}
 
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT, BackendSerial} {
+	for _, be := range []Backend{BackendParallel, BackendCPT, BackendSerial} {
 		t.Run(be.String(), func(t *testing.T) {
 			e := NewEngine(c, Options{Backend: be, Workers: 2})
 			dr, err := e.RunDetail(context.Background(), faults, packed)
@@ -83,7 +84,7 @@ func TestRunDetailWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		for _, w := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%v/w%d", be, w), func(t *testing.T) {
 				dr, err := NewEngine(c, Options{Backend: be, Workers: w}).
@@ -134,13 +135,39 @@ func TestDetailResultFold(t *testing.T) {
 	}
 }
 
+// TestRunDetailSpanNamesBackendThatRan: a tiny detail grade resolves
+// to serial under Auto (and may be asked for serial explicitly), but
+// serial has no packed per-pattern form, so the grade runs on the
+// parallel path — and the span must say so.
+func TestRunDetailSpanNamesBackendThatRan(t *testing.T) {
+	c := circuits.C17()
+	faults := Universe(c)[:4]
+	pats := randomDetailPatterns(len(c.PIs), 8, 3)
+	for _, be := range []Backend{Auto, BackendSerial} {
+		reg := telemetry.NewRegistry()
+		if _, err := SimulateDetail(context.Background(), c, faults, pats,
+			Options{Backend: be, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ev := range reg.Snapshot().Events {
+			if ev.Name == "fault.sim.detail" {
+				got = append(got, ev.Attrs["backend"])
+			}
+		}
+		if len(got) != 1 || got[0] != "parallel" {
+			t.Fatalf("%v: detail span backend attrs %q, want [parallel]", be, got)
+		}
+	}
+}
+
 func TestRunDetailCancellation(t *testing.T) {
 	c := circuits.ArrayMultiplier(4)
 	faults := Universe(c)
 	pats := randomDetailPatterns(len(c.PIs), 256, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		if _, err := SimulateDetail(ctx, c, faults, pats, Options{Backend: be}); err == nil {
 			t.Fatalf("%v: cancelled detail run returned no error", be)
 		}

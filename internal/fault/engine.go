@@ -16,7 +16,7 @@ import (
 // Simulate is the toolkit's single fault-simulation entry point: it
 // grades the pattern set against the fault list under Options and
 // returns per-fault outcomes. Every configuration — any backend, any
-// worker count, any machine packing — produces bit-identical Results
+// worker count — produces bit-identical Results
 // (same Detected, DetectedBy first-pattern indices, NumCaught),
 // because per-fault outcomes are independent; the options only trade
 // time for memory.
@@ -44,7 +44,6 @@ type Engine struct {
 	workers int
 	reg     *telemetry.Registry
 	sims    []*ParallelSim // per worker slot, built lazily
-	spmfs   []*spmfSim     // per worker slot, SPMF backend
 	cpts    []*cptSim      // per worker slot, CPT backend
 	topo    *cptTopo       // fanout classification, built lazily, shared read-only
 }
@@ -59,10 +58,9 @@ func NewEngine(c *logic.Circuit, opts Options) *Engine {
 	// Surface the compiled kernel's netlist-reduction stats on the
 	// run's own registry, so per-job run reports show how much smaller
 	// the simulated circuit is than the source netlist.
-	if p := sim.ActiveProgram(c); p != nil {
-		reg.Gauge("sim.compile.folded_gates").Set(int64(p.Folded()))
-		reg.Gauge("sim.compile.hashed_gates").Set(int64(p.Hashed()))
-	}
+	p := sim.CompiledFor(c)
+	reg.Gauge("sim.compile.folded_gates").Set(int64(p.Folded()))
+	reg.Gauge("sim.compile.hashed_gates").Set(int64(p.Hashed()))
 	return &Engine{
 		c:       c,
 		opts:    opts,
@@ -71,7 +69,6 @@ func NewEngine(c *logic.Circuit, opts Options) *Engine {
 		workers: w,
 		reg:     reg,
 		sims:    make([]*ParallelSim, w),
-		spmfs:   make([]*spmfSim, w),
 		cpts:    make([]*cptSim, w),
 	}
 }
@@ -86,14 +83,6 @@ func (e *Engine) sim(wi int) *ParallelSim {
 		e.sims[wi] = NewParallelSimView(e.c, e.inputs, e.outputs)
 	}
 	return e.sims[wi]
-}
-
-// spmfSim returns worker slot wi's SPMF simulator, built on first use.
-func (e *Engine) spmfSim(wi int) *spmfSim {
-	if e.spmfs[wi] == nil {
-		e.spmfs[wi] = newSPMFSim(e.c, e.inputs, e.outputs)
-	}
-	return e.spmfs[wi]
 }
 
 // cptSim returns worker slot wi's CPT simulator, built on first use
@@ -124,15 +113,11 @@ func (e *Engine) cptTopo() *cptTopo {
 func (e *Engine) Run(ctx context.Context, faults []Fault, patterns [][]bool) (*Result, error) {
 	be := e.opts.Backend
 	if be == Auto {
-		be = pickBackend(e.c, len(faults), len(patterns), e.drop())
+		be = pickBackend(len(faults), len(patterns), e.drop())
 	}
 	switch be {
-	case BackendDeductive:
-		return runDeductive(ctx, e.c, e.inputs, e.outputs, faults, patterns, e.reg)
 	case BackendSerial:
 		return e.runSerial(ctx, faults, patterns)
-	case BackendFaultParallel:
-		return e.runFaultParallel(ctx, faults, patterns)
 	case BackendCPT:
 		return e.runCPT(ctx, faults, PackPatternSet(len(e.inputs), patterns))
 	default:
@@ -146,23 +131,19 @@ func (e *Engine) Run(ctx context.Context, faults []Fault, patterns [][]bool) (*R
 // the natural input of the exhaustive 2^N consumers (syndrome, Walsh,
 // autonomous testing), which synthesize blocks from periodic masks
 // without ever materializing scalar vectors. Results are byte-identical
-// to Run on the equivalent scalar set. Backends that walk patterns one
-// at a time (serial, deductive) unpack on entry.
+// to Run on the equivalent scalar set. The serial backend, which walks
+// patterns one at a time, unpacks on entry.
 func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatterns) (*Result, error) {
 	if pats.NumInputs() != len(e.inputs) {
 		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
 	}
 	be := e.opts.Backend
 	if be == Auto {
-		be = pickBackend(e.c, len(faults), pats.NumPatterns(), e.drop())
+		be = pickBackend(len(faults), pats.NumPatterns(), e.drop())
 	}
 	switch be {
-	case BackendDeductive:
-		return runDeductive(ctx, e.c, e.inputs, e.outputs, faults, pats.Patterns(), e.reg)
 	case BackendSerial:
 		return e.runSerial(ctx, faults, pats.Patterns())
-	case BackendFaultParallel:
-		return e.runFaultParallel(ctx, faults, pats.Patterns())
 	case BackendCPT:
 		return e.runCPT(ctx, faults, pats)
 	default:
@@ -172,25 +153,19 @@ func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatt
 
 // pickBackend implements the Auto heuristics; the selection table is
 // documented in DESIGN.md. Tiny jobs skip engine setup and run
-// serially. No-drop fault-heavy gradings trace observability from the
-// good machine (CPT grades every fault in O(1) per block), except that
-// small combinational instances keep the deductive backend, whose
-// per-pattern fault-list unions are competitive there. Pattern-starved
-// gradings pack the fault axis (SPMF keeps all 64 lanes busy where
-// PPSFP blocks run nearly empty); everything else takes the sharded
-// parallel-pattern path.
-func pickBackend(c *logic.Circuit, nFaults, nPatterns int, drop bool) Backend {
+// serially. Fault-heavy gradings — no-drop jobs with many faults per
+// pattern, and short drop-mode re-grades — trace observability from
+// the good machine, where CPT grades every fault in O(1) per block.
+// Everything else takes the sharded parallel-pattern path.
+func pickBackend(nFaults, nPatterns int, drop bool) Backend {
 	if nFaults*nPatterns <= 512 {
 		return BackendSerial
 	}
 	if !drop && nFaults >= 4*nPatterns {
-		if len(c.DFFs) == 0 && nFaults*nPatterns <= 1<<15 {
-			return BackendDeductive
-		}
 		return BackendCPT
 	}
 	if nPatterns <= 16 && nFaults >= 64*nPatterns {
-		return BackendFaultParallel
+		return BackendCPT
 	}
 	return BackendParallel
 }
@@ -346,7 +321,6 @@ func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]boo
 	good := make([]bool, n)
 	bad := make([]bool, n)
 	scratch := make([]bool, e.c.MaxFanin())
-	prog := sim.ActiveProgram(e.c)
 	live := make([]int, len(faults))
 	for i := range live {
 		live[i] = i
@@ -362,7 +336,7 @@ func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]boo
 		if len(live) == 0 && drop {
 			break
 		}
-		e.loadSerial(p, good, scratch, prog)
+		e.loadSerial(p, good, scratch)
 		passes++
 		next := live[:0]
 		for _, fi := range live {
@@ -397,10 +371,10 @@ func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]boo
 
 // loadSerial computes the good machine for one pattern under the
 // engine's view: unlisted source elements at 0, pattern bits on the
-// view inputs, then a levelized pass through prog when the compiled
-// kernel is active (the faulty passes stay interpreted — they need
-// per-gate injection hooks the straight-line program doesn't have).
-func (e *Engine) loadSerial(p []bool, vals, scratch []bool, prog *sim.Program) {
+// view inputs, then an interpreted levelized pass. The serial backend
+// never touches the compiled kernel, so it stays an independent
+// reference for every compiled backend.
+func (e *Engine) loadSerial(p []bool, vals, scratch []bool) {
 	c := e.c
 	for _, pi := range c.PIs {
 		vals[pi] = false
@@ -410,10 +384,6 @@ func (e *Engine) loadSerial(p []bool, vals, scratch []bool, prog *sim.Program) {
 	}
 	for i, b := range p {
 		vals[e.inputs[i]] = b
-	}
-	if prog != nil {
-		prog.ExecBool(vals)
-		return
 	}
 	for _, id := range c.Order {
 		g := &c.Gates[id]

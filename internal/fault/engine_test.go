@@ -61,7 +61,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// All three backends agree on outcomes for a combinational circuit.
+// Every backend agrees on outcomes for a combinational circuit.
 func TestEngineBackendAgreement(t *testing.T) {
 	c := circuits.RippleAdder(6)
 	faults := CollapseEquiv(c, Universe(c)).Reps
@@ -71,7 +71,7 @@ func TestEngineBackendAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT, Auto} {
+	for _, be := range []Backend{BackendSerial, BackendCPT, Auto} {
 		got, err := Simulate(context.Background(), c, faults, pats, Options{Backend: be})
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestEngineCancellation(t *testing.T) {
 	pats := enginePatterns(len(c.PIs), 256, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, be := range []Backend{BackendParallel, BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendSerial, BackendCPT} {
 		res, err := Simulate(ctx, c, faults, pats, Options{Backend: be, Workers: 4})
 		if err == nil || res != nil {
 			t.Fatalf("%s: want cancellation error, got res=%v err=%v", be, res, err)
@@ -216,7 +216,7 @@ func TestEngineShardTelemetry(t *testing.T) {
 }
 
 func TestParseBackendRoundTrip(t *testing.T) {
-	for _, be := range []Backend{Auto, BackendParallel, BackendDeductive, BackendSerial, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{Auto, BackendParallel, BackendSerial, BackendCPT} {
 		got, err := ParseBackend(be.String())
 		if err != nil || got != be {
 			t.Fatalf("round trip %v: got %v err %v", be, got, err)
@@ -227,31 +227,78 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// Auto must never hand a sequential circuit to the deductive backend
-// and must agree with parallel outcomes regardless of what it picks.
+// TestEngineAutoHeuristic pins every Auto rule from both sides of its
+// threshold.
 func TestEngineAutoHeuristic(t *testing.T) {
-	if be := pickBackend(circuits.C17(), 4, 4, true); be != BackendSerial {
-		t.Fatalf("tiny job picked %v", be)
+	for _, tc := range []struct {
+		name             string
+		faults, patterns int
+		drop             bool
+		want             Backend
+	}{
+		{"tiny", 16, 32, true, BackendSerial},
+		{"just past tiny", 17, 32, true, BackendParallel},
+		{"no-drop fault-heavy", 1024, 256, false, BackendCPT},
+		{"no-drop pattern-heavy", 1023, 256, false, BackendParallel},
+		{"8-pattern drop re-grade", 4096, 8, true, BackendCPT},
+		{"8-pattern re-grade, too few faults", 511, 8, true, BackendParallel},
+		{"16-pattern drop re-grade", 1024, 16, true, BackendCPT},
+		{"17-pattern drop re-grade", 4096, 17, true, BackendParallel},
+		{"384-pattern drop", 4096, 384, true, BackendParallel},
+	} {
+		if got := pickBackend(tc.faults, tc.patterns, tc.drop); got != tc.want {
+			t.Errorf("%s (%d faults × %d patterns, drop=%v): picked %v, want %v",
+				tc.name, tc.faults, tc.patterns, tc.drop, got, tc.want)
+		}
 	}
-	comb := circuits.RippleAdder(8)
-	// Large no-drop gradings go to the observability backend; the
-	// deductive simulator keeps only the small combinational window.
-	if be := pickBackend(comb, 4096, 64, false); be != BackendCPT {
-		t.Fatalf("no-drop fault-heavy job picked %v", be)
+}
+
+// TestEngineAutoDFFCircuit runs Auto on a scan-view circuit with
+// flip-flops in every job shape: each run must land on exactly one of
+// serial, cpt or parallel (read off the backend timers) and match the
+// serial backend.
+func TestEngineAutoDFFCircuit(t *testing.T) {
+	c := circuits.Counter(16)
+	all := CollapseEquiv(c, Universe(c)).Reps
+	inputs := append(append([]int{}, c.PIs...), c.DFFs...)
+	outputs := append([]int{}, c.POs...)
+	for _, d := range c.DFFs {
+		outputs = append(outputs, c.Gates[d].Fanin[0])
 	}
-	if be := pickBackend(comb, 1024, 32, false); be != BackendDeductive {
-		t.Fatalf("small no-drop combinational job picked %v", be)
-	}
-	seq := circuits.Counter(8)
-	if be := pickBackend(seq, 1024, 32, false); be == BackendDeductive {
-		t.Fatal("deductive picked for a sequential circuit")
-	}
-	// Pattern-starved fault-heavy gradings go fault-parallel.
-	if be := pickBackend(comb, 1024, 8, true); be != BackendFaultParallel {
-		t.Fatalf("pattern-starved job picked %v", be)
-	}
-	if be := pickBackend(comb, 4096, 4096, true); be != BackendParallel {
-		t.Fatalf("dropping bulk job picked %v", be)
+	view := View{Inputs: inputs, Outputs: outputs}
+	timers := []string{"fault.sim.serial", "fault.sim.cpt", "fault.sim.engine"}
+	for _, tc := range []struct {
+		faults, patterns int
+		drop             DropMode
+	}{
+		{8, 16, DropOn},
+		{len(all), 16, DropOff},
+		{len(all), 2, DropOn},
+		{len(all), 256, DropOn},
+	} {
+		faults := all[:tc.faults]
+		pats := enginePatterns(len(inputs), tc.patterns, 7)
+		reg := telemetry.NewRegistry()
+		got, err := Simulate(context.Background(), c, faults, pats,
+			Options{Drop: tc.drop, View: view, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		ran := 0
+		for _, name := range timers {
+			ran += int(snap.Timers[name].Count)
+		}
+		label := fmt.Sprintf("%d faults × %d patterns drop=%v", tc.faults, tc.patterns, tc.drop)
+		if ran != 1 {
+			t.Fatalf("%s: %d runs of serial/cpt/parallel, want exactly 1", label, ran)
+		}
+		want, err := Simulate(context.Background(), c, faults, pats,
+			Options{Backend: BackendSerial, View: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, label, got, want)
 	}
 }
 
@@ -266,7 +313,7 @@ func TestAllBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendSerial, BackendDeductive, BackendFaultParallel, BackendCPT, Auto} {
+	for _, be := range []Backend{BackendSerial, BackendCPT, Auto} {
 		for _, drop := range []DropMode{DropOn, DropOff} {
 			got, err := Simulate(context.Background(), c, faults, pats,
 				Options{Backend: be, Drop: drop})
@@ -293,7 +340,6 @@ func TestEnginePartialViewAgreement(t *testing.T) {
 	for _, opts := range []Options{
 		{Backend: BackendParallel, Workers: 4, View: view},
 		{Backend: BackendSerial, View: view},
-		{Backend: BackendDeductive, View: view},
 	} {
 		got, err := Simulate(context.Background(), c, faults, pats, opts)
 		if err != nil {

@@ -11,14 +11,16 @@ import (
 )
 
 // FuzzBackendEquivalence requires every fault-simulation configuration
-// (backend × workers × drop × kernel) to report identical detection
-// outcomes on a seed-generated circuit's collapsed fault list.
+// (serial, parallel and cpt backends × workers × drop) to report
+// detection outcomes identical to the serial baseline, whose good
+// machine runs on the interpreted kernel, on a seed-generated
+// circuit's collapsed fault list.
 //
 // Run: go test -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 func FuzzBackendEquivalence(f *testing.F) {
 	// 116 generates a 5-DFF sequential netlist and 142 a large
-	// tie-heavy combinational one — the shapes that stress the
-	// fault-parallel grouping and cpt observability chain cells.
+	// tie-heavy combinational one — the shapes that stress the cpt
+	// observability chain and pattern-axis worker cells.
 	for _, seed := range []int64{1, 2, 5, 11, 42, -8, 116, 142} {
 		f.Add(seed)
 	}

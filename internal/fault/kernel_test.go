@@ -6,52 +6,30 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
-	"dft/internal/sim"
 )
 
-// withKernel runs fn under the given kernel default, restoring the
-// previous selection afterwards. Kernel-toggling tests must not run in
-// parallel with each other.
-func withKernel(k sim.Kernel, fn func()) {
-	prev := sim.SetDefaultKernel(k)
-	defer sim.SetDefaultKernel(prev)
-	fn()
-}
-
-// TestKernelInvariance is the cross-kernel acceptance criterion:
-// fault.Simulate produces byte-identical Results under the interpreted
-// and compiled kernels, at every worker count, on every backend,
-// dropping or not.
+// TestKernelInvariance is the cross-kernel acceptance criterion: every
+// compiled-kernel backend produces byte-identical Results to the
+// serial backend, whose good machine runs on the interpreted kernel,
+// at every worker count, dropping or not.
 func TestKernelInvariance(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	faults := CollapseEquiv(c, Universe(c)).Reps
 	pats := enginePatterns(len(c.PIs), 200, 23)
-	for _, be := range []Backend{BackendSerial, BackendParallel, BackendDeductive, BackendFaultParallel, BackendCPT} {
-		for _, drop := range []DropMode{DropOn, DropOff} {
-			if be == BackendDeductive && drop == DropOn {
-				continue // deductive backend is no-drop only
-			}
-			var base *Result
-			withKernel(sim.KernelInterp, func() {
-				var err error
-				base, err = Simulate(context.Background(), c, faults, pats,
-					Options{Backend: be, Workers: 1, Drop: drop})
+	for _, drop := range []DropMode{DropOn, DropOff} {
+		base, err := Simulate(context.Background(), c, faults, pats,
+			Options{Backend: BackendSerial, Drop: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []Backend{BackendParallel, BackendCPT} {
+			for _, w := range []int{1, 2, 4, 8} {
+				got, err := Simulate(context.Background(), c, faults, pats,
+					Options{Backend: be, Workers: w, Drop: drop})
 				if err != nil {
 					t.Fatal(err)
 				}
-			})
-			for _, w := range []int{1, 2, 4, 8} {
-				withKernel(sim.KernelCompiled, func() {
-					got, err := Simulate(context.Background(), c, faults, pats,
-						Options{Backend: be, Workers: w, Drop: drop})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, fmt.Sprintf("backend=%v kernel=compiled workers=%d drop=%v", be, w, drop), got, base)
-				})
-				if be == BackendSerial || be == BackendDeductive {
-					break // worker count only matters on the sharded paths
-				}
+				sameResult(t, fmt.Sprintf("backend=%v workers=%d drop=%v", be, w, drop), got, base)
 			}
 		}
 	}
@@ -67,7 +45,7 @@ func TestRunPackedMatchesRun(t *testing.T) {
 	if packed.NumPatterns() != len(pats) {
 		t.Fatalf("packed %d patterns, want %d", packed.NumPatterns(), len(pats))
 	}
-	for _, be := range []Backend{BackendSerial, BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendSerial, BackendParallel, BackendCPT} {
 		want, err := Simulate(context.Background(), c, faults, pats, Options{Backend: be})
 		if err != nil {
 			t.Fatal(err)
@@ -139,40 +117,36 @@ func TestAppendEnumMatchesScalar(t *testing.T) {
 }
 
 // TestSessionKernelInvariance re-checks the ATPG grading path: a
-// session's incremental blocks drop the same faults under both kernels.
+// session's incremental blocks, on the compiled kernel, drop exactly
+// the faults the interpreted serial backend detects, and each block's
+// useful mask marks exactly the serial first-detecting patterns.
 func TestSessionKernelInvariance(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := CollapseEquiv(c, Universe(c)).Reps
 	pats := enginePatterns(len(c.PIs), 192, 9)
-	type outcome struct {
-		detected []bool
-		useful   []uint64
-		caught   int
+	want, err := Simulate(context.Background(), c, faults, pats, Options{Backend: BackendSerial})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() outcome {
-		e := NewEngine(c, Options{Workers: 4, Drop: DropOn})
-		s := e.NewSession(faults)
-		o := outcome{detected: make([]bool, len(faults))}
-		for base := 0; base < len(pats); base += 64 {
-			o.useful = append(o.useful, s.ApplyBlock(pats[base:base+64], o.detected))
-		}
-		o.caught = s.Caught()
-		return o
-	}
-	var interp, compiled outcome
-	withKernel(sim.KernelInterp, func() { interp = run() })
-	withKernel(sim.KernelCompiled, func() { compiled = run() })
-	if interp.caught != compiled.caught {
-		t.Fatalf("caught %d interp vs %d compiled", interp.caught, compiled.caught)
-	}
-	for i := range interp.detected {
-		if interp.detected[i] != compiled.detected[i] {
-			t.Fatalf("fault %d: interp %v compiled %v", i, interp.detected[i], compiled.detected[i])
+	wantUseful := make([]uint64, len(pats)/64)
+	for _, p := range want.DetectedBy {
+		if p >= 0 {
+			wantUseful[p/64] |= 1 << uint(p%64)
 		}
 	}
-	for b := range interp.useful {
-		if interp.useful[b] != compiled.useful[b] {
-			t.Fatalf("block %d useful mask: %#x vs %#x", b, interp.useful[b], compiled.useful[b])
+	s := NewEngine(c, Options{Workers: 4, Drop: DropOn}).NewSession(faults)
+	detected := make([]bool, len(faults))
+	for base := 0; base < len(pats); base += 64 {
+		if got := s.ApplyBlock(pats[base:base+64], detected); got != wantUseful[base/64] {
+			t.Fatalf("block %d useful mask: %#x, serial %#x", base/64, got, wantUseful[base/64])
+		}
+	}
+	if s.Caught() != want.NumCaught {
+		t.Fatalf("caught %d, serial %d", s.Caught(), want.NumCaught)
+	}
+	for i := range detected {
+		if detected[i] != want.Detected[i] {
+			t.Fatalf("fault %d: session %v, serial %v", i, detected[i], want.Detected[i])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"dft/internal/logic"
+	"dft/internal/suggest"
 	"dft/internal/telemetry"
 )
 
@@ -14,27 +15,19 @@ import (
 type Backend int
 
 const (
-	// Auto picks a backend from fault-count, pattern-count and circuit
-	// heuristics: tiny jobs run serially, pattern-starved gradings pack
-	// the fault axis, large no-drop gradings trace observability from
-	// the good machine, everything else runs on the sharded
-	// parallel-pattern engine.
+	// Auto picks a backend from fault-count, pattern-count and drop
+	// heuristics: tiny jobs run serially, fault-heavy gradings trace
+	// observability from the good machine, everything else runs on the
+	// sharded parallel-pattern engine.
 	Auto Backend = iota
 	// BackendParallel is the 64-way parallel-pattern single-fault
 	// (PPSFP) simulator, sharded across workers on the fault axis.
 	BackendParallel
-	// BackendDeductive is Armstrong's deductive simulator: one
-	// levelized pass per pattern carrying every fault list at once.
-	BackendDeductive
 	// BackendSerial simulates one good/faulty machine pair per pattern
-	// — the paper's "3001 good machine simulations" cost model.
+	// — the paper's "3001 good machine simulations" cost model. Its
+	// good machine runs on the interpreted kernel, so it is the
+	// reference every compiled backend is checked against.
 	BackendSerial
-	// BackendFaultParallel is the single-pattern multi-fault (SPMF)
-	// dual of BackendParallel: up to 64 single-stuck machines are
-	// packed per word through per-net injection masks, so one levelized
-	// word pass grades a whole fault group against one pattern. The
-	// engine shards it across workers on the pattern axis.
-	BackendFaultParallel
 	// BackendCPT is the critical-path-tracing / observability-
 	// propagation backend: per 64-pattern block it computes, from the
 	// good-machine pass alone, an observability word for every net
@@ -44,91 +37,35 @@ const (
 	BackendCPT
 )
 
+// backendNames lists every accepted -engine spelling, indexed by
+// Backend, for String, parse errors and did-you-mean suggestions.
+var backendNames = []string{"auto", "parallel", "serial", "cpt"}
+
 // String names the backend as accepted by the dftc -engine flag.
 func (b Backend) String() string {
-	switch b {
-	case Auto:
-		return "auto"
-	case BackendParallel:
-		return "parallel"
-	case BackendDeductive:
-		return "deductive"
-	case BackendSerial:
-		return "serial"
-	case BackendFaultParallel:
-		return "faultparallel"
-	case BackendCPT:
-		return "cpt"
+	if b >= 0 && int(b) < len(backendNames) {
+		return backendNames[b]
 	}
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// backendNames lists every accepted -engine spelling, for parse errors
-// and did-you-mean suggestions.
-var backendNames = []string{"auto", "parallel", "deductive", "serial", "faultparallel", "cpt"}
-
 // ParseBackend maps a dftc -engine flag value to a Backend. Unknown
 // names get a did-you-mean suggestion when an accepted spelling is
-// within edit distance 3, mirroring sim.ParseKernel.
+// close.
 func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "auto", "":
+	if s == "" {
 		return Auto, nil
-	case "parallel":
-		return BackendParallel, nil
-	case "deductive":
-		return BackendDeductive, nil
-	case "serial":
-		return BackendSerial, nil
-	case "faultparallel":
-		return BackendFaultParallel, nil
-	case "cpt":
-		return BackendCPT, nil
 	}
-	want := "want auto, parallel, faultparallel, cpt, deductive or serial"
-	if sug := closestBackendName(s); sug != "" {
+	for b, n := range backendNames {
+		if s == n {
+			return Backend(b), nil
+		}
+	}
+	want := "want auto, parallel, cpt or serial"
+	if sug := suggest.Closest(s, backendNames); sug != "" {
 		return Auto, fmt.Errorf("fault: unknown backend %q (did you mean %q? %s)", s, sug, want)
 	}
 	return Auto, fmt.Errorf("fault: unknown backend %q (%s)", s, want)
-}
-
-// closestBackendName suggests a backend name within edit distance 3.
-func closestBackendName(s string) string {
-	best, bestDist := "", 4
-	for _, n := range backendNames {
-		if d := backendEditDistance(s, n); d < bestDist {
-			best, bestDist = n, d
-		}
-	}
-	return best
-}
-
-// backendEditDistance is the Levenshtein distance between a and b.
-func backendEditDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			d := prev[j] + 1
-			if c := cur[j-1] + 1; c < d {
-				d = c
-			}
-			if c := prev[j-1] + cost; c < d {
-				d = c
-			}
-			cur[j] = d
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }
 
 // DropMode controls fault dropping. The zero value enables dropping —
@@ -181,34 +118,22 @@ func (v View) Resolve(c *logic.Circuit) (inputs, outputs []int) {
 	return v.resolve(c)
 }
 
-// ParallelismAuto (the Parallelism zero value) packs the full 64-bit
-// word on the backend's packed axis.
-const ParallelismAuto = 0
-
 // Options configures Simulate and NewEngine. The zero value is the
 // recommended production configuration: automatic backend selection,
-// one worker per CPU, full-word machine packing, fault dropping, the
-// primary view, and the process-wide telemetry registry.
+// one worker per CPU, fault dropping, the primary view, and the
+// process-wide telemetry registry.
 //
-// The surface has two orthogonal axes: Backend names the algorithm
-// (which machines share a word), while Workers and Parallelism size it
-// (how many CPU shards, how many machines per word). Every combination
-// produces bit-identical Results; the knobs only trade time for memory.
+// The surface has two orthogonal axes: Backend names the algorithm,
+// while Workers sizes it. Every combination produces bit-identical
+// Results; the knobs only trade time for memory.
 type Options struct {
 	// Backend selects the simulation algorithm; Auto (zero) picks one.
 	Backend Backend
 	// Workers is the engine's sharding degree — over faults for
-	// BackendParallel, over patterns for BackendFaultParallel and
-	// BackendCPT: WorkersAuto (0) means runtime.GOMAXPROCS(0), n ≥ 1 is
-	// explicit. Every worker count produces bit-identical Results.
+	// BackendParallel, over patterns for BackendCPT: WorkersAuto (0)
+	// means runtime.GOMAXPROCS(0), n ≥ 1 is explicit. Every worker
+	// count produces bit-identical Results.
 	Workers int
-	// Parallelism is the machine count packed per 64-bit word on the
-	// backend's packed axis — fault machines for BackendFaultParallel
-	// (1..64). ParallelismAuto (0) packs the full word. Backends whose
-	// packed axis is fixed by the word width (parallel, cpt) and the
-	// unpacked backends (serial, deductive) ignore it. It exists for
-	// the width-ablation benches; production callers leave it 0.
-	Parallelism int
 	// Drop controls fault dropping; the zero value drops.
 	Drop DropMode
 	// View selects controllable/observable nets; zero is the primary
@@ -230,13 +155,4 @@ func (o Options) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-// lanes resolves Parallelism to a concrete machines-per-word count in
-// [1, 64].
-func (o Options) lanes() int {
-	if o.Parallelism <= ParallelismAuto || o.Parallelism > 64 {
-		return 64
-	}
-	return o.Parallelism
 }

@@ -79,8 +79,7 @@ func (pp *PackedPatterns) At(i int) []bool {
 }
 
 // Patterns materializes the whole set as scalar vectors, for the
-// engine backends (serial, deductive) that still walk patterns one at
-// a time.
+// serial backend, which still walks patterns one at a time.
 func (pp *PackedPatterns) Patterns() [][]bool {
 	out := make([][]bool, pp.n)
 	for i := range out {

@@ -23,7 +23,7 @@ func TestSessionReplayMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{BackendParallel, BackendFaultParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		for _, w := range []int{1, 4} {
 			for _, order := range []ReplayOrder{ReplayForward, ReplayReverse} {
 				eng := NewEngine(c, Options{Backend: be, Workers: w, Metrics: telemetry.NewRegistry()})

@@ -68,7 +68,7 @@ func detectsWithState(c *logic.Circuit, pi, state []bool, f Fault) bool {
 	good := make([]bool, len(c.Gates))
 	bad := make([]bool, len(c.Gates))
 	scratch := make([]bool, c.MaxFanin())
-	goodEval(c, pi, state, good, scratch)
+	sim.EvalInto(c, pi, state, good)
 	evalFaultyInto(c, pi, state, f, bad, scratch)
 	for _, po := range c.POs {
 		if good[po] != bad[po] {
@@ -76,30 +76,6 @@ func detectsWithState(c *logic.Circuit, pi, state []bool, f Fault) bool {
 		}
 	}
 	return false
-}
-
-// goodEval is the serial good-machine pass; it rides the compiled
-// kernel when active (faulty passes stay interpreted for the
-// injection hooks).
-func goodEval(c *logic.Circuit, pi, state, vals, scratch []bool) {
-	for i, id := range c.PIs {
-		vals[id] = pi[i]
-	}
-	for i, id := range c.DFFs {
-		vals[id] = state[i]
-	}
-	if p := sim.ActiveProgram(c); p != nil {
-		p.ExecBool(vals)
-		return
-	}
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = vals[src]
-		}
-		vals[id] = g.Type.EvalBool(in)
-	}
 }
 
 // SequentialResult reports sequential fault simulation outcomes.
@@ -150,7 +126,7 @@ func SimulateSequence(c *logic.Circuit, faults []Fault, seq [][]bool) *Sequentia
 	goodStates[0] = make([]bool, nd)
 	goodOuts := make([][]bool, len(seq))
 	for t, pat := range seq {
-		goodEval(c, pat, goodStates[t], goodVals, scratch)
+		sim.EvalInto(c, pat, goodStates[t], goodVals)
 		out := make([]bool, len(c.POs))
 		for k, po := range c.POs {
 			out[k] = goodVals[po]

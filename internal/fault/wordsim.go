@@ -51,7 +51,7 @@ func (r *Result) Undetected() []Fault {
 // the input list are held at 0, the toolkit's reset state.
 type ParallelSim struct {
 	c       *logic.Circuit
-	prog    *sim.Program // compiled good-machine kernel; nil under KernelInterp
+	prog    *sim.Program // compiled good-machine kernel
 	inputs  []int
 	good    sim.Words
 	val     []uint64 // overlay of faulty values
@@ -92,7 +92,7 @@ func NewParallelSimView(c *logic.Circuit, inputs, outputs []int) *ParallelSim {
 	n := c.NumNets()
 	ps := &ParallelSim{
 		c:       c,
-		prog:    sim.ActiveProgram(c),
+		prog:    sim.CompiledFor(c),
 		inputs:  append([]int(nil), inputs...),
 		good:    make(sim.Words, n),
 		val:     make([]uint64, n),
@@ -131,7 +131,7 @@ func (ps *ParallelSim) LoadBlock(patterns [][]bool) int {
 
 // LoadPackedBlock loads an already-packed block (one word per view
 // input, k patterns in the low bits) and computes the good-machine
-// response through the active kernel. Words are masked to k bits, so a
+// response through the compiled kernel. Words are masked to k bits, so a
 // shared block may carry stale high bits. It returns k (capped at 64).
 func (ps *ParallelSim) LoadPackedBlock(words []uint64, k int) int {
 	if k > 64 {
@@ -152,18 +152,7 @@ func (ps *ParallelSim) LoadPackedBlock(words []uint64, k int) int {
 	for i, in := range ps.inputs {
 		ps.good[in] = words[i] & mask
 	}
-	if ps.prog != nil {
-		ps.prog.Exec(ps.good)
-	} else {
-		for _, id := range c.Order {
-			g := &c.Gates[id]
-			in := ps.scratch[:len(g.Fanin)]
-			for i, src := range g.Fanin {
-				in[i] = ps.good[src]
-			}
-			ps.good[id] = g.Type.EvalWord(in)
-		}
-	}
+	ps.prog.Exec(ps.good)
 	ps.nEvals += int64(len(c.Order))
 	return k
 }

@@ -9,7 +9,6 @@ import (
 	"dft/internal/atpg"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
 
@@ -103,7 +102,6 @@ func CheckAdvise(ctx context.Context, c *logic.Circuit, seed int64) (*Divergence
 		Baseline(),
 		{Backend: fault.BackendParallel, Workers: 1, Drop: fault.DropOn},
 		{Backend: fault.BackendParallel, Workers: 4, Drop: fault.DropOn},
-		{Backend: fault.BackendFaultParallel, Workers: 2, Drop: fault.DropOn},
 		{Backend: fault.BackendCPT, Workers: 2, Drop: fault.DropOff},
 	}
 	var want *fault.Result
@@ -132,8 +130,6 @@ func CheckAdvise(ctx context.Context, c *logic.Circuit, seed int64) (*Divergence
 // runViewConfig is runConfig with an explicit tester view — the shape
 // advise-instrumented netlists are graded under.
 func runViewConfig(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault, pats [][]bool, sc SimConfig) (*fault.Result, error) {
-	prev := sim.SetDefaultKernel(sc.Kernel)
-	defer sim.SetDefaultKernel(prev)
 	return fault.Simulate(ctx, c, faults, pats, fault.Options{
 		Backend: sc.Backend,
 		Workers: sc.Workers,

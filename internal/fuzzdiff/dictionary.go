@@ -17,7 +17,7 @@ import (
 //     row's first set bit must be the baseline's first-detecting
 //     pattern (first detection is drop-invariant, so the two engines
 //     must agree bit-for-bit on it);
-//   - worker/backend invariance: the CPT and fault-parallel detail
+//   - worker/backend invariance: the parallel and CPT detail
 //     schedulers at several worker counts must reproduce the
 //     single-worker parallel rows byte-identically;
 //   - closed-loop diagnosis: observing a detected fault's machine
@@ -71,7 +71,6 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		w  int
 	}{
 		{fault.BackendParallel, 4},
-		{fault.BackendFaultParallel, 2},
 		{fault.BackendCPT, 4},
 	} {
 		other, err := diagnose.Build(ctx, c, faults, pats, diagnose.Options{Backend: cfg.be, Workers: cfg.w})

@@ -18,12 +18,10 @@ var (
 )
 
 // SimConfig pins one cell of the cross-oracle matrix: which
-// good-machine kernel is active, which fault-simulation backend runs,
-// at what sharding degree, and whether faults drop after first
-// detection. Every cell must produce byte-identical Results on the
-// same circuit/fault-list/pattern-set.
+// fault-simulation backend runs, at what sharding degree, and whether
+// faults drop after first detection. Every cell must produce
+// byte-identical Results on the same circuit/fault-list/pattern-set.
 type SimConfig struct {
-	Kernel  sim.Kernel
 	Backend fault.Backend
 	Workers int
 	Drop    fault.DropMode
@@ -35,49 +33,41 @@ func (sc SimConfig) String() string {
 	if sc.Drop == fault.DropOff {
 		drop = "off"
 	}
-	return fmt.Sprintf("kernel=%v backend=%v workers=%d drop=%s", sc.Kernel, sc.Backend, sc.Workers, drop)
+	return fmt.Sprintf("backend=%v workers=%d drop=%s", sc.Backend, sc.Workers, drop)
 }
 
-// Baseline is the reference cell: interpreted kernel, serial backend,
-// one worker, dropping on — the most literal implementation of the
-// paper's one-good-machine/one-faulty-machine-per-pattern model.
+// Baseline is the reference cell: serial backend, one worker, dropping
+// on — the most literal implementation of the paper's
+// one-good-machine/one-faulty-machine-per-pattern model. Its good
+// machine runs on the interpreted kernel, so the baseline stays
+// independent of the compiled kernel every other cell uses.
 func Baseline() SimConfig {
-	return SimConfig{Kernel: sim.KernelInterp, Backend: fault.BackendSerial, Workers: 1, Drop: fault.DropOn}
+	return SimConfig{Backend: fault.BackendSerial, Workers: 1, Drop: fault.DropOn}
 }
 
-// Matrix enumerates the configurations CheckBackends sweeps: both
-// kernels crossed with the serial backend (both drop modes), the
-// parallel, fault-parallel and critical-path-tracing backends at
-// several worker counts (both drop modes — fault-parallel and cpt
-// shard over patterns, so their worker cells also pin the min-merge
-// of per-worker first detections), and the deductive backend
-// (inherently no-drop). Detection outcomes are defined to be
-// drop-invariant, so drop-on cells are compared against the same
-// baseline as drop-off cells.
+// Matrix enumerates the configurations CheckBackends sweeps: the
+// serial backend, the parallel backend at several worker counts and
+// the critical-path-tracing backend at two (cpt shards over patterns,
+// so its worker cells also pin the min-merge of per-worker first
+// detections), each with dropping on and off. Detection outcomes are
+// defined to be drop-invariant, so drop-on cells are compared against
+// the same baseline as drop-off cells.
 func Matrix() []SimConfig {
 	var m []SimConfig
-	for _, k := range []sim.Kernel{sim.KernelInterp, sim.KernelCompiled} {
-		for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
-			m = append(m, SimConfig{k, fault.BackendSerial, 1, drop})
-			for _, w := range []int{1, 2, 5} {
-				m = append(m, SimConfig{k, fault.BackendParallel, w, drop})
-			}
-			for _, w := range []int{1, 4} {
-				m = append(m, SimConfig{k, fault.BackendFaultParallel, w, drop})
-				m = append(m, SimConfig{k, fault.BackendCPT, w, drop})
-			}
+	for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
+		m = append(m, SimConfig{fault.BackendSerial, 1, drop})
+		for _, w := range []int{1, 2, 5} {
+			m = append(m, SimConfig{fault.BackendParallel, w, drop})
 		}
-		m = append(m, SimConfig{k, fault.BackendDeductive, 1, fault.DropOff})
+		for _, w := range []int{1, 4} {
+			m = append(m, SimConfig{fault.BackendCPT, w, drop})
+		}
 	}
 	return m
 }
 
-// runConfig executes one cell: the process-wide kernel is switched for
-// the duration of the run (engines snapshot the active kernel when
-// they build their simulators) and restored afterwards.
+// runConfig executes one cell.
 func runConfig(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pats [][]bool, sc SimConfig) (*fault.Result, error) {
-	prev := sim.SetDefaultKernel(sc.Kernel)
-	defer sim.SetDefaultKernel(prev)
 	return fault.Simulate(ctx, c, faults, pats, fault.Options{
 		Backend: sc.Backend,
 		Workers: sc.Workers,

@@ -127,9 +127,6 @@ func TestMatrixShape(t *testing.T) {
 			t.Fatalf("duplicate cell %s", sc)
 		}
 		seen[sc.String()] = true
-		if sc.Backend == fault.BackendDeductive && sc.Drop != fault.DropOff {
-			t.Fatalf("deductive cell must be no-drop: %s", sc)
-		}
 	}
 	if !seen[Baseline().String()] {
 		t.Fatal("matrix must contain the baseline cell")
@@ -148,7 +145,7 @@ func TestRandomPatternsDeterministic(t *testing.T) {
 
 // TestRoundCleanTree is the clean-tree acceptance check in miniature:
 // a spread of seeds, combinational and sequential, must produce zero
-// divergences across the whole kernel/backend matrix.
+// divergences across the kernel checks and the whole backend matrix.
 func TestRoundCleanTree(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		if d := Round(ShapeConfig(seed), seed, RoundOptions{Patterns: 48, Vectors: 6}); d != nil {
@@ -281,8 +278,8 @@ func TestBrokenKernelCaught(t *testing.T) {
 	}
 }
 
-// TestCheckBackendsSequential exercises the full matrix, including
-// deductive, on a DFF-bearing circuit.
+// TestCheckBackendsSequential exercises the full matrix on a
+// DFF-bearing circuit.
 func TestCheckBackendsSequential(t *testing.T) {
 	cfg := ShapeConfig(2)
 	cfg.DFFs = 3

@@ -1,8 +1,8 @@
 // Package fuzzdiff is the toolkit's differential-fuzzing and
 // cross-oracle validation layer. The compiled kernel, the interpreted
 // kernel, every execution width (scalar, 64-way word, blocked) and
-// every fault-simulation backend (serial, deductive, parallel,
-// fault-parallel and critical-path tracing, at any worker count) are
+// every fault-simulation backend (serial, parallel and critical-path
+// tracing, at any worker count) are
 // required to produce byte-identical results — the
 // good-machine/faulty-machine equivalence the paper's fault-simulation
 // cost model rests on. This package makes that invariant standing

@@ -50,20 +50,18 @@ type Options struct {
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 
 	// faultsim: number of random patterns, backend name
-	// (auto|parallel|faultparallel|cpt|deductive|serial), and drop
+	// (auto|parallel|cpt|serial), and drop
 	// ("off" disables fault dropping).
 	Patterns int    `json:"patterns,omitempty"`
 	Backend  string `json:"backend,omitempty"`
 	Drop     string `json:"drop,omitempty"`
 
-	// atpg: engine (podem|dalg), random-first budget, compaction.
-	// Compact is the legacy on/off switch (reverse-order compaction);
-	// CompactMode (off|reverse|static|dynamic|full) selects the full
-	// pipeline and wins when both are set. On faultsim jobs CompactMode
-	// compacts the graded random set and reports the ratio.
+	// atpg: engine (podem|dalg), random-first budget, and CompactMode
+	// (off|reverse|static|dynamic|full), the compaction pipeline. On
+	// faultsim jobs CompactMode compacts the graded random set and
+	// reports the ratio.
 	Engine      string `json:"engine,omitempty"`
 	Random      int    `json:"random,omitempty"`
-	Compact     bool   `json:"compact,omitempty"`
 	CompactMode string `json:"compact_mode,omitempty"`
 
 	// fuzz: differential-fuzz rounds (seeds 1..Rounds).

@@ -180,10 +180,9 @@ func runFaultSim(ctx context.Context, p *parsedRequest, reg *telemetry.Registry)
 			"detected":      res.NumCaught,
 		}
 	}
-	if prog := sim.ActiveProgram(d.Circuit); prog != nil {
-		rep.Results["folded_gates"] = prog.Folded()
-		rep.Results["hashed_gates"] = prog.Hashed()
-	}
+	prog := sim.CompiledFor(d.Circuit)
+	rep.Results["folded_gates"] = prog.Folded()
+	rep.Results["hashed_gates"] = prog.Hashed()
 	return rep, nil
 }
 
@@ -205,7 +204,6 @@ func runATPG(ctx context.Context, p *parsedRequest, reg *telemetry.Registry) (*t
 		Engine:      engine,
 		RandomFirst: o.Random,
 		Seed:        seed,
-		Compact:     o.Compact,
 		CompactMode: mode,
 		Workers:     o.Workers,
 		Metrics:     reg,
@@ -216,7 +214,7 @@ func runATPG(ctx context.Context, p *parsedRequest, reg *telemetry.Registry) (*t
 	rep := telemetry.NewReport("dftd", string(KindATPG), p.input)
 	rep.Config = map[string]any{
 		"engine": o.Engine, "scan": o.Scan, "random": o.Random,
-		"compact": o.Compact, "workers": o.Workers,
+		"workers": o.Workers,
 	}
 	recordSeed(rep, o, seed)
 	if mode.Enabled() {

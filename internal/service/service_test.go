@@ -543,6 +543,28 @@ func TestServiceCompactMode(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsLegacyCompact: the legacy "compact" on/off switch
+// is gone from the options schema, so a body still carrying it is
+// refused as an unknown field instead of silently running uncompacted.
+func TestServiceRejectsLegacyCompact(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{Workers: 1, QueueDepth: 4})
+	defer srv.Shutdown(context.Background())
+
+	body := `{"kind":"atpg","builtin":"c17","options":{"compact":true}}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("non-JSON error body (status %d): %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "compact") {
+		t.Fatalf("status %d body %+v, want 400 naming the unknown field", resp.StatusCode, e)
+	}
+}
+
 // TestServiceDiagnose is the diagnosis acceptance check: a kind:
 // diagnose job with an injected fault must return that fault's
 // equivalence-class representative among the ranked candidates at
@@ -698,7 +720,7 @@ func TestServiceATPGAndTimeout(t *testing.T) {
 
 	v, code, _ := postJob(t, ts.URL, JobRequest{
 		Kind: KindATPG, Builtin: "alu74181",
-		Options: Options{Random: 64, Compact: true},
+		Options: Options{Random: 64, CompactMode: "reverse"},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d", code)

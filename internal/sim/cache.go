@@ -1,111 +1,11 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"dft/internal/logic"
 	"dft/internal/telemetry"
 )
-
-// Kernel selects the good-machine evaluation engine behind the
-// package's Eval/EvalWords entry points.
-type Kernel int32
-
-const (
-	// KernelCompiled evaluates through a cached compiled Program —
-	// the default.
-	KernelCompiled Kernel = iota
-	// KernelInterp is the original interpreted levelized walk,
-	// dispatching through GateType.EvalBool/EvalWord per gate. Kept for
-	// cross-checking and ablation benches.
-	KernelInterp
-)
-
-// String names the kernel as accepted by ParseKernel.
-func (k Kernel) String() string {
-	switch k {
-	case KernelCompiled:
-		return "compiled"
-	case KernelInterp:
-		return "interp"
-	}
-	return fmt.Sprintf("Kernel(%d)", int32(k))
-}
-
-// ParseKernel parses a kernel name from the CLI. On failure the Kernel
-// return value is meaningless — callers must check the error rather
-// than fall through to the default kernel.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "compiled":
-		return KernelCompiled, nil
-	case "interp":
-		return KernelInterp, nil
-	}
-	if sug := closestKernelName(s); sug != "" {
-		return KernelCompiled, fmt.Errorf("unknown kernel %q (did you mean %q? want compiled or interp)", s, sug)
-	}
-	return KernelCompiled, fmt.Errorf("unknown kernel %q (want compiled or interp)", s)
-}
-
-// closestKernelName suggests a kernel name within edit distance 3.
-func closestKernelName(s string) string {
-	best, bestDist := "", 4
-	for _, k := range []string{"compiled", "interp"} {
-		if d := editDistance(s, k); d < bestDist {
-			best, bestDist = k, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between a and b.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// defaultKernel holds the process-wide kernel selection; the zero
-// value is KernelCompiled.
-var defaultKernel atomic.Int32
-
-// DefaultKernel returns the kernel Eval/EvalWords currently dispatch
-// to.
-func DefaultKernel() Kernel { return Kernel(defaultKernel.Load()) }
-
-// SetDefaultKernel selects the kernel for all subsequent evaluations
-// and returns the previous selection. It is safe for concurrent use,
-// but tests toggling it must not run in parallel with each other.
-func SetDefaultKernel(k Kernel) Kernel {
-	return Kernel(defaultKernel.Swap(int32(k)))
-}
 
 // The program cache maps a finalized *logic.Circuit to its compiled
 // Program. Circuits are immutable after Finalize, so identity keying
@@ -148,14 +48,4 @@ func CompiledFor(c *logic.Circuit) *Program {
 	}
 	gProgCached.Set(int64(len(progCacheAge)))
 	return p
-}
-
-// ActiveProgram returns the cached program for c when the compiled
-// kernel is selected, or nil under the interpreted kernel. Hot loops
-// use it to pick their fast path once per pass.
-func ActiveProgram(c *logic.Circuit) *Program {
-	if DefaultKernel() == KernelCompiled {
-		return CompiledFor(c)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"dft/internal/logic"
@@ -56,25 +55,5 @@ func TestProgramCacheEviction(t *testing.T) {
 	// the oldest surviving entry is circuit n-cap.
 	if want := fmt.Sprintf("cache_%d", n-programCacheCap); progCacheAge[0].Name != want {
 		t.Fatalf("oldest survivor is %s, want %s", progCacheAge[0].Name, want)
-	}
-}
-
-func TestParseKernelSuggests(t *testing.T) {
-	for _, k := range []Kernel{KernelCompiled, KernelInterp} {
-		got, err := ParseKernel(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	_, err := ParseKernel("compield")
-	if err == nil || !strings.Contains(err.Error(), `did you mean "compiled"?`) {
-		t.Fatalf("want did-you-mean error, got %v", err)
-	}
-	_, err = ParseKernel("zzzzzzzz")
-	if err == nil || strings.Contains(err.Error(), "did you mean") {
-		t.Fatalf("nonsense name should not get a suggestion: %v", err)
-	}
-	if _, err := ParseKernel("intrep"); err == nil || !strings.Contains(err.Error(), `"interp"`) {
-		t.Fatalf("want interp suggestion, got %v", err)
 	}
 }

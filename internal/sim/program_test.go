@@ -211,40 +211,19 @@ func TestCompileFoldsConstants(t *testing.T) {
 	}
 }
 
-// TestKernelDispatch checks the package entry points actually switch
-// kernels, and that both give the same answers through the public API.
+// TestKernelDispatch checks the package entry points run the compiled
+// kernel and agree with the interpreted reference through the public
+// API.
 func TestKernelDispatch(t *testing.T) {
 	c := mustParse(t, "c17", c17Bench)
 	pi := []bool{true, false, true, true, false}
-	prev := SetDefaultKernel(KernelInterp)
-	defer SetDefaultKernel(prev)
-	interp := Eval(c, pi, nil)
-	SetDefaultKernel(KernelCompiled)
+	interp := make([]bool, c.NumNets())
+	EvalInterpInto(c, pi, nil, interp, nil)
 	compiled := Eval(c, pi, nil)
 	for i := range interp {
 		if interp[i] != compiled[i] {
 			t.Fatalf("net %d: interp %v compiled %v", i, interp[i], compiled[i])
 		}
-	}
-}
-
-func TestKernelParse(t *testing.T) {
-	for _, tc := range []struct {
-		s  string
-		k  Kernel
-		ok bool
-	}{
-		{"compiled", KernelCompiled, true},
-		{"interp", KernelInterp, true},
-		{"fast", KernelCompiled, false},
-	} {
-		k, err := ParseKernel(tc.s)
-		if (err == nil) != tc.ok || (tc.ok && k != tc.k) {
-			t.Errorf("ParseKernel(%q) = %v, %v", tc.s, k, err)
-		}
-	}
-	if KernelCompiled.String() != "compiled" || KernelInterp.String() != "interp" {
-		t.Errorf("kernel names: %q %q", KernelCompiled, KernelInterp)
 	}
 }
 

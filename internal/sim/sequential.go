@@ -11,23 +11,21 @@ import (
 // "system operation" model against which the scan disciplines in the
 // paper (LSSD, Scan Path, Scan/Set, Random-Access Scan) are compared.
 type Machine struct {
-	c       *logic.Circuit
-	state   []bool
-	vals    []bool
-	scratch []bool
-	dirty   bool // state changed since vals was computed
-	lastPI  []bool
+	c      *logic.Circuit
+	state  []bool
+	vals   []bool
+	dirty  bool // state changed since vals was computed
+	lastPI []bool
 }
 
 // NewMachine creates a simulator with all flip-flops reset to 0.
 func NewMachine(c *logic.Circuit) *Machine {
 	return &Machine{
-		c:       c,
-		state:   make([]bool, len(c.DFFs)),
-		vals:    make([]bool, len(c.Gates)),
-		scratch: make([]bool, c.MaxFanin()),
-		dirty:   true,
-		lastPI:  make([]bool, len(c.PIs)),
+		c:      c,
+		state:  make([]bool, len(c.DFFs)),
+		vals:   make([]bool, len(c.Gates)),
+		dirty:  true,
+		lastPI: make([]bool, len(c.PIs)),
 	}
 }
 
@@ -53,7 +51,7 @@ func (m *Machine) Apply(pi []bool) []bool {
 		panic(fmt.Sprintf("sim: Apply with %d values for %d inputs", len(pi), len(m.lastPI)))
 	}
 	copy(m.lastPI, pi)
-	EvalInto(m.c, m.lastPI, m.state, m.vals, m.scratch)
+	EvalInto(m.c, m.lastPI, m.state, m.vals)
 	m.dirty = false
 	return Outputs(m.c, m.vals)
 }
@@ -63,12 +61,12 @@ func (m *Machine) Apply(pi []bool) []bool {
 // subsequent Clocks see the post-edge network.
 func (m *Machine) Clock() {
 	if m.dirty {
-		EvalInto(m.c, m.lastPI, m.state, m.vals, m.scratch)
+		EvalInto(m.c, m.lastPI, m.state, m.vals)
 	}
 	for i, id := range m.c.DFFs {
 		m.state[i] = m.vals[m.c.Gates[id].Fanin[0]]
 	}
-	EvalInto(m.c, m.lastPI, m.state, m.vals, m.scratch)
+	EvalInto(m.c, m.lastPI, m.state, m.vals)
 	m.dirty = false
 }
 
@@ -85,7 +83,7 @@ func (m *Machine) Step(pi []bool) []bool {
 // nail, or signature-analyzer probe) to the net.
 func (m *Machine) Peek(net int) bool {
 	if m.dirty {
-		EvalInto(m.c, m.lastPI, m.state, m.vals, m.scratch)
+		EvalInto(m.c, m.lastPI, m.state, m.vals)
 		m.dirty = false
 	}
 	return m.vals[net]
@@ -94,7 +92,7 @@ func (m *Machine) Peek(net int) bool {
 // Values returns a copy of the full net valuation.
 func (m *Machine) Values() []bool {
 	if m.dirty {
-		EvalInto(m.c, m.lastPI, m.state, m.vals, m.scratch)
+		EvalInto(m.c, m.lastPI, m.state, m.vals)
 		m.dirty = false
 	}
 	return append([]bool(nil), m.vals...)

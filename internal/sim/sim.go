@@ -30,34 +30,22 @@ var (
 // the value of every net. For purely combinational circuits state may be
 // nil.
 func Eval(c *logic.Circuit, pi []bool, state []bool) []bool {
-	if len(pi) != len(c.PIs) {
-		panic(fmt.Sprintf("sim: got %d input values for %d primary inputs", len(pi), len(c.PIs)))
-	}
-	if len(state) != len(c.DFFs) {
-		panic(fmt.Sprintf("sim: got %d state values for %d flip-flops", len(state), len(c.DFFs)))
-	}
 	vals := make([]bool, len(c.Gates))
-	EvalInto(c, pi, state, vals, nil)
+	EvalInto(c, pi, state, vals)
 	return vals
 }
 
 // EvalInto is Eval writing into caller-provided storage to avoid
-// allocation in inner loops. It dispatches to the selected kernel
-// (compiled by default); scratch is only used by the interpreted
-// kernel, where a non-nil slice must have capacity for the widest gate
-// fanin (pass nil to let the function allocate it).
-func EvalInto(c *logic.Circuit, pi []bool, state []bool, vals []bool, scratch []bool) {
-	if p := ActiveProgram(c); p != nil {
-		p.EvalInto(pi, state, vals)
-		return
-	}
-	EvalInterpInto(c, pi, state, vals, scratch)
+// allocation in inner loops. It runs the circuit's cached compiled
+// program.
+func EvalInto(c *logic.Circuit, pi []bool, state []bool, vals []bool) {
+	CompiledFor(c).EvalInto(pi, state, vals)
 }
 
 // EvalInterpInto is the interpreted scalar kernel: a levelized walk
 // gathering each gate's fanins into scratch and dispatching through
 // GateType.EvalBool. It is the reference implementation the compiled
-// kernel is checked against.
+// kernel is checked against; a nil scratch is allocated here.
 func EvalInterpInto(c *logic.Circuit, pi []bool, state []bool, vals []bool, scratch []bool) {
 	for i, id := range c.PIs {
 		vals[id] = pi[i]
@@ -154,19 +142,14 @@ type Words []uint64
 // state carry one word per primary input / flip-flop.
 func EvalWords(c *logic.Circuit, pi []uint64, state []uint64) Words {
 	vals := make(Words, len(c.Gates))
-	EvalWordsInto(c, pi, state, vals, nil)
+	EvalWordsInto(c, pi, state, vals)
 	return vals
 }
 
-// EvalWordsInto is EvalWords into caller-provided storage. It
-// dispatches to the selected kernel (compiled by default); scratch is
-// only used by the interpreted kernel.
-func EvalWordsInto(c *logic.Circuit, pi, state []uint64, vals Words, scratch []uint64) {
-	if p := ActiveProgram(c); p != nil {
-		p.EvalWordsInto(pi, state, vals)
-		return
-	}
-	EvalWordsInterpInto(c, pi, state, vals, scratch)
+// EvalWordsInto is EvalWords into caller-provided storage, through the
+// circuit's cached compiled program.
+func EvalWordsInto(c *logic.Circuit, pi, state []uint64, vals Words) {
+	CompiledFor(c).EvalWordsInto(pi, state, vals)
 }
 
 // EvalWordsInterpInto is the interpreted 64-way kernel, the reference

@@ -221,10 +221,9 @@ func BenchmarkEvalScalarC17(b *testing.B) {
 	c, _ := logic.ParseBenchString("c17", c17Bench)
 	in := []bool{true, false, true, true, false}
 	vals := make([]bool, c.NumNets())
-	scratch := make([]bool, c.MaxFanin())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvalInto(c, in, nil, vals, scratch)
+		EvalInto(c, in, nil, vals)
 	}
 }
 
@@ -235,10 +234,9 @@ func BenchmarkEvalWordsC17(b *testing.B) {
 		pi[i] = 0xAAAA5555CCCC3333
 	}
 	vals := make(Words, c.NumNets())
-	scratch := make([]uint64, c.MaxFanin())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvalWordsInto(c, pi, nil, vals, scratch)
+		EvalWordsInto(c, pi, nil, vals)
 	}
 }
 

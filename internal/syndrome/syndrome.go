@@ -45,8 +45,8 @@ func blockMask(k int) uint64 {
 // Syndromes returns K (ones count) and S = K/2ⁿ for every primary
 // output of a combinational circuit, by exhaustive bit-parallel
 // simulation. The enumeration is packed: blocks of 64 patterns are
-// synthesized directly from periodic bit masks, and under the compiled
-// kernel the blocked evaluator grades syndromeBlockW words per
+// synthesized directly from periodic bit masks, and the compiled
+// kernel's blocked evaluator grades syndromeBlockW words per
 // instruction visit.
 func Syndromes(c *logic.Circuit) (counts []int, syndromes []float64) {
 	n := len(c.PIs)
@@ -56,44 +56,32 @@ func Syndromes(c *logic.Circuit) (counts []int, syndromes []float64) {
 	counts = make([]int, len(c.POs))
 	total := uint64(1) << uint(n)
 	free := identityFree(n)
-	if prog := sim.ActiveProgram(c); prog != nil {
-		W := syndromeBlockW
-		if nb := int((total + 63) / 64); nb < W {
-			W = nb
-		}
-		vals := make([]uint64, c.NumNets()*W)
-		words := make([]uint64, n)
-		var ks [syndromeBlockW]int
-		for base := uint64(0); base < total; base += uint64(64 * W) {
-			lanes := 0
-			for j := 0; j < W; j++ {
-				k := sim.ExhaustiveBlock(words, free, base+uint64(64*j))
-				if k == 0 {
-					break
-				}
-				ks[j] = k
-				lanes++
-				for i, pi := range c.PIs {
-					vals[pi*W+j] = words[i]
-				}
+	prog := sim.CompiledFor(c)
+	W := syndromeBlockW
+	if nb := int((total + 63) / 64); nb < W {
+		W = nb
+	}
+	vals := make([]uint64, c.NumNets()*W)
+	words := make([]uint64, n)
+	var ks [syndromeBlockW]int
+	for base := uint64(0); base < total; base += uint64(64 * W) {
+		lanes := 0
+		for j := 0; j < W; j++ {
+			k := sim.ExhaustiveBlock(words, free, base+uint64(64*j))
+			if k == 0 {
+				break
 			}
-			prog.ExecBlock(vals, W)
-			for j := 0; j < lanes; j++ {
-				mask := blockMask(ks[j])
-				for oi, po := range c.POs {
-					counts[oi] += bits.OnesCount64(vals[po*W+j] & mask)
-				}
+			ks[j] = k
+			lanes++
+			for i, pi := range c.PIs {
+				vals[pi*W+j] = words[i]
 			}
 		}
-	} else {
-		ps := fault.NewParallelSim(c)
-		words := make([]uint64, n)
-		for base := uint64(0); base < total; base += 64 {
-			k := sim.ExhaustiveBlock(words, free, base)
-			ps.LoadPackedBlock(words, k)
-			mask := blockMask(k)
+		prog.ExecBlock(vals, W)
+		for j := 0; j < lanes; j++ {
+			mask := blockMask(ks[j])
 			for oi, po := range c.POs {
-				counts[oi] += bits.OnesCount64(ps.GoodWord(po) & mask)
+				counts[oi] += bits.OnesCount64(vals[po*W+j] & mask)
 			}
 		}
 	}

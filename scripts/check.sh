@@ -5,13 +5,6 @@ set -eu
 cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
-go test -race ./internal/telemetry/...
-go test -race ./internal/fault/...
-go test -race ./internal/sim/...
-go test -race ./internal/service/...
-go test -race ./internal/compact/...
-go test -race ./internal/diagnose/...
-go test -race ./internal/advise/...
 go test -race ./...
 # Differential-fuzz smoke (mirrors `make fuzz-smoke`): 10s per target
 # of coverage-guided search for kernel/backend divergences on top of
