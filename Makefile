@@ -1,10 +1,10 @@
 # Standard entry points for the DFT toolkit. `make check` is the
-# pre-commit gate: build, vet, and the full test suite under the race
-# detector.
+# pre-commit gate: build, vet, the full test suite under the race
+# detector, and the fuzz and performance smokes.
 
 GO ?= go
 
-.PHONY: all build vet test race check fuzz fuzz-smoke bench bench-json bench-faultsim bench-sim bench-service bench-compact bench-diagnose bench-advise clean
+.PHONY: all build vet test race check fuzz fuzz-smoke perf-smoke bench bench-json bench-faultsim bench-sim bench-service bench-compact bench-diagnose bench-advise clean
 
 all: check
 
@@ -20,7 +20,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet race fuzz-smoke
+check: build vet race fuzz-smoke perf-smoke
 
 # fuzz runs the coverage-guided differential fuzz targets: the compiled
 # kernel against the interpreter at every execution width, and every
@@ -38,6 +38,14 @@ fuzz:
 SMOKETIME ?= 10s
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKETIME)
+
+# perf-smoke runs the end-to-end benchmark's grade workload for one
+# second: Auto-backend grading of 2k-3.2k-gate netlists on every CPU,
+# sharded cpt included, each job re-graded on the serial backend. It
+# fails unless every job passed its checks.
+perf-smoke:
+	@out=$$(bash perfbench/run.sh --workload grade --seed 1 --seconds 1 --trace 0) && echo "$$out" && \
+		echo "$$out" | grep -Eq '"correct": *true' && echo "$$out" | grep -Eq '"failed": *0[,}]'
 
 bench:
 	$(GO) test -bench=. -benchmem .

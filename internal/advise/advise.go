@@ -178,7 +178,6 @@ type Plan struct {
 func Run(ctx context.Context, c *logic.Circuit, opt Options) (*Plan, error) {
 	opt = opt.withDefaults()
 	reg := telemetry.OrDefault(opt.Metrics)
-	defer reg.Timer("advise.run").Time()()
 	ctx, span := telemetry.StartSpanCtx(ctx, reg, "advise.run")
 	defer span.End()
 

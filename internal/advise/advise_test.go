@@ -263,6 +263,16 @@ func TestAdviseTelemetry(t *testing.T) {
 	}
 }
 
+// One Run observes its advise.run timer exactly once: the run's span
+// records the timer, so no second stopwatch may share the name.
+func TestAdviseRunTimerCountsOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	runHardcore(t, Options{Target: 0.99, Seed: 7, Metrics: reg})
+	if n := reg.Timer("advise.run").Stats().Count; n != 1 {
+		t.Fatalf("advise.run observed %d times in one run, want 1", n)
+	}
+}
+
 func TestDeriveSeedStable(t *testing.T) {
 	if deriveSeed(1, 0) == deriveSeed(1, 1) {
 		t.Fatal("consecutive derived seeds collide")

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"sort"
+
 	"dft/internal/logic"
 )
 
@@ -25,30 +27,49 @@ type Classes struct {
 // This typically halves the universe — the paper's "about 3000" from
 // 6000 for a 1000-gate network.
 func CollapseEquiv(c *logic.Circuit, universe []Fault) Classes {
-	parent := map[Fault]Fault{}
-	var find func(f Fault) Fault
-	find = func(f Fault) Fault {
-		p, ok := parent[f]
-		if !ok || p == f {
-			return f
-		}
-		r := find(p)
-		parent[f] = r
-		return r
+	// Every fault of the circuit has a slot: gate id's stem s-a-v sits
+	// at off[id]+v and its pin-p s-a-v at off[id]+2+2p+v. parent holds
+	// the union-find forest over the universe's slots (-1 = absent).
+	off := make([]int32, len(c.Gates)+1)
+	for id, g := range c.Gates {
+		off[id+1] = off[id] + 2*int32(1+len(g.Fanin))
 	}
-	union := func(a, b Fault) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	slot := func(f Fault) int32 {
+		if f.Gate < 0 || f.Gate >= len(c.Gates) || f.Pin < Stem || f.Pin >= len(c.Gates[f.Gate].Fanin) ||
+			(f.SA != logic.Zero && f.SA != logic.One) {
+			return -1
 		}
+		s := off[f.Gate] + 2*int32(f.Pin+1)
+		if f.SA == logic.One {
+			s++
+		}
+		return s
 	}
-	inUniverse := map[Fault]bool{}
+	parent := make([]int32, off[len(c.Gates)])
+	for i := range parent {
+		parent[i] = -1
+	}
 	for _, f := range universe {
-		inUniverse[f] = true
+		if s := slot(f); s >= 0 {
+			parent[s] = s
+		}
 	}
-	mergeIf := func(a, b Fault) {
-		if inUniverse[a] && inUniverse[b] {
-			union(a, b)
+	find := func(s int32) int32 {
+		for parent[s] != s {
+			parent[s] = parent[parent[s]]
+			s = parent[s]
+		}
+		return s
+	}
+	// mergeIf joins gate a's pin-pa fault with gate b's pin-pb fault,
+	// both stuck at their given values, when both are in the universe.
+	mergeIf := func(a, pa int, va logic.V, b, pb int, vb logic.V) {
+		x, y := slot(Fault{a, pa, va}), slot(Fault{b, pb, vb})
+		if parent[x] < 0 || parent[y] < 0 {
+			return
+		}
+		if rx, ry := find(x), find(y); rx != ry {
+			parent[rx] = ry
 		}
 	}
 
@@ -56,26 +77,26 @@ func CollapseEquiv(c *logic.Circuit, universe []Fault) Classes {
 		switch g.Type {
 		case logic.And:
 			for p := range g.Fanin {
-				mergeIf(Fault{id, p, logic.Zero}, Fault{id, Stem, logic.Zero})
+				mergeIf(id, p, logic.Zero, id, Stem, logic.Zero)
 			}
 		case logic.Nand:
 			for p := range g.Fanin {
-				mergeIf(Fault{id, p, logic.Zero}, Fault{id, Stem, logic.One})
+				mergeIf(id, p, logic.Zero, id, Stem, logic.One)
 			}
 		case logic.Or:
 			for p := range g.Fanin {
-				mergeIf(Fault{id, p, logic.One}, Fault{id, Stem, logic.One})
+				mergeIf(id, p, logic.One, id, Stem, logic.One)
 			}
 		case logic.Nor:
 			for p := range g.Fanin {
-				mergeIf(Fault{id, p, logic.One}, Fault{id, Stem, logic.Zero})
+				mergeIf(id, p, logic.One, id, Stem, logic.Zero)
 			}
 		case logic.Buf, logic.DFF:
-			mergeIf(Fault{id, 0, logic.Zero}, Fault{id, Stem, logic.Zero})
-			mergeIf(Fault{id, 0, logic.One}, Fault{id, Stem, logic.One})
+			mergeIf(id, 0, logic.Zero, id, Stem, logic.Zero)
+			mergeIf(id, 0, logic.One, id, Stem, logic.One)
 		case logic.Not:
-			mergeIf(Fault{id, 0, logic.Zero}, Fault{id, Stem, logic.One})
-			mergeIf(Fault{id, 0, logic.One}, Fault{id, Stem, logic.Zero})
+			mergeIf(id, 0, logic.Zero, id, Stem, logic.One)
+			mergeIf(id, 0, logic.One, id, Stem, logic.Zero)
 		}
 	}
 	// Stem/branch merging on fanout-free internal nets.
@@ -90,23 +111,39 @@ func CollapseEquiv(c *logic.Circuit, universe []Fault) Classes {
 		reader := fo[0]
 		for p, src := range c.Gates[reader].Fanin {
 			if src == n {
-				mergeIf(Fault{n, Stem, logic.Zero}, Fault{reader, p, logic.Zero})
-				mergeIf(Fault{n, Stem, logic.One}, Fault{reader, p, logic.One})
+				mergeIf(n, Stem, logic.Zero, reader, p, logic.Zero)
+				mergeIf(n, Stem, logic.One, reader, p, logic.One)
 			}
 		}
 	}
 
+	// Number the classes in universe order; a fault outside the
+	// circuit's slots is a class of its own.
 	cl := Classes{ClassOf: make(map[Fault]int, len(universe))}
-	idx := map[Fault]int{}
+	class := make([]int32, len(parent))
+	for i := range class {
+		class[i] = -1
+	}
 	for _, f := range universe {
-		r := find(f)
-		i, ok := idx[r]
-		if !ok {
-			i = len(cl.Reps)
-			idx[r] = i
-			cl.Reps = append(cl.Reps, r)
+		s := slot(f)
+		if s < 0 {
+			if _, ok := cl.ClassOf[f]; !ok {
+				cl.ClassOf[f] = len(cl.Reps)
+				cl.Reps = append(cl.Reps, f)
+			}
+			continue
 		}
-		cl.ClassOf[f] = i
+		r := find(s)
+		if class[r] < 0 {
+			class[r] = int32(len(cl.Reps))
+			g := sort.Search(len(c.Gates), func(id int) bool { return off[id+1] > r })
+			rep := Fault{Gate: g, Pin: int(r-off[g])/2 - 1, SA: logic.Zero}
+			if (r-off[g])%2 == 1 {
+				rep.SA = logic.One
+			}
+			cl.Reps = append(cl.Reps, rep)
+		}
+		cl.ClassOf[f] = int(class[r])
 	}
 	return cl
 }

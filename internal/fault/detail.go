@@ -76,8 +76,8 @@ func SimulateDetail(ctx context.Context, c *logic.Circuit, faults []Fault, patte
 // detect rows for every fault, honoring context cancellation between
 // pattern blocks. Two scheduler shapes cover the packed backends —
 // the PPSFP path shards the fault axis (each worker owns whole rows),
-// while the CPT path shards the pattern-block axis (each worker owns
-// one word column of every row) — so all writes are disjoint and the
+// while the CPT path shards each block's reconvergent stems and grades
+// the rows from one goroutine — so all writes are disjoint and the
 // rows are byte-identical at every worker count. The serial backend
 // has no packed per-pattern form; it falls back to the PPSFP path,
 // which computes the same rows, and the span records the backend that
@@ -149,10 +149,7 @@ func (e *Engine) detailParallel(ctx context.Context, faults []Fault, pats *Packe
 			}
 			words, kb := pats.Block(bi)
 			k := ps.LoadPackedBlock(words, kb)
-			mask := ^uint64(0)
-			if k < 64 {
-				mask = 1<<uint(k) - 1
-			}
+			mask := blockMask(k)
 			for fi := lo; fi < hi; fi++ {
 				if det := ps.FaultMask(faults[fi]) & mask; det != 0 {
 					dr.Detect[fi][bi] = det
@@ -223,90 +220,13 @@ func (e *Engine) detailParallel(ctx context.Context, faults []Fault, pats *Packe
 	return nil
 }
 
-// detailCPT shards the pattern-block axis: each block's observability
-// words are computed once, every fault grades in O(fanin), and a
-// worker owning block bi writes only word bi of every row.
+// detailCPT runs the cpt block loop: each block's observability
+// words are traced once, with the stem flips sharded across workers,
+// and every fault's row word for the block is graded in O(fanin).
 func (e *Engine) detailCPT(ctx context.Context, faults []Fault, pats *PackedPatterns, dr *DetailResult, prog *telemetry.Progress, span *telemetry.Span) error {
-	reg := e.reg
-	nb := pats.NumBlocks()
-	if prog != nil {
-		prog.AddTotal(int64(nb))
-	}
-	e.cptTopo() // build the shared classification before workers scatter
-	block := func(cs *cptSim, bi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
+	return e.cptBlocks(ctx, pats, prog, span, func(bi int, good []uint64) {
+		for fi, f := range faults {
+			dr.Detect[fi][bi] = e.cptMask(f, good)
 		}
-		words, kb := pats.Block(bi)
-		k := cs.ps.LoadPackedBlock(words, kb)
-		mask := ^uint64(0)
-		if k < 64 {
-			mask = 1<<uint(k) - 1
-		}
-		cs.computeObs(mask)
-		for fi := range faults {
-			if det := cs.faultMask(faults[fi]); det != 0 {
-				dr.Detect[fi][bi] = det
-			}
-		}
-		reg.Counter("fault.sim.blocks").Inc()
-		if prog != nil {
-			prog.Inc()
-		}
-		return nil
-	}
-	flush := func(cs *cptSim) {
-		masks, evals := cs.ps.TakeCounts()
-		reg.Counter("fault.sim.faultmasks").Add(masks)
-		reg.Counter("fault.sim.events").Add(evals)
-		reg.Counter("fault.cpt.flips").Add(cs.nFlips)
-		reg.Counter("fault.cpt.chain_obs").Add(cs.nObs)
-		cs.nFlips, cs.nObs = 0, 0
-	}
-	w := e.workers
-	if w > nb {
-		w = nb
-	}
-	span.SetAttr("workers", strconv.Itoa(w))
-	if w <= 1 {
-		cs := e.cptSim(0)
-		for bi := 0; bi < nb; bi++ {
-			if err := block(cs, bi); err != nil {
-				flush(cs)
-				return err
-			}
-		}
-		flush(cs)
-		return nil
-	}
-	reg.Gauge("fault.sim.workers").Set(int64(w))
-	reg.Counter("fault.engine.runs").Inc()
-	var cursor atomic.Int64
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			cs := e.cptSim(wi)
-			for {
-				bi := int(cursor.Add(1)) - 1
-				if bi >= nb {
-					break
-				}
-				if err := block(cs, bi); err != nil {
-					errs[wi] = err
-					break
-				}
-			}
-			flush(cs)
-		}(wi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

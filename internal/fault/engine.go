@@ -25,10 +25,11 @@ func Simulate(ctx context.Context, c *logic.Circuit, faults []Fault, patterns []
 }
 
 // Engine is a sharded multicore PPSFP fault-simulation scheduler. It
-// owns one ParallelSim per worker slot — the expensive per-simulation
-// state (good-machine words, overlay stamps, level buckets) — and
-// reuses them across runs, chunks and session blocks, so the inner
-// loops allocate nothing. Worker goroutines are scattered per run and
+// builds one immutable topology of the circuit and owns one
+// ParallelSim per worker slot — the expensive per-simulation state
+// (good and faulty words, level buckets) — and reuses them across
+// runs, chunks and session blocks, so the inner loops allocate
+// nothing. Worker goroutines are scattered per run and
 // joined before Run returns; the fault list is dealt out in dynamic
 // chunks through an atomic cursor, which absorbs the load skew fault
 // dropping creates across shards.
@@ -37,20 +38,21 @@ func Simulate(ctx context.Context, c *logic.Circuit, faults []Fault, patterns []
 // Result merging needs no locks: each chunk owns a disjoint range of
 // the result arrays, so workers write their outcomes directly.
 type Engine struct {
-	c       *logic.Circuit
-	opts    Options
-	inputs  []int
-	outputs []int
-	workers int
-	reg     *telemetry.Registry
-	sims    []*ParallelSim // per worker slot, built lazily
-	cpts    []*cptSim      // per worker slot, CPT backend
-	topo    *cptTopo       // fanout classification, built lazily, shared read-only
+	c        *logic.Circuit
+	opts     Options
+	inputs   []int
+	outputs  []int
+	workers  int
+	reg      *telemetry.Registry
+	sims     []*ParallelSim // per worker slot, built lazily
+	topoOnce sync.Once
+	topo     *topology // flat netlist under the view, shared read-only
+	obs      []uint64  // cpt observability words, one per net
 }
 
 // NewEngine prepares an engine for the circuit under the given
-// options. Construction is cheap; per-worker simulators are built on
-// first use.
+// options. Construction is cheap; the topology and per-worker
+// simulators are built on first use.
 func NewEngine(c *logic.Circuit, opts Options) *Engine {
 	inputs, outputs := opts.View.resolve(c)
 	w := opts.workers()
@@ -69,42 +71,25 @@ func NewEngine(c *logic.Circuit, opts Options) *Engine {
 		workers: w,
 		reg:     reg,
 		sims:    make([]*ParallelSim, w),
-		cpts:    make([]*cptSim, w),
 	}
 }
 
 // drop reports whether fault dropping is enabled.
 func (e *Engine) drop() bool { return e.opts.Drop == DropOn }
 
+// topology returns the engine's flat netlist, built once.
+func (e *Engine) topology() *topology {
+	e.topoOnce.Do(func() { e.topo = newTopology(e.c, e.outputs) })
+	return e.topo
+}
+
 // sim returns worker slot wi's simulator, building it on first use.
 // Distinct slots are touched only by their own worker goroutine.
 func (e *Engine) sim(wi int) *ParallelSim {
 	if e.sims[wi] == nil {
-		e.sims[wi] = NewParallelSimView(e.c, e.inputs, e.outputs)
+		e.sims[wi] = newParallelSim(e.c, e.topology(), e.inputs)
 	}
 	return e.sims[wi]
-}
-
-// cptSim returns worker slot wi's CPT simulator, built on first use
-// around the slot's pooled ParallelSim. The fanout classification is
-// computed once per engine; workers share it read-only, but it is
-// built eagerly (before worker goroutines scatter) by runCPT's callers
-// through this accessor for slot 0 or under the engine's single-
-// goroutine ownership contract.
-func (e *Engine) cptSim(wi int) *cptSim {
-	if e.cpts[wi] == nil {
-		e.cpts[wi] = newCPTSim(e.sim(wi), e.cptTopo())
-	}
-	return e.cpts[wi]
-}
-
-// cptTopo returns the engine's shared fanout classification, built on
-// first use.
-func (e *Engine) cptTopo() *cptTopo {
-	if e.topo == nil {
-		e.topo = buildCPTTopo(e.c)
-	}
-	return e.topo
 }
 
 // Run simulates the fault list against the pattern set, honoring
@@ -529,10 +514,7 @@ func creditBit(det uint64, order ReplayOrder) int {
 // summed afterwards, so outcomes are identical for every worker count.
 func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected []bool, credits *[64]int) {
 	e := s.e
-	mask := ^uint64(0)
-	if k < 64 {
-		mask = 1<<uint(k) - 1
-	}
+	mask := blockMask(k)
 	w := e.workers
 	if max := len(s.live) / minSessionShard; w > max {
 		w = max

@@ -351,9 +351,9 @@ func TestEnginePartialViewAgreement(t *testing.T) {
 
 func TestEngineDFFBranchFaultSerial(t *testing.T) {
 	// A DFF D-pin fault is equivalent to the stem fault on the same
-	// element (CollapseEquiv merges them), and the PPSFP simulator never
-	// sees D-pin faults for that reason. The serial backend accepts
-	// them; it must honor the equivalence.
+	// element (CollapseEquiv merges them), so collapsed lists carry only
+	// the stem. The serial backend accepts D-pin faults too; it must
+	// honor the equivalence.
 	c := circuits.Counter(3)
 	var stems []Fault
 	for _, f := range Universe(c) {

@@ -8,7 +8,15 @@ import (
 
 	"dft/internal/fault"
 	"dft/internal/fuzzdiff"
+	"dft/internal/telemetry"
 )
+
+// backendSeeds is FuzzBackendEquivalence's seed corpus. 116 generates a
+// 5-DFF sequential netlist with enough reconvergent stems for the
+// matrix's four-worker cpt cells to shard every block, and 142 a large
+// tie-heavy combinational one — the shapes that stress the cpt
+// observability chain and its stem sharding.
+var backendSeeds = []int64{1, 2, 5, 11, 42, -8, 116, 142}
 
 // FuzzBackendEquivalence requires every fault-simulation configuration
 // (serial, parallel and cpt backends × workers × drop) to report
@@ -18,10 +26,7 @@ import (
 //
 // Run: go test -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 func FuzzBackendEquivalence(f *testing.F) {
-	// 116 generates a 5-DFF sequential netlist and 142 a large
-	// tie-heavy combinational one — the shapes that stress the cpt
-	// observability chain and pattern-axis worker cells.
-	for _, seed := range []int64{1, 2, 5, 11, 42, -8, 116, 142} {
+	for _, seed := range backendSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -39,4 +44,27 @@ func FuzzBackendEquivalence(f *testing.F) {
 			t.Fatalf("backend divergence:\n%s", d.Repro())
 		}
 	})
+}
+
+// The seed corpus must reach the sharded cpt path: on at least one
+// seed circuit, the four-worker cpt run splits each block's stem flips
+// across all four workers.
+func TestBackendSeedsShardCPT(t *testing.T) {
+	for _, seed := range backendSeeds {
+		c := fuzzdiff.Generate(fuzzdiff.ShapeConfig(seed), seed)
+		faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+		pats := fuzzdiff.RandomPatterns(len(c.PIs), 32, seed^0x6A09E667)
+		reg := telemetry.NewRegistry()
+		if _, err := fault.Simulate(context.Background(), c, faults, pats,
+			fault.Options{Backend: fault.BackendCPT, Workers: 4, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		events, _ := reg.Trace().Events()
+		for _, ev := range events {
+			if ev.Name == "fault.sim.cpt" && ev.Attrs["workers"] == "4" {
+				return
+			}
+		}
+	}
+	t.Fatal("no seed-corpus circuit shards cpt four ways")
 }

@@ -130,7 +130,8 @@ type Options struct {
 	// Backend selects the simulation algorithm; Auto (zero) picks one.
 	Backend Backend
 	// Workers is the engine's sharding degree — over faults for
-	// BackendParallel, over patterns for BackendCPT: WorkersAuto (0)
+	// BackendParallel, over each block's reconvergent stems for
+	// BackendCPT (at most one worker per 16 stems): WorkersAuto (0)
 	// means runtime.GOMAXPROCS(0), n ≥ 1 is explicit. Every worker
 	// count produces bit-identical Results.
 	Workers int

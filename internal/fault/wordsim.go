@@ -39,6 +39,176 @@ func (r *Result) Undetected() []Fault {
 	return out
 }
 
+// Gate operators of the flat kernel. Every combinational gate is a
+// fold of its operand words followed by an output inversion: BUF and
+// NOT are one-operand ANDs, CONST1 an empty AND, CONST0 an empty OR.
+const (
+	opAnd uint8 = iota
+	opOr
+	opXor
+)
+
+// Fanout classes of a net for critical-path tracing.
+const (
+	cptNone   uint8 = iota // no combinational reader: obs = 0 (or self-observation)
+	cptSingle              // exactly one reader pin: chain rule
+	cptMulti               // reconvergent stem: explicit complement simulation
+)
+
+// topology is the flat, immutable form of a circuit under one view that
+// the propagation kernel and critical-path tracing walk. It is built
+// once per engine and shared read-only by every worker's simulator.
+type topology struct {
+	op       []uint8  // gate operator per net
+	inv      []uint64 // output inversion word per net
+	fanStart []int32  // fanins of net n: fanin[fanStart[n]:fanStart[n+1]]
+	fanin    []int32
+	rdStart  []int32 // combinational readers of n, deduplicated: readers[rdStart[n]:rdStart[n+1]]
+	readers  []int32
+	level    []int32
+	isObs    []bool
+	nOrder   int // combinational gates, one good-machine pass
+
+	// Critical-path tracing: a net read by exactly one combinational
+	// pin takes its observability from that reader by the chain rule;
+	// every other non-output net with combinational readers is a
+	// reconvergent stem, flipped explicitly. chain lists the nets the
+	// chain-rule pass visits, in reverse topological order.
+	kind   []uint8
+	reader []int32
+	pin    []int32
+	stems  []int32
+	chain  []int32
+}
+
+func newTopology(c *logic.Circuit, outputs []int) *topology {
+	n := c.NumNets()
+	t := &topology{
+		op:       make([]uint8, n),
+		inv:      make([]uint64, n),
+		fanStart: make([]int32, n+1),
+		rdStart:  make([]int32, n+1),
+		level:    make([]int32, n),
+		isObs:    make([]bool, n),
+		nOrder:   len(c.Order),
+		kind:     make([]uint8, n),
+		reader:   make([]int32, n),
+		pin:      make([]int32, n),
+	}
+	for _, o := range outputs {
+		t.isObs[o] = true
+	}
+	for id, g := range c.Gates {
+		switch g.Type {
+		case logic.Nand, logic.Not:
+			t.inv[id] = ^uint64(0)
+		case logic.Or, logic.Const0:
+			t.op[id] = opOr
+		case logic.Nor:
+			t.op[id], t.inv[id] = opOr, ^uint64(0)
+		case logic.Xor:
+			t.op[id] = opXor
+		case logic.Xnor:
+			t.op[id], t.inv[id] = opXor, ^uint64(0)
+		}
+		t.level[id] = int32(c.Level[id])
+		for _, f := range g.Fanin {
+			t.fanin = append(t.fanin, int32(f))
+		}
+		t.fanStart[id+1] = int32(len(t.fanin))
+
+		pins := 0
+		for _, r := range c.Fanout[id] {
+			if !c.Gates[r].Type.IsCombinational() {
+				continue // DFF capture edges are sequential, invisible to one combinational cycle
+			}
+			if pins == 0 || t.readers[len(t.readers)-1] != int32(r) {
+				t.readers = append(t.readers, int32(r)) // a gate's fanout entries are adjacent
+			}
+			if pins++; pins == 1 {
+				t.reader[id] = int32(r)
+				for p, f := range c.Gates[r].Fanin {
+					if f == id {
+						t.pin[id] = int32(p)
+						break
+					}
+				}
+			}
+		}
+		t.rdStart[id+1] = int32(len(t.readers))
+		switch {
+		case pins == 1:
+			t.kind[id] = cptSingle
+		case pins > 1:
+			t.kind[id] = cptMulti
+		}
+	}
+	visit := func(id int) {
+		if t.kind[id] == cptMulti && !t.isObs[id] {
+			t.stems = append(t.stems, int32(id))
+		} else {
+			t.chain = append(t.chain, int32(id))
+		}
+	}
+	for i := len(c.Order) - 1; i >= 0; i-- {
+		visit(c.Order[i])
+	}
+	for _, pi := range c.PIs {
+		visit(pi)
+	}
+	for _, d := range c.DFFs {
+		visit(d)
+	}
+	return t
+}
+
+// eval computes combinational gate id over the words in v.
+func (t *topology) eval(id int32, v []uint64) uint64 {
+	in := t.fanin[t.fanStart[id]:t.fanStart[id+1]]
+	var w uint64
+	switch t.op[id] {
+	case opAnd:
+		w = ^uint64(0)
+		for _, s := range in {
+			w &= v[s]
+		}
+	case opOr:
+		for _, s := range in {
+			w |= v[s]
+		}
+	default:
+		for _, s := range in {
+			w ^= v[s]
+		}
+	}
+	return w ^ t.inv[id]
+}
+
+// evalPinned is eval with operand pin replaced by pw; a net read on two
+// pins is replaced on the named pin only.
+func (t *topology) evalPinned(id, pin int, v []uint64, pw uint64) uint64 {
+	in := t.fanin[t.fanStart[id]:t.fanStart[id+1]]
+	var w uint64
+	if t.op[id] == opAnd {
+		w = ^uint64(0)
+	}
+	for i, s := range in {
+		x := v[s]
+		if i == pin {
+			x = pw
+		}
+		switch t.op[id] {
+		case opAnd:
+			w &= x
+		case opOr:
+			w |= x
+		default:
+			w ^= x
+		}
+	}
+	return w ^ t.inv[id]
+}
+
 // ParallelSim is a 64-way parallel-pattern single-fault-propagation
 // (PPSFP) fault simulator. Patterns are packed 64 to a word; each
 // fault is injected once per block and its effects propagated through
@@ -49,25 +219,29 @@ func (r *Result) Undetected() []Fault {
 // serves plain combinational circuits (PIs/POs) and scan designs
 // (PIs+flip-flops / POs+flip-flop D inputs). Source elements not in
 // the input list are held at 0, the toolkit's reset state.
+//
+// Faulty words are written in place over a copy of the good words; a
+// dirty list restores them at the start of the next propagation, so
+// FaultyWord reads the last fault's machine until then.
 type ParallelSim struct {
 	c       *logic.Circuit
+	t       *topology
 	prog    *sim.Program // compiled good-machine kernel
 	inputs  []int
 	good    sim.Words
-	val     []uint64 // overlay of faulty values
-	stamp   []int    // overlay validity: stamp[n] == cur
-	queued  []int
-	cur     int
-	byLevel [][]int // worklist buckets indexed by level
-	isObs   []bool
-	scratch []uint64
-	packBuf []uint64 // LoadBlock's packing buffer, one word per input
-	liveBuf []int    // blockLoop's live list, reused across calls
+	cur     []uint64  // faulty machine: good words overwritten on dirty nets
+	dirty   []int32   // nets whose cur word differs from good
+	queued  []bool    // gate waiting in its level bucket
+	byLevel [][]int32 // worklist buckets indexed by level
+	pending int       // queued gates not yet evaluated
+	det     uint64    // detections of the propagation in progress
+	packBuf []uint64  // LoadBlock's packing buffer, one word per input
+	liveBuf []int     // blockLoop's live list, reused across calls
 
 	// Work counters, accumulated as plain ints (the simulator is owned
 	// by one goroutine) and drained in batches via TakeCounts so hot
 	// loops pay no atomics.
-	nMasks int64 // FaultMask invocations
+	nMasks int64 // propagations (FaultMask and FlipMask calls)
 	nEvals int64 // gate (word) evaluations, good + faulty
 }
 
@@ -89,33 +263,28 @@ func NewParallelSim(c *logic.Circuit) *ParallelSim {
 // NewParallelSimView builds a simulator with explicit controllable and
 // observable nets. Every input must be a source element (Input or DFF).
 func NewParallelSimView(c *logic.Circuit, inputs, outputs []int) *ParallelSim {
-	n := c.NumNets()
-	ps := &ParallelSim{
-		c:       c,
-		prog:    sim.CompiledFor(c),
-		inputs:  append([]int(nil), inputs...),
-		good:    make(sim.Words, n),
-		val:     make([]uint64, n),
-		stamp:   make([]int, n),
-		queued:  make([]int, n),
-		byLevel: make([][]int, c.Depth()+1),
-		isObs:   make([]bool, n),
-		scratch: make([]uint64, c.MaxFanin()),
-		packBuf: make([]uint64, len(inputs)),
-	}
+	return newParallelSim(c, newTopology(c, outputs), inputs)
+}
+
+// newParallelSim builds a simulator over a shared topology.
+func newParallelSim(c *logic.Circuit, t *topology, inputs []int) *ParallelSim {
 	for _, in := range inputs {
 		if c.Gates[in].Type.IsCombinational() {
 			panic("fault: view input " + c.NameOf(in) + " is not a source element")
 		}
 	}
-	for i := range ps.stamp {
-		ps.stamp[i] = -1
-		ps.queued[i] = -1
+	n := c.NumNets()
+	return &ParallelSim{
+		c:       c,
+		t:       t,
+		prog:    sim.CompiledFor(c),
+		inputs:  append([]int(nil), inputs...),
+		good:    make(sim.Words, n),
+		cur:     make([]uint64, n),
+		queued:  make([]bool, n),
+		byLevel: make([][]int32, c.Depth()+1),
+		packBuf: make([]uint64, len(inputs)),
 	}
-	for _, o := range outputs {
-		ps.isObs[o] = true
-	}
-	return ps
 }
 
 // LoadBlock packs up to 64 patterns (each one bit per view input) and
@@ -145,98 +314,100 @@ func (ps *ParallelSim) LoadPackedBlock(words []uint64, k int) int {
 	for _, d := range c.DFFs {
 		ps.good[d] = 0
 	}
-	mask := ^uint64(0)
-	if k < 64 {
-		mask = 1<<uint(k) - 1
-	}
+	mask := blockMask(k)
 	for i, in := range ps.inputs {
 		ps.good[in] = words[i] & mask
 	}
 	ps.prog.Exec(ps.good)
-	ps.nEvals += int64(len(c.Order))
+	copy(ps.cur, ps.good)
+	ps.dirty = ps.dirty[:0]
+	ps.nEvals += int64(ps.t.nOrder)
 	return k
 }
 
-// value returns the current (possibly faulty) word of a net.
-func (ps *ParallelSim) value(n int) uint64 {
-	if ps.stamp[n] == ps.cur {
-		return ps.val[n]
+// blockMask is the word of a block's k live pattern bits.
+func blockMask(k int) uint64 {
+	if k >= 64 {
+		return ^uint64(0)
 	}
-	return ps.good[n]
+	return 1<<uint(k) - 1
 }
 
 // FaultMask simulates one fault against the loaded block, returning a
-// bitmask of the patterns (bit p = pattern p) that detect it.
+// bitmask of the patterns (bit p = pattern p) that detect it. Faults
+// on source elements pin the source net — a DFF D-pin fault replaces
+// the captured operand, which the element passes through — mirroring
+// the serial backend.
 func (ps *ParallelSim) FaultMask(f Fault) uint64 {
-	ps.cur++
-	ps.nMasks++
-	c := ps.c
-	stuckWord := uint64(0)
+	stuck := uint64(0)
 	if f.SA == logic.One {
-		stuckWord = ^uint64(0)
+		stuck = ^uint64(0)
 	}
-
-	var detected uint64
-	push := func(net int, word uint64) {
-		if word == ps.value(net) {
-			return
-		}
-		ps.val[net] = word
-		ps.stamp[net] = ps.cur
-		if ps.isObs[net] {
-			detected |= word ^ ps.good[net]
-		}
-		for _, reader := range c.Fanout[net] {
-			if !c.Gates[reader].Type.IsCombinational() {
-				continue
-			}
-			if ps.queued[reader] != ps.cur {
-				ps.queued[reader] = ps.cur
-				lv := c.Level[reader]
-				ps.byLevel[lv] = append(ps.byLevel[lv], reader)
-			}
-		}
+	if f.Pin == Stem || !ps.c.Gates[f.Gate].Type.IsCombinational() {
+		return ps.propagate(int32(f.Gate), stuck)
 	}
+	// Branch fault: only gate f.Gate sees the corrupt operand. Its
+	// fanins are upstream of every fault effect, so their good words
+	// are current.
+	ps.nEvals++
+	return ps.propagate(int32(f.Gate), ps.t.evalPinned(f.Gate, f.Pin, ps.good, stuck))
+}
 
-	var startLevel int
-	if f.Pin == Stem {
-		push(f.Gate, stuckWord)
-		startLevel = c.Level[f.Gate]
-	} else {
-		// Branch fault: only gate f.Gate sees the corrupt operand.
-		g := &c.Gates[f.Gate]
-		in := ps.scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = ps.value(src)
-		}
-		in[f.Pin] = stuckWord
-		push(f.Gate, g.Type.EvalWord(in))
-		ps.nEvals++
-		startLevel = c.Level[f.Gate]
+// FlipMask event-propagates the complement of net n's good value
+// through its combinational fanout cone and returns the patterns on
+// which the flip reaches a view output — the exact observability of n
+// for the loaded block.
+func (ps *ParallelSim) FlipMask(n int) uint64 {
+	return ps.propagate(int32(n), ^ps.good[n])
+}
+
+// propagate is the kernel behind FaultMask and FlipMask: net n takes
+// word w, and the change is event-propagated level by level through
+// n's combinational fanout cone until nothing is pending. It returns
+// the patterns on which some view output differs from the good machine.
+func (ps *ParallelSim) propagate(n int32, w uint64) uint64 {
+	ps.nMasks++
+	cur, t := ps.cur, ps.t
+	for _, d := range ps.dirty {
+		cur[d] = ps.good[d]
 	}
-
-	for lv := startLevel; lv < len(ps.byLevel); lv++ {
+	ps.dirty = ps.dirty[:0]
+	ps.det = 0
+	if w == cur[n] {
+		return 0
+	}
+	ps.set(n, w)
+	for lv := t.level[n] + 1; ps.pending > 0; lv++ {
 		bucket := ps.byLevel[lv]
-		ps.byLevel[lv] = ps.byLevel[lv][:0]
 		for _, id := range bucket {
-			if id == f.Gate && f.Pin != Stem {
-				// Already evaluated with the corrupt operand.
-				continue
+			ps.queued[id] = false
+			if nw := t.eval(id, cur); nw != cur[id] {
+				ps.set(id, nw)
 			}
-			g := &c.Gates[id]
-			in := ps.scratch[:len(g.Fanin)]
-			for i, src := range g.Fanin {
-				in[i] = ps.value(src)
-			}
-			w := g.Type.EvalWord(in)
-			ps.nEvals++
-			if f.Pin == Stem && id == f.Gate {
-				w = stuckWord
-			}
-			push(id, w)
+		}
+		ps.pending -= len(bucket)
+		ps.nEvals += int64(len(bucket))
+		ps.byLevel[lv] = bucket[:0]
+	}
+	return ps.det
+}
+
+// set writes faulty word w to net n, records any detection and queues
+// n's combinational readers.
+func (ps *ParallelSim) set(n int32, w uint64) {
+	t := ps.t
+	ps.cur[n] = w
+	ps.dirty = append(ps.dirty, n)
+	if t.isObs[n] {
+		ps.det |= w ^ ps.good[n]
+	}
+	for _, r := range t.readers[t.rdStart[n]:t.rdStart[n+1]] {
+		if !ps.queued[r] {
+			ps.queued[r] = true
+			ps.byLevel[t.level[r]] = append(ps.byLevel[t.level[r]], r)
+			ps.pending++
 		}
 	}
-	return detected
 }
 
 // GoodWord returns the good-machine word of net n for the loaded block.
@@ -244,7 +415,7 @@ func (ps *ParallelSim) GoodWord(n int) uint64 { return ps.good[n] }
 
 // FaultyWord returns net n's word as left by the most recent FaultMask
 // call (the good word if the fault never reached n).
-func (ps *ParallelSim) FaultyWord(n int) uint64 { return ps.value(n) }
+func (ps *ParallelSim) FaultyWord(n int) uint64 { return ps.cur[n] }
 
 // liveFor returns the simulator's reusable live-fault scratch list,
 // grown to n entries.
@@ -280,10 +451,7 @@ func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, pats *Packe
 		k := ps.LoadPackedBlock(words, kb)
 		blocks++
 		caughtBefore := caught
-		mask := ^uint64(0)
-		if k < 64 {
-			mask = 1<<uint(k) - 1
-		}
+		mask := blockMask(k)
 		next := live[:0]
 		for _, fi := range live {
 			det := ps.FaultMask(faults[fi]) & mask

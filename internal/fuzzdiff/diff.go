@@ -47,9 +47,9 @@ func Baseline() SimConfig {
 
 // Matrix enumerates the configurations CheckBackends sweeps: the
 // serial backend, the parallel backend at several worker counts and
-// the critical-path-tracing backend at two (cpt shards over patterns,
-// so its worker cells also pin the min-merge of per-worker first
-// detections), each with dropping on and off. Detection outcomes are
+// the critical-path-tracing backend at two (cpt shards each block's
+// reconvergent-stem flips, so its worker cells also pin the shared
+// observability trace), each with dropping on and off. Detection outcomes are
 // defined to be drop-invariant, so drop-on cells are compared against
 // the same baseline as drop-off cells.
 func Matrix() []SimConfig {

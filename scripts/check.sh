@@ -11,4 +11,10 @@ go test -race ./...
 # the checked-in seed corpora.
 go test -run='^$' -fuzz=FuzzKernelEquivalence -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
+# Performance smoke (mirrors `make perf-smoke`): one second of the
+# benchmark's grade workload, every job re-graded on the serial backend.
+out=$(bash perfbench/run.sh --workload grade --seed 1 --seconds 1 --trace 0)
+echo "$out"
+echo "$out" | grep -Eq '"correct": *true'
+echo "$out" | grep -Eq '"failed": *0[,}]'
 echo "check: OK"
