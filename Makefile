@@ -39,13 +39,16 @@ SMOKETIME ?= 10s
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=$(SMOKETIME)
 
-# perf-smoke runs the end-to-end benchmark's grade workload for one
-# second: Auto-backend grading of 2k-3.2k-gate netlists on every CPU,
-# sharded cpt included, each job re-graded on the serial backend. It
-# fails unless every job passed its checks.
+# perf-smoke runs two end-to-end benchmark workloads for one second
+# each: grade (Auto-backend grading of 2k-3.2k-gate netlists on every
+# CPU, sharded cpt included, each job re-graded on the serial backend)
+# and service (in-process dftd jobs of every kind, each checked against
+# a direct library call). It fails unless every job passed its checks.
 perf-smoke:
-	@out=$$(bash perfbench/run.sh --workload grade --seed 1 --seconds 1 --trace 0) && echo "$$out" && \
-		echo "$$out" | grep -Eq '"correct": *true' && echo "$$out" | grep -Eq '"failed": *0[,}]'
+	@for w in grade service; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) && echo "$$out" && \
+		echo "$$out" | grep -Eq '"correct": *true' && echo "$$out" | grep -Eq '"failed": *0[,}]' || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

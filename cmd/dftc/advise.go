@@ -9,7 +9,7 @@ import (
 	"dft/internal/advise"
 	"dft/internal/circuits"
 	"dft/internal/logic"
-	"dft/internal/lssd"
+	"dft/internal/pipeline"
 	"dft/internal/telemetry"
 )
 
@@ -23,24 +23,23 @@ func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ContinueOnError)
 	builtin := fs.String("builtin", "", "advise a library circuit instead of a file")
 	n := fs.Int("n", 0, "library circuit size (with -builtin)")
-	target := fs.Float64("target", advise.DefaultTarget, "fault-coverage goal in [0,1]")
-	budget := fs.Float64("budget", advise.DefaultBudget, "overhead budget as a fraction of circuit size")
-	maxSteps := fs.Int("max-steps", advise.DefaultMaxSteps, "intervention cap")
-	patterns := fs.Int("patterns", advise.DefaultPatterns, "random patterns per probe")
-	seed := fs.Int64("seed", 1, "master seed; per-iteration probe seeds derive from it")
-	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
-	style := fs.String("style", "lssd", "scan style for chain materialization: lssd or mux")
+	var spec pipeline.Advise
+	fs.Float64Var(&spec.Target, "target", pipeline.DefaultAdviseTarget, "fault-coverage goal in [0,1]")
+	fs.Float64Var(&spec.Budget, "budget", pipeline.DefaultAdviseBudget, "overhead budget as a fraction of circuit size")
+	fs.IntVar(&spec.MaxSteps, "max-steps", pipeline.DefaultAdviseMaxSteps, "intervention cap")
+	fs.IntVar(&spec.Patterns, "patterns", pipeline.DefaultAdvisePatterns, "random patterns per probe")
+	fs.Int64Var(&spec.Seed, "seed", pipeline.DefaultSeed, "master seed; per-iteration probe seeds derive from it")
+	fs.IntVar(&spec.Workers, "workers", 0, "fault-sharding workers (0 = all CPUs)")
+	fs.StringVar(&spec.Style, "style", pipeline.DefaultStyle, "scan style for chain materialization: lssd or mux")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	out := fs.String("out", "", "also write the plan JSON to this file")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *target < 0 || *target > 1 {
-		return fmt.Errorf("-target %v out of range [0,1]", *target)
-	}
 
 	var c *logic.Circuit
+	input := *builtin // the report input: the builtin or the file path
 	switch {
 	case *builtin != "" && fs.NArg() > 0:
 		return fmt.Errorf("give -builtin or a .bench file, not both")
@@ -55,31 +54,16 @@ func cmdAdvise(args []string) error {
 		if err != nil {
 			return err
 		}
-		c = d.Circuit
+		c, input = d.Circuit, fs.Arg(0)
 	default:
 		return fmt.Errorf("advise needs one .bench file or -builtin name")
 	}
 
-	st := lssd.StyleLSSD
-	if *style == "mux" {
-		st = lssd.StyleMuxScan
-	} else if *style != "lssd" {
-		return fmt.Errorf("unknown style %q", *style)
-	}
-
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
-	plan, err := advise.Run(ctx, c, advise.Options{
-		Target:   *target,
-		Budget:   *budget,
-		MaxSteps: *maxSteps,
-		Patterns: *patterns,
-		Seed:     uint64(*seed),
-		Workers:  *workers,
-		Style:    st,
-	})
+	plan, rep, err := spec.Run(ctx, c, telemetry.Default())
 	if err != nil {
-		return fmt.Errorf("advise gave up after -timeout %v: %w", *timeout, err)
+		return gaveUp("advise", input, *timeout, err)
 	}
 
 	if *out != "" {
@@ -88,24 +72,7 @@ func cmdAdvise(args []string) error {
 		}
 	}
 	if *jsonOut {
-		rep := telemetry.NewReport("dftc", "advise", planInput(*builtin, fs))
-		rep.Config = map[string]any{
-			"target": *target, "budget": *budget, "max_steps": *maxSteps,
-			"patterns": *patterns, "seed": *seed, "workers": *workers,
-			"style": *style,
-		}
-		rep.Results = map[string]any{
-			"baseline":       plan.Baseline,
-			"coverage":       plan.Coverage,
-			"steps":          len(plan.Steps),
-			"scanned":        len(plan.Scanned),
-			"overhead":       plan.Overhead,
-			"overhead_gates": plan.OverheadGates,
-			"pins":           plan.Pins,
-			"stop_reason":    plan.StopReason,
-			"plan":           plan,
-		}
-		return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
+		return writeReport(rep, input)
 	}
 
 	fmt.Printf("advising %s: %d collapsed faults, target %.2f%%, budget %.0f%% overhead\n",
@@ -133,14 +100,6 @@ func cmdAdvise(args []string) error {
 		fmt.Printf("plan written to %s\n", *out)
 	}
 	return nil
-}
-
-// planInput names the report input: the builtin or the file path.
-func planInput(builtin string, fs *flag.FlagSet) string {
-	if builtin != "" {
-		return builtin
-	}
-	return fs.Arg(0)
 }
 
 // writePlanJSON dumps the raw plan document (not a run report) so

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"strings"
 
@@ -13,6 +12,7 @@ import (
 	"dft/internal/compact"
 	"dft/internal/core"
 	"dft/internal/logic"
+	"dft/internal/pipeline"
 	"dft/internal/telemetry"
 )
 
@@ -52,42 +52,39 @@ func cmdCompact(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *scan {
-		if err := d.ApplyScan(core.StyleLSSD); err != nil {
-			return err
-		}
-	}
-	view := d.View()
-	faults := d.Faults()
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
-	opt := compact.Options{Mode: mode, Workers: *workers, Seed: *seed}
 
 	var kept [][]bool
 	var st *compact.Stats
-	if *in != "" {
+	var targets int
+	if *in == "" {
+		// A random set is the faultsim job with compaction on.
+		out, _, err := pipeline.FaultSim{
+			Patterns: *random, Seed: *seed, Scan: *scan, CompactMode: *modeFlag, Workers: *workers,
+		}.Run(ctx, d.Circuit, telemetry.Default())
+		if err != nil {
+			return err
+		}
+		kept, st, targets = out.KeptPatterns, out.Compaction, out.Targets
+	} else {
+		if *scan {
+			if err := d.ApplyScan(core.StyleLSSD); err != nil {
+				return err
+			}
+		}
+		view := d.View()
+		faults := d.Faults()
 		cubes, err := readCubes(*in, len(view.Inputs))
 		if err != nil {
 			return err
 		}
-		kept, _, st, err = compact.Tests(ctx, d.Circuit, view, faults, cubes, opt)
+		kept, _, st, err = compact.Tests(ctx, d.Circuit, view, faults, cubes,
+			compact.Options{Mode: mode, Workers: *workers, Seed: *seed})
 		if err != nil {
 			return err
 		}
-	} else {
-		rng := rand.New(rand.NewSource(*seed))
-		pats := make([][]bool, *random)
-		for i := range pats {
-			p := make([]bool, len(view.Inputs))
-			for j := range p {
-				p[j] = rng.Intn(2) == 1
-			}
-			pats[i] = p
-		}
-		kept, st, err = compact.Patterns(ctx, d.Circuit, view, faults, pats, opt)
-		if err != nil {
-			return err
-		}
+		targets = len(faults)
 	}
 
 	if *jsonOut {
@@ -105,20 +102,26 @@ func cmdCompact(args []string) error {
 			"merge_hits":     st.MergeHits,
 			"coverage_in":    st.CoverageIn,
 			"coverage_out":   st.CoverageOut,
-			"targets":        len(faults),
+			"targets":        targets,
 		}
 		if err := rep.Finish(telemetry.Default()).WriteJSON(os.Stdout); err != nil {
 			return err
 		}
 		return writePatterns(*outFile, kept, false)
 	}
+	fmt.Fprintln(os.Stderr, compactSummary(st))
+	return writePatterns(*outFile, kept, *outFile == "")
+}
+
+// compactSummary is the one-line account of a compaction run that
+// atpg and compact print.
+func compactSummary(st *compact.Stats) string {
 	note := "coverage unchanged"
 	if st.DetectedOut > st.DetectedIn {
 		note = fmt.Sprintf("coverage +%d faults", st.DetectedOut-st.DetectedIn)
 	}
-	fmt.Fprintf(os.Stderr, "compact   : patterns %d -> %d (%.1fx, %d replay passes), %s\n",
+	return fmt.Sprintf("compact   : patterns %d -> %d (%.1fx, %d replay passes), %s",
 		st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses, note)
-	return writePatterns(*outFile, kept, *outFile == "")
 }
 
 // readCubes parses one test cube per line in 01X notation; blank lines

@@ -9,10 +9,10 @@ import (
 	"dft/internal/atpg"
 	"dft/internal/bridge"
 	"dft/internal/cmos"
-	"dft/internal/compact"
 	"dft/internal/core"
 	"dft/internal/diagnose"
 	"dft/internal/fault"
+	"dft/internal/pipeline"
 	"dft/internal/seqatpg"
 	"dft/internal/telemetry"
 )
@@ -103,19 +103,20 @@ func cmdSeqTest(args []string) error {
 // failing signature or an injected fault against it.
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ContinueOnError)
-	patterns := fs.Int("patterns", 64, "random patterns for the dictionary")
-	seed := fs.Int64("seed", 6, "pattern seed")
-	scan := fs.Bool("scan", false, "assume full scan view")
-	engine := fs.String("engine", "auto", "grading backend: auto, parallel, cpt or serial")
-	workers := fs.Int("workers", 0, "grading workers (0 = all CPUs)")
+	var spec pipeline.Diagnose
+	fs.IntVar(&spec.Patterns, "patterns", pipeline.DefaultDiagnosePatterns, "random patterns for the dictionary")
+	fs.Int64Var(&spec.Seed, "seed", pipeline.DefaultSeed, "pattern seed")
+	fs.BoolVar(&spec.Scan, "scan", false, "assume full scan view")
+	fs.StringVar(&spec.Backend, "engine", pipeline.DefaultBackend, "grading backend: auto, parallel, cpt or serial")
+	fs.IntVar(&spec.Workers, "workers", 0, "grading workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the build after this long (0 = no limit)")
-	compactFlag := fs.String("compact", "reverse", "compact the pattern set first: off, reverse, static, dynamic or full")
-	full := fs.Bool("full", false, "also store the per-output full-response tier")
+	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultDiagnoseCompact, "compact the pattern set first: off, reverse, static, dynamic or full")
+	fs.BoolVar(&spec.Full, "full", false, "also store the per-output full-response tier")
 	save := fs.String("save", "", "write the dictionary to this file")
 	load := fs.String("load", "", "load a saved dictionary instead of building")
-	inject := fs.String("inject", "", `diagnose an injected fault, e.g. "g12 s-a-0"`)
-	sigStr := fs.String("signature", "", "diagnose an observed pass/fail string ('1' = pattern failed)")
-	top := fs.Int("top", 10, "ranked candidates to print")
+	fs.StringVar(&spec.Inject, "inject", "", `diagnose an injected fault, e.g. "g12 s-a-0"`)
+	fs.StringVar(&spec.Signature, "signature", "", "diagnose an observed pass/fail string ('1' = pattern failed)")
+	fs.IntVar(&spec.Top, "top", pipeline.DefaultTop, "ranked candidates to print")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -123,79 +124,31 @@ func cmdDiagnose(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("diagnose needs one .bench file")
 	}
-	if *inject != "" && *sigStr != "" {
-		return fmt.Errorf("give -inject or -signature, not both")
-	}
-	backend, err := fault.ParseBackend(*engine)
-	if err != nil {
-		return err
-	}
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	if *scan {
-		if err := d.ApplyScan(core.StyleLSSD); err != nil {
-			return err
-		}
-	}
-	view := d.View()
-	// Diagnose over the collapsed representatives: structurally
-	// equivalent faults can never be told apart at the pins, so grading
-	// the raw universe would only pad every dictionary row and class
-	// with known duplicates.
-	cl := fault.CollapseEquiv(d.Circuit, fault.Universe(d.Circuit))
-	dopt := diagnose.Options{
-		Backend: backend,
-		Workers: *workers,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
-		Full:    *full,
-	}
-	ctx, cancel := timeoutContext(*timeout)
-	defer cancel()
-
-	var dict *diagnose.Dictionary
-	var cst *compact.Stats
 	if *load != "" {
 		f, err := os.Open(*load)
 		if err != nil {
 			return err
 		}
-		dict, err = diagnose.Decode(f)
+		dict, err := diagnose.Decode(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		if err := dict.Attach(d.Circuit, dopt); err != nil {
-			return err
-		}
-	} else {
-		mode, err := compact.ParseMode(*compactFlag)
-		if err != nil {
-			return err
-		}
-		rng := rand.New(rand.NewSource(*seed))
-		pats := make([][]bool, *patterns)
-		for i := range pats {
-			p := make([]bool, len(view.Inputs))
-			for j := range p {
-				p[j] = rng.Intn(2) == 1
-			}
-			pats[i] = p
-		}
-		if mode.Enabled() {
-			pats, cst, err = compact.Patterns(ctx, d.Circuit, view, cl.Reps, pats, compact.Options{
-				Mode: mode, Workers: *workers, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-		}
-		dict, err = diagnose.Build(ctx, d.Circuit, cl.Reps, pats, dopt)
-		if err != nil {
-			return fmt.Errorf("diagnose on %s gave up after -timeout %v: %w", fs.Arg(0), *timeout, err)
+		spec.Dictionary = func(string, func() (pipeline.DictBuild, error)) (pipeline.DictBuild, bool, error) {
+			return pipeline.DictBuild{Dict: dict}, true, nil
 		}
 	}
+	ctx, cancel := timeoutContext(*timeout)
+	defer cancel()
+	out, rep, err := spec.Run(ctx, d.Circuit, telemetry.Default())
+	if err != nil {
+		return gaveUp("diagnose", fs.Arg(0), *timeout, err)
+	}
+	dict := out.Dict
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
@@ -209,86 +162,13 @@ func cmdDiagnose(args []string) error {
 			return err
 		}
 	}
-
-	// Resolve the observation, if any.
-	var sig diagnose.Signature
-	var ranked []diagnose.Candidate
-	diagnosing := false
-	injected := fault.Fault{}
-	switch {
-	case *inject != "":
-		injected, err = fault.ParseFault(*inject)
-		if err != nil {
-			return err
-		}
-		if err := injected.Validate(d.Circuit); err != nil {
-			return err
-		}
-		sig, err = dict.ObserveMachine(injected)
-		if err != nil {
-			return err
-		}
-		diagnosing = true
-	case *sigStr != "":
-		sig, err = diagnose.ParseSignature(*sigStr)
-		if err != nil {
-			return err
-		}
-		if sig.N > dict.NumPats {
-			return fmt.Errorf("signature covers %d patterns, dictionary has %d", sig.N, dict.NumPats)
-		}
-		diagnosing = true
-	}
-	if diagnosing {
-		ranked = dict.Rank(sig, *top)
-	}
-	r := dict.Resolution()
-
 	if *jsonOut {
-		rep := telemetry.NewReport("dftc", "diagnose", fs.Arg(0))
-		rep.Config = map[string]any{
-			"patterns": dict.NumPats, "seed": *seed, "scan": *scan,
-			"engine": backend.String(), "workers": *workers,
-			"compact": *compactFlag, "full": *full,
-		}
-		rep.Results = map[string]any{
-			"universe":        len(cl.ClassOf),
-			"collapsed":       len(cl.Reps),
-			"dict_faults":     len(dict.Faults),
-			"dict_patterns":   dict.NumPats,
-			"dict_bytes":      dict.CompactBytes(),
-			"dict_full_bytes": dict.FullBytes(),
-			"classes":         r.Classes,
-			"mean_class":      r.MeanSize,
-			"max_class":       r.MaxSize,
-			"undetected":      r.Undetected,
-		}
-		if cst != nil {
-			rep.Results["patterns_in"] = cst.PatternsIn
-			rep.Results["compact_ratio"] = cst.Ratio
-		}
-		if diagnosing {
-			cands := make([]map[string]any, len(ranked))
-			for i, cand := range ranked {
-				cands[i] = map[string]any{
-					"fault":    cand.Fault.String(),
-					"name":     cand.Fault.Name(d.Circuit),
-					"distance": cand.Distance,
-				}
-			}
-			rep.Results["candidates"] = cands
-			rep.Results["observed_fails"] = sig.Weight()
-			rep.Results["observed_patterns"] = sig.N
-			if sig.N == dict.NumPats {
-				rep.Results["class_size"] = len(dict.Lookup(sig))
-			}
-		}
-		return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
+		return writeReport(rep, fs.Arg(0))
 	}
 
 	fmt.Printf("faults: %d collapsed of %d total, patterns: %d\n",
-		len(cl.Reps), len(cl.ClassOf), dict.NumPats)
-	if cst != nil {
+		len(out.Classes.Reps), len(out.Classes.ClassOf), dict.NumPats)
+	if cst := out.Compaction; cst != nil {
 		fmt.Printf("compact   : patterns %d -> %d (%.1fx)\n", cst.PatternsIn, cst.PatternsOut, cst.Ratio)
 	}
 	bytesLine := fmt.Sprintf("dictionary: %d bytes compact", dict.CompactBytes())
@@ -296,17 +176,18 @@ func cmdDiagnose(args []string) error {
 		bytesLine += fmt.Sprintf(" + %d bytes full-response", dict.FullBytes())
 	}
 	fmt.Println(bytesLine)
+	r := dict.Resolution()
 	fmt.Printf("diagnosis classes: %d (mean size %.2f, max %d, invisible %d)\n",
 		r.Classes, r.MeanSize, r.MaxSize, r.Undetected)
-	if diagnosing {
-		if *inject != "" {
-			fmt.Printf("injected  : %s, %d/%d patterns fail\n", injected.Name(d.Circuit), sig.Weight(), sig.N)
-		} else {
-			fmt.Printf("observed  : %d/%d patterns fail\n", sig.Weight(), sig.N)
-		}
-		for i, cand := range ranked {
-			fmt.Printf("  #%-2d d=%-3d %s\n", i+1, cand.Distance, cand.Fault.Name(d.Circuit))
-		}
+	sig := out.Observed
+	switch {
+	case spec.Inject != "":
+		fmt.Printf("injected  : %s, %d/%d patterns fail\n", out.Injected.Name(out.Circuit), sig.Weight(), sig.N)
+	case spec.Signature != "":
+		fmt.Printf("observed  : %d/%d patterns fail\n", sig.Weight(), sig.N)
+	}
+	for i, cand := range out.Ranked {
+		fmt.Printf("  #%-2d d=%-3d %s\n", i+1, cand.Distance, cand.Fault.Name(out.Circuit))
 	}
 	return nil
 }

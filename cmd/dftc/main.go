@@ -35,25 +35,23 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
 	"time"
 
-	"dft/internal/atpg"
 	"dft/internal/bilbo"
 	"dft/internal/circuits"
-	"dft/internal/compact"
 	"dft/internal/core"
 	"dft/internal/experiments"
 	"dft/internal/fault"
 	"dft/internal/lfsr"
 	"dft/internal/logic"
 	"dft/internal/lssd"
-	"dft/internal/sim"
+	"dft/internal/pipeline"
 	"dft/internal/suggest"
 	"dft/internal/syndrome"
 	"dft/internal/telemetry"
@@ -302,12 +300,13 @@ func cmdScoap(args []string) error {
 
 func cmdATPG(args []string) error {
 	fs := flag.NewFlagSet("atpg", flag.ContinueOnError)
-	engine := fs.String("engine", "podem", "podem or dalg")
-	scan := fs.Bool("scan", false, "assume full scan (LSSD view)")
-	random := fs.Int("random", 0, "random-first pattern budget")
-	compactFlag := fs.String("compact", "off", "compaction mode: off, reverse, static, dynamic or full")
-	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
+	var spec pipeline.ATPG
+	fs.StringVar(&spec.Engine, "engine", pipeline.DefaultEngine, "podem or dalg")
+	fs.BoolVar(&spec.Scan, "scan", false, "assume full scan (LSSD view)")
+	fs.IntVar(&spec.Random, "random", 0, "random-first pattern budget")
+	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultCompact, "compaction mode: off, reverse, static, dynamic or full")
+	fs.Int64Var(&spec.Seed, "seed", pipeline.DefaultSeed, "random seed")
+	fs.IntVar(&spec.Workers, "workers", 0, "fault-sharding workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	if err := parseFlags(fs, args); err != nil {
@@ -320,68 +319,19 @@ func cmdATPG(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *scan {
-		if err := d.ApplyScan(core.StyleLSSD); err != nil {
-			return err
-		}
-	}
-	e := atpg.EnginePodem
-	if *engine == "dalg" {
-		e = atpg.EngineDAlg
-	} else if *engine != "podem" {
-		return fmt.Errorf("unknown engine %q", *engine)
-	}
-	mode, err := compact.ParseMode(*compactFlag)
-	if err != nil {
-		return err
-	}
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
-	ts, err := d.GenerateContext(ctx, core.GenerateOptions{
-		Engine: e, RandomFirst: *random, Seed: *seed, CompactMode: mode,
-		Workers: *workers,
-	})
+	out, rep, err := spec.Run(ctx, d.Circuit, telemetry.Default())
 	if err != nil {
-		return fmt.Errorf("atpg on %s gave up after -timeout %v: %w", fs.Arg(0), *timeout, err)
+		return gaveUp("atpg", fs.Arg(0), *timeout, err)
 	}
 	if *jsonOut {
-		rep := telemetry.NewReport("dftc", "atpg", fs.Arg(0))
-		rep.Config = map[string]any{
-			"engine":  *engine,
-			"scan":    *scan,
-			"random":  *random,
-			"compact": mode.String(),
-			"seed":    *seed,
-			"workers": *workers,
-		}
-		rep.Results = map[string]any{
-			"patterns":     len(ts.Patterns),
-			"coverage":     ts.Coverage,
-			"raw_coverage": ts.RawCover,
-			"untestable":   ts.Untestable,
-			"aborted":      ts.Aborted,
-			"targets":      ts.TargetN,
-			"gates":        d.Circuit.NumGates(),
-			"dffs":         d.Circuit.NumDFFs(),
-		}
-		if st := ts.Compaction; st != nil {
-			rep.Results["patterns_in"] = st.PatternsIn
-			rep.Results["patterns_out"] = st.PatternsOut
-			rep.Results["compact_ratio"] = st.Ratio
-			rep.Results["replay_passes"] = st.ReplayPasses
-			rep.Results["merge_attempts"] = st.MergeAttempts
-			rep.Results["merge_hits"] = st.MergeHits
-		}
-		return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
+		return writeReport(rep, fs.Arg(0))
 	}
-	fmt.Print(d.BuildReport(ts))
-	if st := ts.Compaction; st != nil {
-		note := "coverage unchanged"
-		if st.DetectedOut > st.DetectedIn {
-			note = fmt.Sprintf("coverage +%d faults", st.DetectedOut-st.DetectedIn)
-		}
-		fmt.Printf("compact   : patterns %d -> %d (%.1fx, %d replay passes), %s\n",
-			st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses, note)
+	ts := out.Tests
+	fmt.Print(out.Design.BuildReport(ts))
+	if ts.Compaction != nil {
+		fmt.Println(compactSummary(ts.Compaction))
 	}
 	if ts.Untestable > 0 {
 		fmt.Printf("untestable (redundant) faults: %d\n", ts.Untestable)
@@ -394,11 +344,12 @@ func cmdATPG(args []string) error {
 
 func cmdFaultSim(args []string) error {
 	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
-	n := fs.Int("patterns", 1024, "random patterns to grade")
-	seed := fs.Int64("seed", 1, "random seed")
-	scan := fs.Bool("scan", false, "assume full scan view")
-	engine := fs.String("engine", "auto", "backend: auto, parallel, cpt or serial")
-	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
+	var spec pipeline.FaultSim
+	fs.IntVar(&spec.Patterns, "patterns", pipeline.DefaultFaultSimPatterns, "random patterns to grade")
+	fs.Int64Var(&spec.Seed, "seed", pipeline.DefaultSeed, "random seed")
+	fs.BoolVar(&spec.Scan, "scan", false, "assume full scan view")
+	fs.StringVar(&spec.Backend, "engine", pipeline.DefaultBackend, "backend: auto, parallel, cpt or serial")
+	fs.IntVar(&spec.Workers, "workers", 0, "fault-sharding workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable run report")
 	if err := parseFlags(fs, args); err != nil {
@@ -407,66 +358,37 @@ func cmdFaultSim(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("faultsim needs one .bench file")
 	}
-	backend, err := fault.ParseBackend(*engine)
-	if err != nil {
-		return err
-	}
 	d, err := loadDesign(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	if *scan {
-		if err := d.ApplyScan(core.StyleLSSD); err != nil {
-			return err
-		}
-	}
-	view := d.View()
-	rng := rand.New(rand.NewSource(*seed))
-	pats := make([][]bool, *n)
-	for i := range pats {
-		p := make([]bool, len(view.Inputs))
-		for j := range p {
-			p[j] = rng.Intn(2) == 1
-		}
-		pats[i] = p
-	}
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
-	res, err := fault.Simulate(ctx, d.Circuit, d.Faults(), pats, fault.Options{
-		Backend: backend,
-		Workers: *workers,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
-	})
+	out, rep, err := spec.Run(ctx, d.Circuit, telemetry.Default())
 	if err != nil {
-		return fmt.Errorf("faultsim on %s gave up after -timeout %v: %w", fs.Arg(0), *timeout, err)
-	}
-	// A pattern is kept when it was the first detector of some fault —
-	// the same set reverse-order compaction would retain.
-	kept := make(map[int]bool)
-	for _, pi := range res.DetectedBy {
-		if pi >= 0 {
-			kept[pi] = true
-		}
+		return gaveUp("faultsim", fs.Arg(0), *timeout, err)
 	}
 	if *jsonOut {
-		rep := telemetry.NewReport("dftc", "faultsim", fs.Arg(0))
-		rep.Config = map[string]any{
-			"patterns": *n, "seed": *seed, "scan": *scan,
-			"engine": backend.String(), "workers": *workers,
-		}
-		rep.Results = map[string]any{
-			"coverage":      res.Coverage(),
-			"kept_patterns": len(kept),
-			"targets":       len(res.Faults),
-		}
-		p := sim.CompiledFor(d.Circuit)
-		rep.Results["folded_gates"] = p.Folded()
-		rep.Results["hashed_gates"] = p.Hashed()
-		return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
+		return writeReport(rep, fs.Arg(0))
 	}
 	fmt.Printf("applied %d random patterns: coverage %.2f%% with %d kept patterns\n",
-		*n, res.Coverage()*100, len(kept))
+		out.Patterns, out.Coverage*100, out.Kept)
 	return nil
+}
+
+// writeReport names the CLI and the input on a pipeline report and
+// writes it with the process-wide registry, the one -stats dumps.
+func writeReport(rep *telemetry.Report, input string) error {
+	rep.Tool, rep.Input = "dftc", input
+	return rep.Finish(telemetry.Default()).WriteJSON(os.Stdout)
+}
+
+// gaveUp names the -timeout flag in an error its deadline caused.
+func gaveUp(cmd, input string, timeout time.Duration, err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return fmt.Errorf("%s on %s gave up after -timeout %v: %w", cmd, input, timeout, err)
+	}
+	return err
 }
 
 func cmdScan(args []string) error {

@@ -1,7 +1,9 @@
 // Command dftd is the DFT-as-a-service daemon: it serves the
-// toolkit's fault-simulation, ATPG and differential-fuzz engines as
-// asynchronous HTTP/JSON jobs with a bounded queue, a worker pool,
-// request coalescing, an LRU result cache, and graceful drain.
+// toolkit's fault simulation, ATPG, fault diagnosis, DFT advising and
+// differential fuzzing as asynchronous HTTP/JSON jobs with a bounded
+// queue, a worker pool, request coalescing, an LRU result cache, and
+// graceful drain. Jobs run through the same runner as the matching
+// dftc subcommands (internal/pipeline).
 //
 // Usage:
 //
@@ -10,7 +12,7 @@
 //
 // API:
 //
-//	POST   /v1/jobs              {"kind":"faultsim|atpg|fuzz",
+//	POST   /v1/jobs              {"kind":"faultsim|atpg|diagnose|advise|fuzz",
 //	                             "builtin":"adder", "n":8,
 //	                             "options":{...}} or {"bench":"..."}
 //	GET    /v1/jobs/{id}         job state; a done job embeds its

@@ -1,14 +1,14 @@
 // Package service is the DFT-as-a-service layer: a long-lived job
-// server exposing the toolkit's compute core — the sharded fault
-// engine, the ATPG drivers, and the differential fuzzer — as
-// asynchronous HTTP/JSON jobs with a bounded FIFO queue, a worker
-// pool, request coalescing, an LRU result cache, admission control,
-// and graceful drain. The paper's economics motivate it: test
-// generation and fault simulation are the dominant, repeatable cost
-// of LSI testing (Eq. 1, T = K·N³), so in a production flow they run
-// as a shared service that amortizes compiled-circuit state and
-// deduplicates identical requests rather than as one-shot CLI
-// processes.
+// server exposing the toolkit's jobbed kinds — fault simulation, ATPG,
+// diagnosis, advising and differential fuzzing, all run by
+// internal/pipeline — as asynchronous HTTP/JSON jobs with a bounded
+// FIFO queue, a worker pool, request coalescing, an LRU result cache,
+// admission control, and graceful drain. The paper's economics
+// motivate it: test generation and fault simulation are the dominant,
+// repeatable cost of LSI testing (Eq. 1, T = K·N³), so in a production
+// flow they run as a shared service that amortizes compiled-circuit
+// state and deduplicates identical requests rather than as one-shot
+// CLI processes.
 package service
 
 import (
@@ -19,10 +19,9 @@ import (
 	"time"
 
 	"dft/internal/circuits"
-	"dft/internal/compact"
 	"dft/internal/core"
-	"dft/internal/fault"
 	"dft/internal/logic"
+	"dft/internal/pipeline"
 	"dft/internal/telemetry"
 )
 
@@ -114,109 +113,89 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// parsedRequest is a validated request: the instantiated circuit (nil
-// for fuzz), its display name, and the dedup key.
+// parsedRequest is a validated request: its pipeline spec, the
+// instantiated circuit (nil for fuzz), its display name, and the dedup
+// key.
 type parsedRequest struct {
 	req     JobRequest
+	spec    interface{ Validate() error }
 	circuit *logic.Circuit
 	input   string // report Input field: builtin name or "inline"
 	key     string
 }
 
-// parseRequest validates a request and resolves its circuit. Inline
-// .bench payloads go through core.LoadString so they get the same
-// structural linting as CLI file loads.
+// parseRequest turns a request into its pipeline spec, validates it,
+// and resolves its circuit. Inline .bench payloads go through
+// core.LoadString so they get the same structural linting as CLI file
+// loads.
 func parseRequest(req JobRequest) (*parsedRequest, error) {
+	o := req.Options
+	p := &parsedRequest{req: req}
 	switch req.Kind {
-	case KindFaultSim, KindATPG, KindFuzz, KindDiagnose, KindAdvise:
+	case KindFaultSim:
+		p.spec = pipeline.FaultSim{Patterns: o.Patterns, Seed: o.Seed, Scan: o.Scan, Backend: o.Backend,
+			Drop: o.Drop, CompactMode: o.CompactMode, Workers: o.Workers}
+	case KindATPG:
+		p.spec = pipeline.ATPG{Engine: o.Engine, Random: o.Random, CompactMode: o.CompactMode,
+			Seed: o.Seed, Scan: o.Scan, Workers: o.Workers}
+	case KindDiagnose:
+		// A job cannot keep its dictionary the way `dftc diagnose
+		// -save` does, so it must have evidence to diagnose.
+		if o.Signature == "" && o.Inject == "" {
+			return nil, fmt.Errorf("diagnose jobs need a signature or an inject fault")
+		}
+		p.spec = pipeline.Diagnose{Patterns: o.Patterns, Seed: o.Seed, Scan: o.Scan, Backend: o.Backend,
+			Workers: o.Workers, CompactMode: o.CompactMode, Full: o.DictFull, Inject: o.Inject,
+			Signature: o.Signature, Top: o.Top}
+	case KindAdvise:
+		if o.Scan {
+			return nil, fmt.Errorf("advise jobs choose their own scan elements; drop scan")
+		}
+		p.spec = pipeline.Advise{Target: o.Target, Budget: o.Budget, MaxSteps: o.MaxSteps,
+			Patterns: o.Patterns, Seed: o.Seed, Workers: o.Workers}
+	case KindFuzz:
+		p.spec = pipeline.Fuzz{Rounds: o.Rounds, Patterns: o.Patterns}
 	case "":
 		return nil, fmt.Errorf("missing kind (want faultsim, atpg, fuzz, diagnose or advise)")
 	default:
 		return nil, fmt.Errorf("unknown kind %q (want faultsim, atpg, fuzz, diagnose or advise)", req.Kind)
 	}
-	if req.Options.Patterns < 0 || req.Options.Random < 0 || req.Options.Rounds < 0 ||
-		req.Options.Workers < 0 || req.Options.TimeoutMs < 0 || req.Options.Top < 0 ||
-		req.Options.MaxSteps < 0 {
-		return nil, fmt.Errorf("negative option values are invalid")
+	if o.TimeoutMs < 0 {
+		return nil, fmt.Errorf("timeout_ms %d is negative", o.TimeoutMs)
 	}
-	if req.Options.Target < 0 || req.Options.Target > 1 {
-		return nil, fmt.Errorf("target %v out of range [0,1]", req.Options.Target)
-	}
-	if req.Options.Budget < 0 {
-		return nil, fmt.Errorf("budget %v is negative", req.Options.Budget)
-	}
-	if req.Kind != KindAdvise &&
-		(req.Options.Target != 0 || req.Options.Budget != 0 || req.Options.MaxSteps != 0) {
+	if req.Kind != KindAdvise && (o.Target != 0 || o.Budget != 0 || o.MaxSteps != 0) {
 		return nil, fmt.Errorf("target/budget/max_steps only apply to advise jobs")
 	}
-	if req.Kind == KindAdvise && req.Options.Scan {
-		return nil, fmt.Errorf("advise jobs choose their own scan elements; drop scan")
-	}
-	if req.Kind == KindDiagnose {
-		switch {
-		case req.Options.Signature == "" && req.Options.Inject == "":
-			return nil, fmt.Errorf("diagnose jobs need a signature or an inject fault")
-		case req.Options.Signature != "" && req.Options.Inject != "":
-			return nil, fmt.Errorf("give signature or inject, not both")
-		case req.Options.Signature != "":
-			for i := 0; i < len(req.Options.Signature); i++ {
-				if b := req.Options.Signature[i]; b != '0' && b != '1' {
-					return nil, fmt.Errorf("signature byte %d is %q (want 0 or 1)", i, b)
-				}
-			}
-		default:
-			// Syntax only at admission: the gate range depends on the
-			// post-scan circuit, so Validate runs inside the job.
-			if _, err := fault.ParseFault(req.Options.Inject); err != nil {
-				return nil, err
-			}
-		}
-	} else if req.Options.Signature != "" || req.Options.Inject != "" {
+	if req.Kind != KindDiagnose && (o.Signature != "" || o.Inject != "") {
 		return nil, fmt.Errorf("signature/inject only apply to diagnose jobs")
 	}
-	if _, err := fault.ParseBackend(req.Options.Backend); err != nil {
-		return nil, err
-	}
-	switch req.Options.Drop {
-	case "", "on", "off":
-	default:
-		return nil, fmt.Errorf("unknown drop %q (want on or off)", req.Options.Drop)
-	}
-	switch req.Options.Engine {
-	case "", "podem", "dalg":
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want podem or dalg)", req.Options.Engine)
-	}
-	if _, err := compact.ParseMode(req.Options.CompactMode); err != nil {
+	if err := p.spec.Validate(); err != nil {
 		return nil, err
 	}
 
-	p := &parsedRequest{req: req}
-	if req.Kind == KindFuzz {
+	switch {
+	case req.Kind == KindFuzz:
 		if req.Bench != "" || req.Builtin != "" {
 			return nil, fmt.Errorf("fuzz jobs generate their own circuits; drop bench/builtin")
 		}
-	} else {
-		switch {
-		case req.Bench != "" && req.Builtin != "":
-			return nil, fmt.Errorf("give bench or builtin, not both")
-		case req.Builtin != "":
-			c, err := circuits.Builtin(req.Builtin, req.N)
-			if err != nil {
-				return nil, err
-			}
-			p.circuit = c
-			p.input = req.Builtin
-		case req.Bench != "":
-			d, err := core.LoadString("inline", req.Bench)
-			if err != nil {
-				return nil, err
-			}
-			p.circuit = d.Circuit
-			p.input = "inline"
-		default:
-			return nil, fmt.Errorf("%s jobs need a circuit: bench or builtin", req.Kind)
+	case req.Bench != "" && req.Builtin != "":
+		return nil, fmt.Errorf("give bench or builtin, not both")
+	case req.Builtin != "":
+		c, err := circuits.Builtin(req.Builtin, req.N)
+		if err != nil {
+			return nil, err
 		}
+		p.circuit = c
+		p.input = req.Builtin
+	case req.Bench != "":
+		d, err := core.LoadString("inline", req.Bench)
+		if err != nil {
+			return nil, err
+		}
+		p.circuit = d.Circuit
+		p.input = "inline"
+	default:
+		return nil, fmt.Errorf("%s jobs need a circuit: bench or builtin", req.Kind)
 	}
 	p.key = requestKey(req.Kind, p.circuit, req.Options)
 	return p, nil
@@ -234,21 +213,12 @@ func requestKey(kind Kind, c *logic.Circuit, opts Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "kind=%s\n", kind)
 	if c != nil {
-		h.Write([]byte(canonicalBench(c)))
+		h.Write([]byte(logic.CanonicalBench(c)))
 	}
 	opts.TimeoutMs = 0
 	enc, _ := json.Marshal(opts)
 	h.Write(enc)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// canonicalBench renders the netlist identity used by the dedup key,
-// the circuit interner and the fault-dictionary cache. It is
-// logic.CanonicalBench, shared with the diagnose package so a stored
-// dictionary's netlist hash and the service's cache keys agree on
-// what "the same circuit" means.
-func canonicalBench(c *logic.Circuit) string {
-	return logic.CanonicalBench(c)
 }
 
 // Cancellation reasons recorded in cancel_reason: who or what killed

@@ -107,25 +107,25 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*Job
-	order    []string // job IDs in admission order, for pruning
+	order    []string        // job IDs in admission order, for pruning
 	inflight map[string]*Job // request key → queued/running job
 	results  *lruCache       // request key → report bytes
 	interned *lruCache       // netlist hash → *logic.Circuit
-	dicts    *lruCache       // dictionary key → *diagnose.Dictionary
+	dicts    *lruCache       // dictionary key → pipeline.DictBuild
 	seq      int64
 
 	queue chan *Job
 	wg    sync.WaitGroup
 
 	// cached instrument handles
-	cAccepted  *telemetry.Counter
-	cRejected  *telemetry.Counter
-	cCompleted *telemetry.Counter
-	cFailed    *telemetry.Counter
-	cCancelled *telemetry.Counter
-	cCoalesced *telemetry.Counter
-	cCacheHit  *telemetry.Counter
-	cCacheMiss *telemetry.Counter
+	cAccepted   *telemetry.Counter
+	cRejected   *telemetry.Counter
+	cCompleted  *telemetry.Counter
+	cFailed     *telemetry.Counter
+	cCancelled  *telemetry.Counter
+	cCoalesced  *telemetry.Counter
+	cCacheHit   *telemetry.Counter
+	cCacheMiss  *telemetry.Counter
 	cCacheEvict *telemetry.Counter
 	cDictHit    *telemetry.Counter
 	cDictMiss   *telemetry.Counter
@@ -265,7 +265,7 @@ func (s *Server) internCircuit(p *parsedRequest) {
 	if p.circuit == nil {
 		return
 	}
-	sum := sha256.Sum256([]byte(canonicalBench(p.circuit)))
+	sum := sha256.Sum256([]byte(logic.CanonicalBench(p.circuit)))
 	h := hex.EncodeToString(sum[:])
 	if c, ok := s.interned.get(h); ok {
 		p.circuit = c.(*logic.Circuit)

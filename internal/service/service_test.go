@@ -637,7 +637,9 @@ func TestServiceDiagnose(t *testing.T) {
 	}
 
 	// A different evidence signature against the same design reuses the
-	// dictionary: dict_cached flips and the hit counter moves.
+	// dictionary: dict_cached flips, the hit counter moves, and the hit
+	// reports the cached compaction without compacting again.
+	first := results
 	misses := reg.Counter("service.dict.misses").Value()
 	v, code, _ = postJob(t, ts.URL, JobRequest{
 		Kind: KindDiagnose, Builtin: "c17",
@@ -659,6 +661,18 @@ func TestServiceDiagnose(t *testing.T) {
 	}
 	if m := reg.Counter("service.dict.misses").Value(); m != misses {
 		t.Fatalf("second job missed the dictionary cache (%d -> %d)", misses, m)
+	}
+	for _, k := range []string{"patterns_in", "compact_ratio", "dict_patterns"} {
+		if !bytes.Equal(results[k], first[k]) || len(first[k]) == 0 {
+			t.Fatalf("cache hit %s = %s, build reported %s", k, results[k], first[k])
+		}
+	}
+	var hitRep telemetry.Report
+	if err := json.Unmarshal(got.Report, &hitRep); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := hitRep.Metrics.Timers["compact.run"]; ok {
+		t.Fatal("cache hit ran compaction (compact.run span in its report)")
 	}
 
 	// Truncated-signature evidence: a prefix of the injected machine's
