@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"dft/internal/advise"
@@ -40,31 +38,52 @@ import (
 	"dft/internal/walsh"
 )
 
-// TestMain lets a benchmark run leave a machine-readable trail: when
-// DFT_BENCH_JSON names a file, the process-wide telemetry accumulated
-// by every benchmark and test in this package is written there as a
-// dft.run-report/v1 document after the run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("DFT_BENCH_JSON"); path != "" {
-		rep := telemetry.NewReport("go-test", "bench", "dft")
-		rep.Config["args"] = strings.Join(os.Args[1:], " ")
-		rep.Results["exit_code"] = code
-		f, err := os.Create(path)
-		if err == nil {
-			err = rep.Finish(telemetry.Default()).WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "DFT_BENCH_JSON:", err)
-			if code == 0 {
-				code = 1
-			}
+// --- Facts the benchmarks time ---
+//
+// `go test` runs no benchmarks, so every functional check a benchmark
+// makes is also held by a test: these three, plus the package tests
+// that cover Fig. 1's test, the flush test, March C- and advise on
+// hardcore.
+
+// The ablation engines each reach full coverage of the 8-bit adder.
+func TestBenchEngineFullCoverage(t *testing.T) {
+	c := circuits.RippleAdder(8)
+	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	view := atpg.PrimaryView(c)
+	for _, cfg := range []atpg.Config{
+		{Engine: atpg.EnginePodem},
+		{Engine: atpg.EngineDAlg},
+		{Engine: atpg.EnginePodem, RandomFirst: 256},
+	} {
+		cfg.Metrics = telemetry.NewRegistry()
+		if res := atpg.Generate(c, view, cl.Reps, cfg); res.Coverage < 1.0 {
+			t.Fatalf("engine %d, random-first %d: coverage %.3f", cfg.Engine, cfg.RandomFirst, res.Coverage)
 		}
 	}
-	os.Exit(code)
+}
+
+// Bounded sequential ATPG finds a test for the 4-bit counter's T2
+// stuck-at-0 within eight frames.
+func TestBenchSeqATPGUnrollFindsTest(t *testing.T) {
+	c := circuits.Counter(4)
+	t2, _ := c.NetByName("T2")
+	f := fault.Fault{Gate: t2, Pin: fault.Stem, SA: logic.Zero}
+	if _, err := seqatpg.Generate(c, f, seqatpg.Config{MaxFrames: 8}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The advisor reaches its 99% target on the 74181 ALU.
+func TestBenchAdviseALUReachesTarget(t *testing.T) {
+	plan, err := advise.Run(context.Background(), circuits.ALU74181(), advise.Options{
+		Target: 0.99, Seed: 7, Metrics: telemetry.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Coverage < 0.99 {
+		t.Fatalf("coverage %.4f below target", plan.Coverage)
+	}
 }
 
 // --- Figure/table regenerators ---
@@ -334,8 +353,7 @@ func BenchmarkAblationSimUncollapsed(b *testing.B) {
 // largest library netlist, reusing one engine per row so the pooled
 // per-worker simulators are measured, not their construction. On a
 // multicore machine the 4-worker row should run ≥ 2× faster than the
-// 1-worker row; run via `make bench-faultsim` to capture the telemetry
-// (per-shard counters included) in BENCH_faultsim.json.
+// 1-worker row.
 func BenchmarkEngineScaling(b *testing.B) {
 	c := circuits.ArrayMultiplier(8)
 	cl := fault.CollapseEquiv(c, fault.Universe(c))
@@ -489,9 +507,8 @@ func benchSigWidth(b *testing.B, w int) {
 	}
 }
 
-// BenchmarkCompact is the compaction acceptance benchmark, run via
-// `make bench-compact` to capture BENCH_compact.json. Three workloads
-// per builtin:
+// BenchmarkCompact is the compaction acceptance benchmark. Three
+// workloads per builtin:
 //
 //   - random: reverse-order replay over a 1024-pattern random set —
 //     the paper's store-size economics; the target is ≥ 4× reduction;
@@ -505,12 +522,8 @@ func benchSigWidth(b *testing.B, w int) {
 //     the residual ratio here is small by construction; the row is
 //     reported for honesty, with no target.
 //
-// Each row reports its reduction as a compactratio metric and leaves
-// it in the telemetry as a compact.bench.<row>.ratio_x100 gauge, so
-// the JSON document carries the acceptance numbers alongside the
-// engine's own counters.
+// Each row reports its reduction as a compactratio metric.
 func BenchmarkCompact(b *testing.B) {
-	reg := telemetry.Default()
 	for _, tc := range []struct {
 		name string
 		c    *logic.Circuit
@@ -528,10 +541,6 @@ func BenchmarkCompact(b *testing.B) {
 				perFault = append(perFault, tst)
 			}
 		}
-		record := func(b *testing.B, row string, ratio float64) {
-			b.ReportMetric(ratio, "compactratio")
-			reg.Gauge("compact.bench." + row + "." + tc.name + ".ratio_x100").Set(int64(ratio * 100))
-		}
 		b.Run("random/"+tc.name, func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
@@ -542,7 +551,7 @@ func BenchmarkCompact(b *testing.B) {
 				}
 				ratio = st.Ratio
 			}
-			record(b, "random", ratio)
+			b.ReportMetric(ratio, "compactratio")
 		})
 		b.Run("deterministic/"+tc.name, func(b *testing.B) {
 			var ratio float64
@@ -554,7 +563,7 @@ func BenchmarkCompact(b *testing.B) {
 				}
 				ratio = st.Ratio
 			}
-			record(b, "deterministic", ratio)
+			b.ReportMetric(ratio, "compactratio")
 		})
 		b.Run("greedy/"+tc.name, func(b *testing.B) {
 			var ratio float64
@@ -569,7 +578,7 @@ func BenchmarkCompact(b *testing.B) {
 				}
 				ratio = st.Ratio
 			}
-			record(b, "greedy", ratio)
+			b.ReportMetric(ratio, "compactratio")
 		})
 	}
 }
@@ -580,7 +589,6 @@ func BenchmarkCompact(b *testing.B) {
 // gate-evaluations per second (len(c.Order) nets × 64 patterns per
 // word pass), so rows are comparable across circuits; the compiled
 // word row must come out ≥ 2× the interp row on the largest circuit.
-// Run via `make bench-sim` to capture BENCH_simkernel.json.
 func BenchmarkKernelInterpVsCompiled(b *testing.B) {
 	const blockW = 8
 	for _, tc := range []struct {
@@ -629,7 +637,7 @@ func BenchmarkKernelInterpVsCompiled(b *testing.B) {
 	}
 }
 
-// --- Service observability benches (`make bench-service`) ---
+// --- Service observability benches ---
 
 // BenchmarkServiceJobLatency measures the job service's end-to-end
 // overhead per job — admission, queue, monitor goroutine, report
@@ -660,8 +668,7 @@ func BenchmarkServiceJobLatency(b *testing.B) {
 // the sharded engine with its per-chunk Progress ticks against the
 // same run with NoProgress set. The instrumented row must come out
 // within 2% of the ablated row — the primitive is two atomics per
-// chunk, far off the hot path. Run via `make bench-service` to leave
-// the rows' telemetry in BENCH_service.json.
+// chunk, far off the hot path.
 func BenchmarkServiceProgressOverhead(b *testing.B) {
 	c := circuits.ArrayMultiplier(8)
 	cl := fault.CollapseEquiv(c, fault.Universe(c))
@@ -823,50 +830,35 @@ func legacyDictionaryBuild(c *logic.Circuit, faults []fault.Fault, patterns [][]
 	return byHash
 }
 
-// BenchmarkDiagnose measures the tentpole claims on the 8×8 multiplier:
-// engine-backed dictionary builds vs the legacy serial loop, and the
-// storage cost of the compact tier vs the full-response tier vs a
-// compacted-input dictionary. Gauges land in BENCH_diagnose.json via
-// DFT_BENCH_JSON.
+// BenchmarkDiagnose measures fault-dictionary construction on the 8×8
+// multiplier: engine-backed builds against the legacy serial loop, and
+// the storage cost of the compact tier, the full-response tier and a
+// compacted-input dictionary, each reported as a dictbytes metric.
 func BenchmarkDiagnose(b *testing.B) {
-	reg := telemetry.Default()
 	c := circuits.ArrayMultiplier(8)
 	cl := fault.CollapseEquiv(c, fault.Universe(c))
 	pats := benchPatterns(c, 256)
-	var engineNs, legacyNs int64
-	b.Run("build/engine/mult8", func(b *testing.B) {
+	build := func(b *testing.B, pats [][]bool, opt diagnose.Options) {
+		var bytes int
 		for i := 0; i < b.N; i++ {
-			d, err := diagnose.Build(context.Background(), c, cl.Reps, pats, diagnose.Options{Workers: 1})
+			d, err := diagnose.Build(context.Background(), c, cl.Reps, pats, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if i == 0 {
-				reg.Gauge("diagnose.bench.dict_bytes_compact").Set(int64(d.CompactBytes()))
-			}
+			bytes = d.CompactBytes() + d.FullBytes()
 		}
-		engineNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		reg.Gauge("diagnose.bench.engine_ns_per_build").Set(engineNs)
+		b.ReportMetric(float64(bytes), "dictbytes")
+	}
+	b.Run("build/engine/mult8", func(b *testing.B) {
+		build(b, pats, diagnose.Options{Workers: 1})
 	})
 	b.Run("build/legacy/mult8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			legacyDictionaryBuild(c, cl.Reps, pats)
 		}
-		legacyNs = b.Elapsed().Nanoseconds() / int64(b.N)
-		reg.Gauge("diagnose.bench.legacy_ns_per_build").Set(legacyNs)
-		if engineNs > 0 {
-			reg.Gauge("diagnose.bench.speedup_x100").Set(legacyNs * 100 / engineNs)
-		}
 	})
 	b.Run("build/full/mult8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d, err := diagnose.Build(context.Background(), c, cl.Reps, pats, diagnose.Options{Workers: 1, Full: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				reg.Gauge("diagnose.bench.dict_bytes_full").Set(int64(d.CompactBytes() + d.FullBytes()))
-			}
-		}
+		build(b, pats, diagnose.Options{Workers: 1, Full: true})
 	})
 	b.Run("build/compacted/mult8", func(b *testing.B) {
 		kept, _, err := compact.Patterns(context.Background(), c, atpg.PrimaryView(c), cl.Reps, pats,
@@ -875,30 +867,17 @@ func BenchmarkDiagnose(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d, err := diagnose.Build(context.Background(), c, cl.Reps, kept, diagnose.Options{Workers: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				reg.Gauge("diagnose.bench.dict_bytes_compacted_input").Set(int64(d.CompactBytes()))
-				reg.Gauge("diagnose.bench.compacted_input_patterns").Set(int64(d.NumPats))
-			}
-		}
+		build(b, kept, diagnose.Options{Workers: 1})
 	})
 }
 
-// BenchmarkAdvise is the advisor acceptance benchmark, run via
-// `make bench-advise` to capture BENCH_advise.json. Two rows: the
+// BenchmarkAdvise is the advisor acceptance benchmark. Two rows: the
 // hardcore builtin (buried sequential logic the advisor must open
 // with test points and partial scan — coverage must climb from a
 // sub-90% baseline to the 99% target) and the 74181 ALU (already
 // highly testable — the advisor must stop early and cheaply). Each
-// row leaves its coverage-vs-overhead trajectory in the telemetry as
-// advise.bench.<row>.* gauges, so the JSON document carries the
-// acceptance numbers alongside the advisor's own probe counters.
+// row reports its final coverage, overhead and step count.
 func BenchmarkAdvise(b *testing.B) {
-	reg := telemetry.Default()
 	for _, tc := range []struct {
 		name string
 		c    *logic.Circuit
@@ -923,12 +902,6 @@ func BenchmarkAdvise(b *testing.B) {
 			b.ReportMetric(plan.Coverage*100, "coverage%")
 			b.ReportMetric(plan.Overhead*100, "overhead%")
 			b.ReportMetric(float64(len(plan.Steps)), "steps")
-			row := "advise.bench." + tc.name
-			reg.Gauge(row + ".baseline_bp").Set(int64(plan.Baseline * 10000))
-			reg.Gauge(row + ".coverage_bp").Set(int64(plan.Coverage * 10000))
-			reg.Gauge(row + ".overhead_x100").Set(int64(plan.Overhead * 100))
-			reg.Gauge(row + ".steps").Set(int64(len(plan.Steps)))
-			reg.Gauge(row + ".pins").Set(int64(plan.Pins))
 		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -18,15 +19,15 @@ import (
 
 // cmdCompact compacts a test set against a circuit without rerunning
 // generation: either cubes read from a file in 01X notation (one per
-// line, width = view inputs, static merging applies) or a seeded
+// line, width = view inputs, -mode full merges them) or a seeded
 // random set (-random N, replay only). The kept fully-specified
 // patterns are written one per line as 01 strings.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
-	modeFlag := fs.String("mode", "reverse", "compaction mode: reverse, static or full")
+	modeFlag := fs.String("mode", "reverse", "compaction mode: reverse or full")
 	in := fs.String("in", "", "read 01X test cubes from this file (- = stdin)")
 	random := fs.Int("random", 0, "compact a seeded random set of N patterns instead")
-	seed := fs.Int64("seed", 1, "random seed (pattern generation and X-fill)")
+	seed := fs.Int64("seed", pipeline.DefaultSeed, "random seed (pattern generation and X-fill)")
 	scan := fs.Bool("scan", false, "assume full scan (LSSD view)")
 	workers := fs.Int("workers", 0, "fault-sharding workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
@@ -38,12 +39,17 @@ func cmdCompact(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("compact needs one .bench file")
 	}
-	mode, err := compact.ParseMode(*modeFlag)
-	if err != nil {
+	// A random set is the faultsim job with compaction on; a cube file
+	// is held to the same rules.
+	spec := pipeline.FaultSim{
+		Patterns: *random, Seed: *seed, Scan: *scan, CompactMode: *modeFlag, Workers: *workers,
+	}
+	if err := spec.Validate(); err != nil {
 		return err
 	}
+	mode, _ := compact.ParseMode(*modeFlag) // checked by Validate
 	if !mode.Enabled() {
-		return fmt.Errorf("compact: -mode off does nothing; pick reverse, static or full")
+		return fmt.Errorf("compact: -mode off does nothing; pick reverse or full")
 	}
 	if (*in == "") == (*random == 0) {
 		return fmt.Errorf("compact needs exactly one input: -in cubes.txt or -random N")
@@ -59,10 +65,7 @@ func cmdCompact(args []string) error {
 	var st *compact.Stats
 	var targets int
 	if *in == "" {
-		// A random set is the faultsim job with compaction on.
-		out, _, err := pipeline.FaultSim{
-			Patterns: *random, Seed: *seed, Scan: *scan, CompactMode: *modeFlag, Workers: *workers,
-		}.Run(ctx, d.Circuit, telemetry.Default())
+		out, _, err := spec.Run(ctx, d.Circuit, telemetry.Default())
 		if err != nil {
 			return err
 		}
@@ -80,7 +83,7 @@ func cmdCompact(args []string) error {
 			return err
 		}
 		kept, _, st, err = compact.Tests(ctx, d.Circuit, view, faults, cubes,
-			compact.Options{Mode: mode, Workers: *workers, Seed: *seed})
+			compact.Options{Mode: mode, Workers: *workers, Seed: cmp.Or(*seed, pipeline.DefaultSeed)})
 		if err != nil {
 			return err
 		}
@@ -89,10 +92,10 @@ func cmdCompact(args []string) error {
 
 	if *jsonOut {
 		rep := telemetry.NewReport("dftc", "compact", fs.Arg(0))
-		rep.Config = map[string]any{
+		rep.Config = pipeline.Seeded(*seed, map[string]any{
 			"mode": mode.String(), "in": *in, "random": *random,
-			"seed": *seed, "scan": *scan, "workers": *workers,
-		}
+			"scan": *scan, "workers": *workers,
+		})
 		rep.Results = map[string]any{
 			"patterns_in":    st.PatternsIn,
 			"patterns_out":   st.PatternsOut,

@@ -110,7 +110,7 @@ func cmdDiagnose(args []string) error {
 	fs.StringVar(&spec.Backend, "engine", pipeline.DefaultBackend, "grading backend: auto, parallel, cpt or serial")
 	fs.IntVar(&spec.Workers, "workers", 0, "grading workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the build after this long (0 = no limit)")
-	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultDiagnoseCompact, "compact the pattern set first: off, reverse, static, dynamic or full")
+	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultDiagnoseCompact, "compact the pattern set first: off, reverse or full")
 	fs.BoolVar(&spec.Full, "full", false, "also store the per-output full-response tier")
 	save := fs.String("save", "", "write the dictionary to this file")
 	load := fs.String("load", "", "load a saved dictionary instead of building")

@@ -8,8 +8,8 @@
 //
 //	dftc info      <file.bench> [-top N] [-json]
 //	dftc scoap     <file.bench> [-top N]
-//	dftc atpg      <file.bench> [-engine podem|dalg] [-scan] [-random N] [-compact off|reverse|static|dynamic|full] [-workers N] [-timeout D] [-json]
-//	dftc compact   <file.bench> [-mode reverse|static|full] [-in cubes.txt | -random N] [-seed S] [-scan] [-workers N] [-timeout D] [-json] [-out file]
+//	dftc atpg      <file.bench> [-engine podem|dalg] [-scan] [-random N] [-compact off|reverse|full] [-workers N] [-timeout D] [-json]
+//	dftc compact   <file.bench> [-mode reverse|full] [-in cubes.txt | -random N] [-seed S] [-scan] [-workers N] [-timeout D] [-json] [-out file]
 //	dftc faultsim  <file.bench> [-patterns N] [-seed S] [-scan] [-engine auto|parallel|cpt|serial] [-workers N] [-timeout D] [-json]
 //	dftc scan      <file.bench> [-style lssd|mux]
 //	dftc bilbo     <c1.bench> <c2.bench> [-patterns N]
@@ -177,8 +177,8 @@ subcommands:
                                       SCOAP + COP metrics
   scoap <f.bench> [-top N]            SCOAP testability analysis
   atpg <f.bench> [flags]              deterministic test generation
-                                      (-compact off|reverse|static|dynamic|full
-                                      shrinks the set before reporting)
+                                      (-compact off|reverse|full shrinks
+                                      the set before reporting)
   compact <f.bench> [flags]           compact a test set: -in cubes.txt reads
                                       01X cubes (one per line), -random N
                                       compacts a seeded random set; kept
@@ -304,7 +304,7 @@ func cmdATPG(args []string) error {
 	fs.StringVar(&spec.Engine, "engine", pipeline.DefaultEngine, "podem or dalg")
 	fs.BoolVar(&spec.Scan, "scan", false, "assume full scan (LSSD view)")
 	fs.IntVar(&spec.Random, "random", 0, "random-first pattern budget")
-	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultCompact, "compaction mode: off, reverse, static, dynamic or full")
+	fs.StringVar(&spec.CompactMode, "compact", pipeline.DefaultCompact, "compaction mode: off, reverse or full")
 	fs.Int64Var(&spec.Seed, "seed", pipeline.DefaultSeed, "random seed")
 	fs.IntVar(&spec.Workers, "workers", 0, "fault-sharding workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")

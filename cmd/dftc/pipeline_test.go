@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,6 +167,18 @@ func TestCLIRejectsWhatServiceRejects(t *testing.T) {
 		{"inject with signature", []string{"diagnose", c17, "-inject", inject, "-signature", "01"},
 			service.JobRequest{Kind: service.KindDiagnose, Bench: c17Src,
 				Options: service.Options{Inject: inject, Signature: "01"}}},
+		{"atpg compact static", []string{"atpg", c17, "-compact", "static"},
+			service.JobRequest{Kind: service.KindATPG, Bench: c17Src,
+				Options: service.Options{CompactMode: "static"}}},
+		{"atpg compact dynamic", []string{"atpg", c17, "-compact", "dynamic"},
+			service.JobRequest{Kind: service.KindATPG, Bench: c17Src,
+				Options: service.Options{CompactMode: "dynamic"}}},
+		{"compact mode static", []string{"compact", c17, "-mode", "static", "-random", "8"},
+			service.JobRequest{Kind: service.KindFaultSim, Bench: c17Src,
+				Options: service.Options{Patterns: 8, CompactMode: "static"}}},
+		{"compact mode dynamic", []string{"compact", c17, "-mode", "dynamic", "-random", "8"},
+			service.JobRequest{Kind: service.KindFaultSim, Bench: c17Src,
+				Options: service.Options{Patterns: 8, CompactMode: "dynamic"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,6 +205,46 @@ func TestCLISeedZeroIsSeedOne(t *testing.T) {
 	one := cliReport(t, "faultsim", c17, "-patterns", "8", "-seed", "1")
 	if zero.Results["coverage"] != one.Results["coverage"] {
 		t.Fatalf("seed 0 coverage %v, seed 1 coverage %v", zero.Results["coverage"], one.Results["coverage"])
+	}
+	if zero.Config["seed"] != float64(1) || zero.Config["seed_defaulted"] != true {
+		t.Fatalf("seed 0 config = %v, want seed 1 with seed_defaulted", zero.Config)
+	}
+	if _, ok := one.Config["seed_defaulted"]; ok {
+		t.Fatalf("explicit seed 1 reported as defaulted: %v", one.Config)
+	}
+}
+
+// TestCompactCubeFileFollowsSpecRules: `dftc compact -in` is held to
+// the same rules as -random and a dftd job — negative workers are
+// refused with the same words, and seed 0 fills X with seed 1 and says
+// so.
+func TestCompactCubeFileFollowsSpecRules(t *testing.T) {
+	c17, _, _ := benchFile(t, "c17", 0)
+	dir := t.TempDir()
+	cubes := filepath.Join(dir, "cubes.txt")
+	if err := os.WriteFile(cubes, []byte("1X0X1\nX1X0X\n0XX11\nXX1X0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	randomErr := runNoPanic([]string{"compact", c17, "-random", "8", "-workers", "-1"})
+	cubeErr := runNoPanic([]string{"compact", c17, "-in", cubes, "-workers", "-1"})
+	if cubeErr == nil || randomErr == nil || cubeErr.Error() != randomErr.Error() {
+		t.Fatalf("-workers -1: -in says %v, -random says %v", cubeErr, randomErr)
+	}
+
+	run := func(seed string) (reportBody, string) {
+		out := filepath.Join(dir, "kept"+seed+".txt")
+		body := cliReport(t, "compact", c17, "-in", cubes, "-mode", "full", "-seed", seed, "-out", out)
+		kept, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body, string(kept)
+	}
+	zero, keptZero := run("0")
+	one, keptOne := run("1")
+	if keptZero != keptOne {
+		t.Fatalf("seed 0 kept\n%s\nseed 1 kept\n%s", keptZero, keptOne)
 	}
 	if zero.Config["seed"] != float64(1) || zero.Config["seed_defaulted"] != true {
 		t.Fatalf("seed 0 config = %v, want seed 1 with seed_defaulted", zero.Config)

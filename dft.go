@@ -112,13 +112,11 @@ type CompactStats = compact.Stats
 const (
 	CompactOff     = compact.ModeOff
 	CompactReverse = compact.ModeReverse
-	CompactStatic  = compact.ModeStatic
-	CompactDynamic = compact.ModeDynamic
 	CompactFull    = compact.ModeFull
 )
 
-// ParseCompactMode maps a mode name (off, reverse, static, dynamic,
-// full — as accepted by dftc -compact and the service options schema)
+// ParseCompactMode maps a mode name (off, reverse or full — as
+// accepted by dftc -compact and the service options schema)
 // to a CompactMode, with did-you-mean suggestions on unknown names.
 func ParseCompactMode(s string) (CompactMode, error) {
 	return compact.ParseMode(s)

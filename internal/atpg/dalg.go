@@ -21,7 +21,7 @@ func DAlg(c *logic.Circuit, view View, f fault.Fault, cfg PodemConfig) (Test, er
 		maxBT = DefaultBacktracks
 	}
 	d := &dalg{
-		s:      newSim5(c, view, f),
+		s:      newSim5(c, view, MultiFault{f}),
 		c:      c,
 		f:      f,
 		budget: maxBT,
@@ -108,20 +108,7 @@ func (d *dalg) simulate(asg assignment) bool {
 			s.assign[i] = v
 		}
 	}
-	// Source elements.
-	for i, n := range s.view.Inputs {
-		s.vals[n] = s.assign[i]
-	}
-	for _, n := range c.PIs {
-		if !s.isIn[n] {
-			s.vals[n] = logic.X
-		}
-	}
-	for _, n := range c.DFFs {
-		if !s.isIn[n] {
-			s.vals[n] = logic.X
-		}
-	}
+	s.loadSources()
 	overlay := func(id int) bool {
 		// Returns false on conflict.
 		raw := s.vals[id]
@@ -148,28 +135,20 @@ func (d *dalg) simulate(asg assignment) bool {
 			return false
 		}
 	}
-	if s.f.Pin == fault.Stem && !c.Gates[s.f.Gate].Type.IsCombinational() {
-		s.vals[s.f.Gate] = inject(s.vals[s.f.Gate], s.f.SA)
-	}
+	s.injectSources()
 	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := s.scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = s.vals[src]
-		}
-		if s.f.Pin != fault.Stem && s.f.Gate == id {
-			in[s.f.Pin] = inject(in[s.f.Pin], s.f.SA)
-		}
-		v := g.Type.Eval(in)
-		s.vals[id] = v
+		s.vals[id] = s.eval(id)
 		if !overlay(id) {
 			return false
 		}
-		if s.f.Pin == fault.Stem && s.f.Gate == id {
-			s.vals[id] = inject(s.vals[id], s.f.SA)
-		}
+		s.vals[id] = s.stem(id, s.vals[id])
 	}
 	return true
+}
+
+// siteValue returns the good-machine value at the fault site.
+func (d *dalg) siteValue() logic.V {
+	return d.s.vals[d.f.Site(d.c)].Good()
 }
 
 // search is the recursive D-algorithm core.
@@ -191,7 +170,7 @@ func (d *dalg) search(asg assignment) (ok, aborted bool) {
 		return true, false
 	}
 	// If the site can no longer be activated, fail.
-	if sv := d.s.siteValue(); sv == d.f.SA {
+	if sv := d.siteValue(); sv == d.f.SA {
 		return false, false
 	}
 	// Advance the D-frontier if the fault is (or can be) active.
@@ -278,13 +257,13 @@ func (d *dalg) dFrontier(asg assignment) []int {
 			}
 		}
 		if !hasD && d.f.Pin != fault.Stem && id == d.f.Gate &&
-			d.s.siteValue() == d.f.SA.Not() {
+			d.siteValue() == d.f.SA.Not() {
 			hasD = true
 		}
 		if !hasD && d.f.Pin == fault.Stem && id == d.f.Gate {
 			// Stem fault at a gate: it is its own frontier until its
 			// good value is justified to NOT(SA).
-			hasD = d.s.siteValue() != d.f.SA
+			hasD = d.siteValue() != d.f.SA
 		}
 		if hasD && xPath(d.s, id) {
 			out = append(out, id)

@@ -48,11 +48,6 @@ type Config struct {
 	// meaning as fault.Options.Workers: 0 selects GOMAXPROCS. Detection
 	// outcomes are identical for every worker count.
 	Workers int
-	// Dynamic enables dynamic compaction: after each deterministic
-	// test, the driver extends the cube toward further undetected
-	// targets with PodemExtend before X-fill, so one pattern carries
-	// several faults' worth of care bits.
-	Dynamic bool
 	// Metrics receives the run's telemetry; nil selects
 	// telemetry.Default().
 	Metrics *telemetry.Registry
@@ -162,9 +157,6 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 			res.Aborted = append(res.Aborted, f)
 			continue
 		}
-		if cfg.Dynamic {
-			t = dynamicExtend(c, view, targets, res.Detected, fi, t, reg)
-		}
 		// Fill X positions randomly: free fault coverage.
 		full := make([]bool, len(t.Values))
 		for i, v := range t.Values {
@@ -206,53 +198,4 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 	genSpan.SetAttr("detected", strconv.Itoa(caught))
 	genSpan.SetAttr("aborted", strconv.Itoa(len(res.Aborted)))
 	return res, nil
-}
-
-// Dynamic compaction budget: each successful test tries at most
-// dynamicTargets further undetected faults, each with a small
-// backtrack allowance — a failed extension must stay cheap because the
-// fault gets its own deterministic shot later anyway.
-const (
-	dynamicTargets    = 32
-	dynamicBacktracks = 64
-)
-
-// dynamicExtend grows a freshly generated cube toward secondary
-// targets: undetected faults after fi are attempted with PodemExtend
-// on the accumulated cube, adopting each successful extension. The
-// base cube's care bits are frozen throughout (backtrace never touches
-// an assigned input), so five-valued monotonicity guarantees the
-// primary detection survives every adoption. Secondary detections are
-// not marked here — the driver's own fault simulation of the filled
-// vector credits them, keeping detection bookkeeping in one place.
-func dynamicExtend(c *logic.Circuit, view View, targets []fault.Fault, detected []bool, fi int, t Test, reg *telemetry.Registry) Test {
-	free := 0
-	for _, v := range t.Values {
-		if v == logic.X {
-			free++
-		}
-	}
-	cfg := PodemConfig{MaxBacktracks: dynamicBacktracks, Metrics: reg}
-	attempts, hits := 0, 0
-	for fj := fi + 1; fj < len(targets) && attempts < dynamicTargets && free > 0; fj++ {
-		if detected[fj] {
-			continue
-		}
-		attempts++
-		ext, err := PodemExtend(c, view, targets[fj], t, cfg)
-		if err != nil {
-			continue
-		}
-		hits++
-		t = ext
-		free = 0
-		for _, v := range t.Values {
-			if v == logic.X {
-				free++
-			}
-		}
-	}
-	reg.Counter("compact.dynamic.attempts").Add(int64(attempts))
-	reg.Counter("compact.dynamic.hits").Add(int64(hits))
-	return t
 }

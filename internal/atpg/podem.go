@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"errors"
-	"fmt"
 
 	"dft/internal/fault"
 	"dft/internal/logic"
@@ -32,28 +31,17 @@ const DefaultBacktracks = 10000
 // branch-and-bound over view-input assignments only, with objectives
 // backtraced from the fault site and D-frontier.
 func Podem(c *logic.Circuit, view View, f fault.Fault, cfg PodemConfig) (Test, error) {
-	return podemSearch(newSim5(c, view, f), cfg)
+	return podemSearch(newSim5(c, view, MultiFault{f}), cfg)
 }
 
-// PodemExtend runs the PODEM search for f on top of an existing test
-// cube: base's assigned inputs are frozen (backtrace never revisits a
-// non-X input) and only base's X positions are decision variables.
-// This is the dynamic-compaction primitive — extending a deterministic
-// test toward a secondary target without disturbing its primary
-// detection. ErrUntestable here means only that no completion of base
-// detects f, NOT that f is globally untestable.
-func PodemExtend(c *logic.Circuit, view View, f fault.Fault, base Test, cfg PodemConfig) (Test, error) {
-	if len(base.Values) != len(view.Inputs) {
-		panic(fmt.Sprintf("atpg: base test width %d != view width %d", len(base.Values), len(view.Inputs)))
-	}
-	s := newSim5(c, view, f)
-	copy(s.assign, base.Values)
-	return podemSearch(s, cfg)
+// PodemMulti generates a single test cube detecting the multi-site
+// fault. With one site it is Podem.
+func PodemMulti(c *logic.Circuit, view View, fs MultiFault, cfg PodemConfig) (Test, error) {
+	return podemSearch(newSim5(c, view, fs), cfg)
 }
 
-// podemSearch is the shared branch-and-bound loop. Inputs already
-// assigned in s.assign are constants: backtrace refuses to return
-// them, so decisions are made only over the remaining X positions.
+// podemSearch is the branch-and-bound loop: decisions are made only
+// over view inputs, and backtrace never returns an assigned one.
 func podemSearch(s *sim5, cfg PodemConfig) (Test, error) {
 	maxBT := cfg.MaxBacktracks
 	if maxBT <= 0 {
@@ -115,19 +103,31 @@ func podemSearch(s *sim5, cfg PodemConfig) (Test, error) {
 	}
 }
 
-// objective returns the next (net, value) goal: activate the fault if
-// not yet activated, otherwise advance the D-frontier. feasible=false
-// signals a provable dead end under the current assignment.
+// objective returns the next (net, value) goal: activate a fault site
+// if none carries an error yet, otherwise advance the D-frontier.
+// feasible=false signals a provable dead end under the current
+// assignment.
 func objective(s *sim5) (net int, val logic.V, feasible bool) {
-	site := s.f.Site(s.c)
-	sv := s.siteValue()
-	switch {
-	case sv == logic.X:
-		// Activate: drive the site to the complement of the stuck value.
-		return site, s.f.SA.Not(), true
-	case sv == s.f.SA:
-		// Site pinned at the stuck value: no activation possible here.
-		return 0, logic.X, false
+	active, open := false, -1
+	for i, f := range s.sites {
+		switch good := s.vals[f.Site(s.c)].Good(); {
+		case good == logic.X:
+			if open < 0 {
+				open = i
+			}
+		case good != f.SA:
+			active = true
+		}
+	}
+	if !active {
+		if open < 0 {
+			// Every site pinned at its stuck value: no activation possible.
+			return 0, logic.X, false
+		}
+		// Activate: drive the first open site to the complement of its
+		// stuck value.
+		f := s.sites[open]
+		return f.Site(s.c), f.SA.Not(), true
 	}
 	// Activated: find a D-frontier gate with an X-path to an output.
 	for _, id := range s.c.Order {
@@ -142,21 +142,26 @@ func objective(s *sim5) (net int, val logic.V, feasible bool) {
 				break
 			}
 		}
-		// A branch fault's injected D is invisible in vals: the faulted
-		// gate itself is on the D-frontier once the site is activated.
-		if !hasD && s.f.Pin != fault.Stem && id == s.f.Gate {
-			hasD = true
+		// A branch site's injected D is invisible in vals: its gate is
+		// on the D-frontier once the site is activated.
+		if !hasD && s.faulty[id] {
+			for _, f := range s.sites {
+				if f.Gate != id || f.Pin == fault.Stem {
+					continue
+				}
+				if good := s.vals[g.Fanin[f.Pin]].Good(); good != logic.X && good != f.SA {
+					hasD = true
+					break
+				}
+			}
 		}
 		if !hasD || !xPath(s, id) {
 			continue
 		}
 		// Objective: set an X input to the non-controlling value.
 		for pin, src := range g.Fanin {
-			if s.vals[src] != logic.X {
-				continue
-			}
-			if s.f.Pin != fault.Stem && id == s.f.Gate && pin == s.f.Pin {
-				continue // the faulty branch itself is not settable
+			if s.vals[src] != logic.X || s.branchSite(id, pin) {
+				continue // known, or a faulty branch, which is not settable
 			}
 			cv, has := g.Type.ControllingValue()
 			want := logic.Zero

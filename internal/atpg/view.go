@@ -108,12 +108,21 @@ func (t Test) String() string {
 	return string(b)
 }
 
-// sim5 is a five-valued full-circuit simulator with one injected fault,
-// evaluating from a partial assignment on the view inputs.
+// MultiFault is a set of stuck-at sites that belong to one physical
+// defect — the situation time-frame expansion creates, where a single
+// fault appears once per frame of the unrolled circuit. Each site is
+// stuck independently at its own SA value, and the "faulty machine"
+// carries all of them. A single fault is a one-site set.
+type MultiFault []fault.Fault
+
+// sim5 is the five-valued full-circuit simulator with a set of
+// stuck-at sites injected, evaluating from a partial assignment on the
+// view inputs.
 type sim5 struct {
 	c       *logic.Circuit
 	view    View
-	f       fault.Fault
+	sites   MultiFault
+	faulty  []bool // per net: some site sits on this element
 	vals    []logic.V
 	assign  []logic.V // per view-input assignment (X = free)
 	inIndex map[int]int
@@ -121,11 +130,12 @@ type sim5 struct {
 	scratch []logic.V
 }
 
-func newSim5(c *logic.Circuit, view View, f fault.Fault) *sim5 {
+func newSim5(c *logic.Circuit, view View, sites MultiFault) *sim5 {
 	s := &sim5{
 		c:       c,
 		view:    view,
-		f:       f,
+		sites:   sites,
+		faulty:  make([]bool, c.NumNets()),
 		vals:    make([]logic.V, c.NumNets()),
 		assign:  make([]logic.V, len(view.Inputs)),
 		inIndex: make(map[int]int, len(view.Inputs)),
@@ -136,6 +146,9 @@ func newSim5(c *logic.Circuit, view View, f fault.Fault) *sim5 {
 		s.inIndex[n] = i
 		s.isIn[n] = true
 		s.assign[i] = logic.X
+	}
+	for _, f := range sites {
+		s.faulty[f.Gate] = true
 	}
 	return s
 }
@@ -159,41 +172,82 @@ func inject(good logic.V, sa logic.V) logic.V {
 	}
 }
 
-// run performs a full forward pass with the current assignment and
-// fault injection; afterwards s.vals holds every net's value.
-func (s *sim5) run() {
-	c := s.c
+// loadSources sets the source elements: view inputs from the
+// assignment, every other primary input and flip-flop unknown.
+func (s *sim5) loadSources() {
 	for i, n := range s.view.Inputs {
 		s.vals[n] = s.assign[i]
 	}
-	for _, n := range c.PIs {
+	for _, n := range s.c.PIs {
 		if !s.isIn[n] {
 			s.vals[n] = logic.X
 		}
 	}
-	for _, n := range c.DFFs {
+	for _, n := range s.c.DFFs {
 		if !s.isIn[n] {
 			s.vals[n] = logic.X // unscanned storage is unknown
 		}
 	}
-	// Stem fault at a source element.
-	if s.f.Pin == fault.Stem && !c.Gates[s.f.Gate].Type.IsCombinational() {
-		s.vals[s.f.Gate] = inject(s.vals[s.f.Gate], s.f.SA)
+}
+
+// injectSources applies the stem sites that sit on source elements.
+func (s *sim5) injectSources() {
+	for _, f := range s.sites {
+		if f.Pin == fault.Stem && !s.c.Gates[f.Gate].Type.IsCombinational() {
+			s.vals[f.Gate] = inject(s.vals[f.Gate], f.SA)
+		}
 	}
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := s.scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = s.vals[src]
+}
+
+// eval computes combinational gate id from its fanin values, with the
+// gate's branch sites injected but not its stem sites.
+func (s *sim5) eval(id int) logic.V {
+	g := &s.c.Gates[id]
+	in := s.scratch[:len(g.Fanin)]
+	for i, src := range g.Fanin {
+		in[i] = s.vals[src]
+	}
+	if s.faulty[id] {
+		for _, f := range s.sites {
+			if f.Gate == id && f.Pin != fault.Stem {
+				in[f.Pin] = inject(in[f.Pin], f.SA)
+			}
 		}
-		if s.f.Pin != fault.Stem && s.f.Gate == id {
-			in[s.f.Pin] = inject(in[s.f.Pin], s.f.SA)
+	}
+	return g.Type.Eval(in)
+}
+
+// stem applies the stem sites on gate id to its computed value v.
+func (s *sim5) stem(id int, v logic.V) logic.V {
+	if s.faulty[id] {
+		for _, f := range s.sites {
+			if f.Gate == id && f.Pin == fault.Stem {
+				v = inject(v, f.SA)
+			}
 		}
-		v := g.Type.Eval(in)
-		if s.f.Pin == fault.Stem && s.f.Gate == id {
-			v = inject(v, s.f.SA)
+	}
+	return v
+}
+
+// branchSite reports whether input pin of gate id is a branch site.
+func (s *sim5) branchSite(id, pin int) bool {
+	if s.faulty[id] {
+		for _, f := range s.sites {
+			if f.Gate == id && f.Pin == pin {
+				return true
+			}
 		}
-		s.vals[id] = v
+	}
+	return false
+}
+
+// run performs a full forward pass with the current assignment and
+// fault injection; afterwards s.vals holds every net's value.
+func (s *sim5) run() {
+	s.loadSources()
+	s.injectSources()
+	for _, id := range s.c.Order {
+		s.vals[id] = s.stem(id, s.eval(id))
 	}
 }
 
@@ -207,12 +261,6 @@ func (s *sim5) detected() bool {
 	return false
 }
 
-// siteValue returns the pre-injection (good-machine) value at the
-// fault site.
-func (s *sim5) siteValue() logic.V {
-	return s.vals[s.f.Site(s.c)].Good()
-}
-
 // test converts the current assignment into a Test cube.
 func (s *sim5) test() Test {
 	return Test{Values: append([]logic.V(nil), s.assign...)}
@@ -222,10 +270,15 @@ func (s *sim5) test() Test {
 // (with X inputs left unknown). It is used by tests and by the driver
 // as a paranoia check on generated cubes.
 func Verify(c *logic.Circuit, view View, f fault.Fault, t Test) bool {
+	return VerifyMulti(c, view, MultiFault{f}, t)
+}
+
+// VerifyMulti checks that a test cube detects the multi-site fault.
+func VerifyMulti(c *logic.Circuit, view View, fs MultiFault, t Test) bool {
 	if len(t.Values) != len(view.Inputs) {
 		panic(fmt.Sprintf("atpg: test width %d != view width %d", len(t.Values), len(view.Inputs)))
 	}
-	s := newSim5(c, view, f)
+	s := newSim5(c, view, fs)
 	copy(s.assign, t.Values)
 	s.run()
 	return s.detected()

@@ -78,9 +78,9 @@ func Patterns(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fa
 }
 
 // Tests compacts a set of partially-specified cubes: static merging
-// (when the mode asks for it) then X-fill and replay. Returns the
-// compacted fully-specified patterns, the surviving cubes (merged
-// where merging happened), and the run's stats.
+// (under ModeFull) then X-fill and replay. Returns the compacted
+// fully-specified patterns, the surviving cubes (merged where merging
+// happened), and the run's stats.
 func Tests(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
 	tests []atpg.Test, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
 	rng := opt.rng()
@@ -117,8 +117,8 @@ func Result(ctx context.Context, c *logic.Circuit, view atpg.View, faults []faul
 // direction each pass and stops as soon as a pass fails to shrink.
 const maxReplayPasses = 4
 
-// run is the shared pipeline: optional static merge (cubes present and
-// the mode asks), then alternating-direction replay until no shrink.
+// run is the shared pipeline: static merge (cubes present and
+// ModeFull), then alternating-direction replay until no shrink.
 // cubes, when non-nil, must be index-aligned with patterns; the
 // returned cube slice stays aligned with the returned patterns.
 func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
@@ -141,7 +141,7 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	// set actually detects, so static repair has exact targets.
 	origPatterns, origCubes := patterns, cubes
 	var d0 *fault.Result
-	if opt.Mode.static() && len(cubes) == len(patterns) {
+	if opt.Mode == ModeFull && len(cubes) == len(patterns) {
 		var err error
 		d0, err = fault.Simulate(ctx, c, faults, patterns, fopt)
 		if err != nil {

@@ -28,11 +28,20 @@ func randomPatterns(width, n int, seed int64) [][]bool {
 }
 
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": ModeOff, "off": ModeOff, "reverse": ModeReverse,
-		"static": ModeStatic, "dynamic": ModeDynamic, "full": ModeFull} {
+	for s, want := range map[string]Mode{"": ModeOff, "off": ModeOff, "reverse": ModeReverse, "full": ModeFull} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
+		}
+		if s != "" && got.String() != s {
+			t.Fatalf("ParseMode(%q).String() = %q", s, got.String())
+		}
+	}
+	// The removed modes are refused with the one that replaces them.
+	for _, s := range []string{"static", "dynamic"} {
+		want := `compact: mode "` + s + `" was removed; use "full" (cube merging, then replay)`
+		if _, err := ParseMode(s); err == nil || err.Error() != want {
+			t.Fatalf("ParseMode(%q) error %v, want %q", s, err, want)
 		}
 	}
 	if _, err := ParseMode("ful"); err == nil || !strings.Contains(err.Error(), `did you mean "full"`) {
@@ -104,7 +113,7 @@ func TestTestsStatic(t *testing.T) {
 		gen := atpg.Generate(c, view, faults, atpg.Config{RandomSeed: 3})
 		reg := telemetry.NewRegistry()
 		kept, cubes, st, err := Tests(context.Background(), c, view, faults, gen.Tests,
-			Options{Mode: ModeStatic, Seed: 3, Metrics: reg})
+			Options{Mode: ModeFull, Seed: 3, Metrics: reg})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -139,9 +148,9 @@ func TestStaticSeedDeterminism(t *testing.T) {
 		}
 		return kept
 	}
-	a := run(Options{Mode: ModeStatic, Seed: 9, Metrics: telemetry.NewRegistry()})
-	b := run(Options{Mode: ModeStatic, Seed: 9, Metrics: telemetry.NewRegistry()})
-	inj := run(Options{Mode: ModeStatic, Rand: rand.New(rand.NewSource(9 + 2)), Metrics: telemetry.NewRegistry()})
+	a := run(Options{Mode: ModeFull, Seed: 9, Metrics: telemetry.NewRegistry()})
+	b := run(Options{Mode: ModeFull, Seed: 9, Metrics: telemetry.NewRegistry()})
+	inj := run(Options{Mode: ModeFull, Rand: rand.New(rand.NewSource(9 + 2)), Metrics: telemetry.NewRegistry()})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different compacted sets")
 	}

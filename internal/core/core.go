@@ -147,7 +147,7 @@ type GenerateOptions struct {
 	MaxBacktracks int
 	Seed          int64
 	// CompactMode selects the compaction pipeline (off / reverse /
-	// static / dynamic / full) run on the generated set.
+	// full) run on the generated set.
 	CompactMode compact.Mode
 	// Rand, when non-nil, is the injected random source; it takes
 	// precedence over Seed.
@@ -182,7 +182,6 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		RandomFirst:   opt.RandomFirst,
 		Rand:          opt.Rand,
 		Workers:       opt.Workers,
-		Dynamic:       opt.CompactMode.Dynamic(),
 		Metrics:       opt.Metrics,
 	})
 	if err != nil {

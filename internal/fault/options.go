@@ -144,9 +144,9 @@ type Options struct {
 	// telemetry.Default().
 	Metrics *telemetry.Registry
 	// NoProgress disables the engine's fault.sim.progress tracker (one
-	// atomic add per chunk). It exists for the bench-service ablation
-	// that measures the instrumentation's cost; production callers
-	// leave it false.
+	// atomic add per chunk). It exists for the
+	// BenchmarkServiceProgressOverhead ablation that measures the
+	// instrumentation's cost; production callers leave it false.
 	NoProgress bool
 }
 

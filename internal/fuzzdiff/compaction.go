@@ -86,7 +86,7 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		}
 		cubes[i] = atpg.Test{Values: vals}
 	}
-	sopt := compact.Options{Mode: compact.ModeStatic, Workers: 1, Seed: seed}
+	sopt := compact.Options{Mode: compact.ModeFull, Workers: 1, Seed: seed}
 	keptS, _, stS, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
 	if err != nil {
 		return nil, err

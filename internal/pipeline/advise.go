@@ -74,7 +74,7 @@ func (s Advise) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regist
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := newReport("advise", seeded(s.Seed, map[string]any{
+	rep := newReport("advise", Seeded(s.Seed, map[string]any{
 		"target": opt.Target, "budget": opt.Budget, "max_steps": opt.MaxSteps,
 		"patterns": opt.Patterns, "workers": s.Workers, "style": cmp.Or(s.Style, DefaultStyle),
 	}))

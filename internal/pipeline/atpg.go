@@ -17,7 +17,7 @@ import (
 type ATPG struct {
 	Engine      string // podem|dalg
 	Random      int    // random-first pattern budget
-	CompactMode string // off|reverse|static|dynamic|full
+	CompactMode string // off|reverse|full
 	Seed        int64
 	Scan        bool
 	Workers     int
@@ -73,7 +73,7 @@ func (s ATPG) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Registry
 		return nil, nil, err
 	}
 
-	rep := newReport("atpg", seeded(s.Seed, map[string]any{
+	rep := newReport("atpg", Seeded(s.Seed, map[string]any{
 		"engine": cmp.Or(s.Engine, DefaultEngine), "scan": s.Scan, "random": s.Random,
 		"compact_mode": mode.String(), "workers": s.Workers,
 	}))

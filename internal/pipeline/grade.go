@@ -26,7 +26,7 @@ type FaultSim struct {
 	Scan        bool
 	Backend     string // auto|parallel|cpt|serial
 	Drop        string // on|off
-	CompactMode string // off|reverse|static|dynamic|full
+	CompactMode string // off|reverse|full
 	Workers     int
 }
 
@@ -120,7 +120,7 @@ func (s FaultSim) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 		out.Coverage, out.Detected, out.Kept = res.Coverage(), res.NumCaught, len(kept)
 	}
 
-	rep := newReport("faultsim", seeded(s.Seed, map[string]any{
+	rep := newReport("faultsim", Seeded(s.Seed, map[string]any{
 		"patterns": n, "scan": s.Scan, "engine": backend.String(), "workers": s.Workers,
 		"drop": drop == fault.DropOn, "compact_mode": mode.String(),
 	}))
@@ -285,7 +285,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 	}
 	out := &DiagnoseResult{Circuit: d.Circuit, Classes: cl, Dict: dict, Compaction: b.Compaction}
 
-	rep := newReport("diagnose", seeded(s.Seed, map[string]any{
+	rep := newReport("diagnose", Seeded(s.Seed, map[string]any{
 		"patterns": n, "scan": s.Scan, "engine": backend.String(), "workers": s.Workers,
 		"compact_mode": mode.String(), "top": top, "dict_full": s.Full,
 	}))

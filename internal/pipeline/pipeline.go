@@ -75,10 +75,10 @@ func newReport(kind string, config map[string]any) *telemetry.Report {
 	return rep
 }
 
-// seeded adds the seed that ran to a config. Seed 0 runs as
+// Seeded adds the seed that ran to a config. Seed 0 runs as
 // DefaultSeed, and the config flags the substitution, so a client that
 // sent 0 and reads back 1 knows which pattern set it got.
-func seeded(seed int64, config map[string]any) map[string]any {
+func Seeded(seed int64, config map[string]any) map[string]any {
 	config["seed"] = cmp.Or(seed, DefaultSeed)
 	if seed == 0 {
 		config["seed_defaulted"] = true

@@ -56,9 +56,8 @@ type Options struct {
 	Drop     string `json:"drop,omitempty"`
 
 	// atpg: engine (podem|dalg), random-first budget, and CompactMode
-	// (off|reverse|static|dynamic|full), the compaction pipeline. On
-	// faultsim jobs CompactMode compacts the graded random set and
-	// reports the ratio.
+	// (off|reverse|full), the compaction pipeline. On faultsim jobs
+	// CompactMode compacts the graded random set and reports the ratio.
 	Engine      string `json:"engine,omitempty"`
 	Random      int    `json:"random,omitempty"`
 	CompactMode string `json:"compact_mode,omitempty"`

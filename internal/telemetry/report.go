@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// ReportSchema identifies the run-report JSON layout. Consumers
-// (bench_test.go's BENCH_telemetry.json dump, trajectory tooling)
-// should check it before parsing and tolerate unknown fields.
+// ReportSchema identifies the run-report JSON layout. Consumers (such
+// as perfbench's service workload, which reads every dftd job report
+// back through ParseReport) should check it before parsing and
+// tolerate unknown fields.
 const ReportSchema = "dft.run-report/v1"
 
 // Report is the machine-readable record of one toolkit run: what was

@@ -13,9 +13,10 @@ go test -run='^$' -fuzz=FuzzKernelEquivalence -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 # Performance smoke (mirrors `make perf-smoke`): one second each of
 # the benchmark's grade workload, every job re-graded on the serial
-# backend, and its service workload, every dftd job checked against a
-# direct library call.
-for w in grade service; do
+# backend; its testgen workload, every ATPG pattern set re-graded on
+# the serial backend and every advise plan checked; and its service
+# workload, every dftd job checked against a direct library call.
+for w in grade testgen service; do
 	out=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0)
 	echo "$out"
 	echo "$out" | grep -Eq '"correct": *true'
