@@ -23,13 +23,15 @@ race:
 check: build vet race fuzz-smoke perf-smoke
 
 # fuzz runs the coverage-guided differential fuzz targets: the compiled
-# kernel against the interpreter at every execution width, and every
+# kernel against the interpreter at every execution width, every
 # fault-simulation backend/worker/drop configuration against the serial
-# baseline. FUZZTIME bounds each target.
+# baseline, and event-driven PODEM against the whole-circuit reference
+# search. FUZZTIME bounds each target.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz=FuzzPodemIncremental -fuzztime=$(FUZZTIME) ./internal/atpg
 
 # fuzz-smoke is the short differential-fuzz pass that `make check` and
 # scripts/check.sh share: same targets as fuzz, bounded by SMOKETIME,

@@ -67,6 +67,7 @@ func (st *state) probe(ctx context.Context, seed uint64, opt Options, reg *telem
 		}
 	}
 	targets := 0
+	searcher := atpg.NewSearcher(st.work, view)
 	for seen := 0; seen < len(st.faults) && targets < opt.Probes; seen++ {
 		i := (st.cursor + seen) % len(st.faults)
 		if st.detected[i] {
@@ -78,7 +79,7 @@ func (st *state) probe(ctx context.Context, seed uint64, opt Options, reg *telem
 			return err
 		}
 		targets++
-		t, err := atpg.Podem(st.work, view, st.faults[i], atpg.PodemConfig{MaxBacktracks: opt.Backtracks, Metrics: reg})
+		t, err := searcher.Podem(st.faults[i], atpg.PodemConfig{MaxBacktracks: opt.Backtracks, Metrics: reg})
 		switch err {
 		case nil:
 			block = append(block, atpg.Test{Values: t.Filled(logic.Zero)}.Bools())

@@ -88,13 +88,18 @@ func (d *dalg) effective(asg assignment, net int) logic.V {
 	return logic.X
 }
 
-// simulate performs a five-valued forward pass in which assumed
-// assignments act as values on nets whose computed value is still X —
-// this is how D-algorithm decisions on internal lines take effect
-// before they are justified. A net whose computed value contradicts
-// its assignment (comparing good-machine projections) is a conflict.
-// Assignments not yet produced by computation are collected into
-// d.pending (the J-frontier).
+// simulate performs a whole-circuit five-valued forward pass in which
+// assumed assignments act as values on nets whose computed value is
+// still X — this is how D-algorithm decisions on internal lines take
+// effect before they are justified. A net whose computed value
+// contradicts its assignment (comparing good-machine projections) is a
+// conflict. Assignments not yet produced by computation are collected
+// into d.pending (the J-frontier).
+//
+// Unlike PODEM's implication this pass is not event-driven: assumed
+// values overlay internal nets, and the early return on a conflict
+// leaves vals partly written, so every call starts from the sources.
+// No benchmark workload runs the D-algorithm.
 func (d *dalg) simulate(asg assignment) bool {
 	s := d.s
 	c := d.c
@@ -104,7 +109,7 @@ func (d *dalg) simulate(asg assignment) bool {
 		s.assign[i] = logic.X
 	}
 	for net, v := range asg {
-		if i, ok := s.inIndex[net]; ok {
+		if i := s.inPos[net]; i >= 0 {
 			s.assign[i] = v
 		}
 	}
@@ -115,7 +120,7 @@ func (d *dalg) simulate(asg assignment) bool {
 		want, assigned := asg[id]
 		if assigned {
 			if raw == logic.X {
-				if _, isIn := s.inIndex[id]; !isIn {
+				if s.inPos[id] < 0 {
 					d.pending = append(d.pending, id)
 					s.vals[id] = want
 				}
@@ -137,7 +142,7 @@ func (d *dalg) simulate(asg assignment) bool {
 	}
 	s.injectSources()
 	for _, id := range c.Order {
-		s.vals[id] = s.eval(id)
+		s.vals[id], _ = s.evalD(int32(id))
 		if !overlay(id) {
 			return false
 		}
@@ -244,6 +249,7 @@ func (d *dalg) search(asg assignment) (ok, aborted bool) {
 // gate).
 func (d *dalg) dFrontier(asg assignment) []int {
 	var out []int
+	d.s.beginXPath()
 	for _, id := range d.c.Order {
 		if d.s.vals[id] != logic.X {
 			continue

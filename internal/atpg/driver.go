@@ -128,12 +128,16 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 	if cfg.Engine == EngineDAlg {
 		engineTimer = reg.Timer("atpg.engine.dalg")
 	}
+	var searcher *Searcher
 	gen := func(f fault.Fault) (Test, error) {
 		defer engineTimer.Time()()
 		if cfg.Engine == EngineDAlg {
 			return DAlg(c, view, f, pcfg)
 		}
-		return Podem(c, view, f, pcfg)
+		if searcher == nil {
+			searcher = NewSearcher(c, view)
+		}
+		return searcher.Podem(f, pcfg)
 	}
 
 	dctx, detSpan := telemetry.StartSpanCtx(ctx, reg, "atpg.deterministic")

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"errors"
+	"math/bits"
 
 	"dft/internal/fault"
 	"dft/internal/logic"
@@ -31,37 +32,68 @@ const DefaultBacktracks = 10000
 // branch-and-bound over view-input assignments only, with objectives
 // backtraced from the fault site and D-frontier.
 func Podem(c *logic.Circuit, view View, f fault.Fault, cfg PodemConfig) (Test, error) {
-	return podemSearch(newSim5(c, view, MultiFault{f}), cfg)
+	return NewSearcher(c, view).Podem(f, cfg)
 }
 
 // PodemMulti generates a single test cube detecting the multi-site
 // fault. With one site it is Podem.
 func PodemMulti(c *logic.Circuit, view View, fs MultiFault, cfg PodemConfig) (Test, error) {
-	return podemSearch(newSim5(c, view, fs), cfg)
+	return NewSearcher(c, view).PodemMulti(fs, cfg)
+}
+
+// Searcher runs PODEM on one circuit under one view. Its simulator's
+// per-net state is built once and reused for every fault, so callers
+// that target many faults (the ATPG driver, advise's probe) allocate it
+// once. A Searcher is not safe for concurrent use.
+type Searcher struct {
+	s     *sim5
+	stack []decision // the search's decision stack, reused across faults
+}
+
+// decision is one PODEM branch: a view input and the value tried.
+type decision struct {
+	idx     int // index into view.Inputs
+	val     logic.V
+	flipped bool
+	mark    int // s's trail before the decision took effect
+}
+
+// NewSearcher prepares PODEM for the circuit under the view.
+func NewSearcher(c *logic.Circuit, view View) *Searcher {
+	return &Searcher{s: newSim5(c, view, nil)}
+}
+
+// Podem is the package-level Podem on the searcher's circuit and view.
+func (p *Searcher) Podem(f fault.Fault, cfg PodemConfig) (Test, error) {
+	return p.PodemMulti(MultiFault{f}, cfg)
+}
+
+// PodemMulti is the package-level PodemMulti on the searcher's circuit
+// and view.
+func (p *Searcher) PodemMulti(fs MultiFault, cfg PodemConfig) (Test, error) {
+	p.s.target(fs)
+	return p.podemSearch(cfg)
 }
 
 // podemSearch is the branch-and-bound loop: decisions are made only
 // over view inputs, and backtrace never returns an assigned one.
-func podemSearch(s *sim5, cfg PodemConfig) (Test, error) {
+func (p *Searcher) podemSearch(cfg PodemConfig) (Test, error) {
+	s, stack := p.s, p.stack[:0]
 	maxBT := cfg.MaxBacktracks
 	if maxBT <= 0 {
 		maxBT = DefaultBacktracks
 	}
 
-	type decision struct {
-		idx     int // index into view.Inputs
-		val     logic.V
-		flipped bool
-	}
-	var stack []decision
 	backtracks := 0
 	decisions, implications := 0, 0
 	defer func() {
+		p.stack = stack
 		// Flush once per fault: the search loop itself stays atomic-free.
 		reg := telemetry.OrDefault(cfg.Metrics)
 		reg.Counter("atpg.podem.decisions").Add(int64(decisions))
 		reg.Counter("atpg.podem.backtracks").Add(int64(backtracks))
 		reg.Counter("atpg.podem.implications").Add(int64(implications))
+		reg.Counter("atpg.podem.evals").Add(int64(s.evals))
 		reg.Counter("atpg.backtracks").Add(int64(backtracks))
 	}()
 
@@ -74,8 +106,8 @@ func podemSearch(s *sim5, cfg PodemConfig) (Test, error) {
 		obj, objVal, feasible := objective(s)
 		if feasible {
 			if idx, v, ok := backtrace(s, obj, objVal); ok {
-				s.assign[idx] = v
-				stack = append(stack, decision{idx: idx, val: v})
+				stack = append(stack, decision{idx: idx, val: v, mark: s.mark()})
+				s.set(idx, v)
 				decisions++
 				continue
 			}
@@ -87,17 +119,18 @@ func podemSearch(s *sim5, cfg PodemConfig) (Test, error) {
 				return Test{}, ErrUntestable
 			}
 			top := &stack[len(stack)-1]
+			s.undo(top.mark)
 			if !top.flipped {
 				top.flipped = true
 				top.val = top.val.Not()
-				s.assign[top.idx] = top.val
+				s.set(top.idx, top.val)
 				backtracks++
 				if backtracks > maxBT {
 					return Test{}, ErrAborted
 				}
 				break
 			}
-			s.assign[top.idx] = logic.X
+			s.assign[top.idx] = logic.X // undo already restored vals
 			stack = stack[:len(stack)-1]
 		}
 	}
@@ -129,68 +162,55 @@ func objective(s *sim5) (net int, val logic.V, feasible bool) {
 		f := s.sites[open]
 		return f.Site(s.c), f.SA.Not(), true
 	}
-	// Activated: find a D-frontier gate with an X-path to an output.
-	for _, id := range s.c.Order {
-		g := &s.c.Gates[id]
-		if s.vals[id] != logic.X {
-			continue
-		}
-		hasD := false
-		for _, src := range g.Fanin {
-			if s.vals[src].IsError() {
-				hasD = true
-				break
+	// Activated: the first D-frontier gate, in c.Order, with an X-path
+	// to an output.
+	s.beginXPath()
+	for w, word := range s.frontier {
+		for ; word != 0; word &= word - 1 {
+			id := s.c.Order[w<<6|bits.TrailingZeros64(word)]
+			if !xPath(s, id) {
+				continue
 			}
-		}
-		// A branch site's injected D is invisible in vals: its gate is
-		// on the D-frontier once the site is activated.
-		if !hasD && s.faulty[id] {
-			for _, f := range s.sites {
-				if f.Gate != id || f.Pin == fault.Stem {
-					continue
+			// Objective: set an X input to the non-controlling value.
+			g := &s.c.Gates[id]
+			for pin, src := range g.Fanin {
+				if s.vals[src] != logic.X || s.branchSite(id, pin) {
+					continue // known, or a faulty branch, which is not settable
 				}
-				if good := s.vals[g.Fanin[f.Pin]].Good(); good != logic.X && good != f.SA {
-					hasD = true
-					break
+				cv, has := g.Type.ControllingValue()
+				want := logic.Zero
+				if has {
+					want = cv.Not()
 				}
+				return src, want, true
 			}
-		}
-		if !hasD || !xPath(s, id) {
-			continue
-		}
-		// Objective: set an X input to the non-controlling value.
-		for pin, src := range g.Fanin {
-			if s.vals[src] != logic.X || s.branchSite(id, pin) {
-				continue // known, or a faulty branch, which is not settable
-			}
-			cv, has := g.Type.ControllingValue()
-			want := logic.Zero
-			if has {
-				want = cv.Not()
-			}
-			return src, want, true
 		}
 	}
 	return 0, logic.X, false
 }
 
 // xPath reports whether net can still reach an observable net through
-// X-valued nets (the classical X-path check).
+// X-valued nets (the classical X-path check). Results are memoized for
+// the epoch beginXPath opened, so a net is expanded at most once per
+// epoch however many reconvergent paths reach it.
 func xPath(s *sim5, net int) bool {
-	for _, o := range s.view.Outputs {
-		if o == net {
-			return true
-		}
+	switch s.xMemo[net] {
+	case s.xEpoch:
+		return false
+	case s.xEpoch + 1:
+		return true
 	}
-	for _, reader := range s.c.Fanout[net] {
-		if !s.c.Gates[reader].Type.IsCombinational() {
-			continue
-		}
-		if s.vals[reader] == logic.X && xPath(s, reader) {
-			return true
-		}
+	s.xVisits++
+	found := s.isObs[net]
+	readers := s.t.ReadersOf(int32(net))
+	for i := 0; !found && i < len(readers); i++ {
+		found = s.vals[readers[i]] == logic.X && xPath(s, int(readers[i]))
 	}
-	return false
+	s.xMemo[net] = s.xEpoch
+	if found {
+		s.xMemo[net]++
+	}
+	return found
 }
 
 // backtrace walks an objective back to an unassigned view input,
@@ -199,7 +219,7 @@ func xPath(s *sim5, net int) bool {
 func backtrace(s *sim5, net int, val logic.V) (idx int, v logic.V, ok bool) {
 	c := s.c
 	for {
-		if i, isIn := s.inIndex[net]; isIn {
+		if i := int(s.inPos[net]); i >= 0 {
 			if s.assign[i] != logic.X {
 				return 0, logic.X, false
 			}

@@ -18,6 +18,7 @@ import (
 
 	"dft/internal/fault"
 	"dft/internal/logic"
+	"dft/internal/sim"
 )
 
 // View lists the nets test generation may control and observe.
@@ -115,42 +116,113 @@ func (t Test) String() string {
 // carries all of them. A single fault is a one-site set.
 type MultiFault []fault.Fault
 
-// sim5 is the five-valued full-circuit simulator with a set of
-// stuck-at sites injected, evaluating from a partial assignment on the
-// view inputs.
+// sim5 is the five-valued simulator with a set of stuck-at sites
+// injected, evaluating from a partial assignment on the view inputs.
+//
+// Implication is event-driven. The first run after target evaluates
+// every gate in c.Order; each later run starts only from the view
+// inputs set since the previous one and re-evaluates, level by level
+// over the shared reader CSR, only gates with a changed fanin. A gate
+// schedules its readers only when its own value changed, so net values
+// after every run equal a whole-circuit pass exactly. The D-frontier is
+// kept current as gates are evaluated. Every change a run makes is
+// trailed, so a backtrack undoes to a decision's mark without
+// evaluating a gate.
 type sim5 struct {
 	c       *logic.Circuit
+	t       *sim.Topology
 	view    View
 	sites   MultiFault
 	faulty  []bool // per net: some site sits on this element
 	vals    []logic.V
 	assign  []logic.V // per view-input assignment (X = free)
-	inIndex map[int]int
-	isIn    []bool
+	inPos   []int32   // per net: position in view.Inputs, -1 if not a view input
+	isObs   []bool    // per net: observable under the view
 	scratch []logic.V
+
+	primed  bool      // vals hold a pass over the current sites
+	changed []int32   // view positions set since the last run
+	trail   []undoRec // changes since the first pass, for undo
+	queued  []bool    // gate waiting in its level bucket
+	byLevel [][]int32 // worklist buckets indexed by level
+	pending int       // queued gates not yet evaluated
+	evals   int       // gates evaluated since target
+
+	// frontier is the D-frontier as a bitset over positions in c.Order:
+	// bit p is set when gate c.Order[p] is X and a fault effect reaches
+	// one of its inputs.
+	frontier []uint64
+
+	// xPath memo, valid for one epoch (one objective call, during which
+	// vals are fixed): xEpoch means no X-path, xEpoch+1 an X-path.
+	xMemo   []uint32
+	xEpoch  uint32
+	xVisits int // nets expanded by xPath since target, a bound tests check
 }
 
+// undoRec records one change a run made: net's value was old, or, when
+// old is frontierFlip, gate net's D-frontier bit was toggled.
+type undoRec struct {
+	net int32
+	old logic.V
+}
+
+// frontierFlip marks an undoRec that toggled a D-frontier bit.
+const frontierFlip logic.V = 0xff
+
+// newSim5 builds a simulator for the view, targeting sites.
 func newSim5(c *logic.Circuit, view View, sites MultiFault) *sim5 {
+	n := c.NumNets()
 	s := &sim5{
-		c:       c,
-		view:    view,
-		sites:   sites,
-		faulty:  make([]bool, c.NumNets()),
-		vals:    make([]logic.V, c.NumNets()),
-		assign:  make([]logic.V, len(view.Inputs)),
-		inIndex: make(map[int]int, len(view.Inputs)),
-		isIn:    make([]bool, c.NumNets()),
-		scratch: make([]logic.V, c.MaxFanin()),
+		c:        c,
+		t:        sim.TopologyFor(c),
+		view:     view,
+		faulty:   make([]bool, n),
+		vals:     make([]logic.V, n),
+		assign:   make([]logic.V, len(view.Inputs)),
+		inPos:    make([]int32, n),
+		isObs:    make([]bool, n),
+		scratch:  make([]logic.V, c.MaxFanin()),
+		queued:   make([]bool, n),
+		byLevel:  make([][]int32, c.Depth()+1),
+		frontier: make([]uint64, (len(c.Order)+63)/64),
+		xMemo:    make([]uint32, n),
 	}
-	for i, n := range view.Inputs {
-		s.inIndex[n] = i
-		s.isIn[n] = true
-		s.assign[i] = logic.X
+	for i := range s.inPos {
+		s.inPos[i] = -1
 	}
+	for i, in := range view.Inputs {
+		s.inPos[in] = int32(i)
+	}
+	for _, o := range view.Outputs {
+		s.isObs[o] = true
+	}
+	s.target(sites)
+	return s
+}
+
+// target points the simulator at a new set of sites with every view
+// input free; the next run is a whole-circuit pass.
+func (s *sim5) target(sites MultiFault) {
+	for _, f := range s.sites {
+		s.faulty[f.Gate] = false
+	}
+	s.sites = sites
 	for _, f := range sites {
 		s.faulty[f.Gate] = true
 	}
-	return s
+	for i := range s.assign {
+		s.assign[i] = logic.X
+	}
+	s.changed = s.changed[:0]
+	s.primed = false
+	s.evals, s.xVisits = 0, 0
+}
+
+// set assigns view input idx; the next run propagates the change.
+func (s *sim5) set(idx int, v logic.V) {
+	s.assign[idx] = v
+	s.changed = append(s.changed, int32(idx))
 }
 
 // inject maps a good-machine value to the five-valued fault-effect
@@ -179,12 +251,12 @@ func (s *sim5) loadSources() {
 		s.vals[n] = s.assign[i]
 	}
 	for _, n := range s.c.PIs {
-		if !s.isIn[n] {
+		if s.inPos[n] < 0 {
 			s.vals[n] = logic.X
 		}
 	}
 	for _, n := range s.c.DFFs {
-		if !s.isIn[n] {
+		if s.inPos[n] < 0 {
 			s.vals[n] = logic.X // unscanned storage is unknown
 		}
 	}
@@ -199,22 +271,30 @@ func (s *sim5) injectSources() {
 	}
 }
 
-// eval computes combinational gate id from its fanin values, with the
-// gate's branch sites injected but not its stem sites.
-func (s *sim5) eval(id int) logic.V {
-	g := &s.c.Gates[id]
-	in := s.scratch[:len(g.Fanin)]
-	for i, src := range g.Fanin {
-		in[i] = s.vals[src]
+// evalD computes combinational gate id from its fanin values, with the
+// gate's branch sites injected but not its stem sites. It also reports
+// whether a fault effect reaches the gate's inputs: an error value on a
+// fanin, or an activated branch site, whose injected D is invisible in
+// vals.
+func (s *sim5) evalD(id int32) (v logic.V, hasD bool) {
+	fanin := s.t.Fanins(id)
+	in := s.scratch[:len(fanin)]
+	for i, src := range fanin {
+		x := s.vals[src]
+		in[i] = x
+		hasD = hasD || x.IsError()
 	}
 	if s.faulty[id] {
 		for _, f := range s.sites {
-			if f.Gate == id && f.Pin != fault.Stem {
+			if f.Gate == int(id) && f.Pin != fault.Stem {
+				if good := in[f.Pin].Good(); good != logic.X && good != f.SA {
+					hasD = true
+				}
 				in[f.Pin] = inject(in[f.Pin], f.SA)
 			}
 		}
 	}
-	return g.Type.Eval(in)
+	return s.c.Gates[id].Type.Eval(in), hasD
 }
 
 // stem applies the stem sites on gate id to its computed value v.
@@ -241,13 +321,113 @@ func (s *sim5) branchSite(id, pin int) bool {
 	return false
 }
 
-// run performs a full forward pass with the current assignment and
-// fault injection; afterwards s.vals holds every net's value.
+// run brings vals up to date with the assignment. The first run after
+// target is a whole-circuit pass; every later one propagates from the
+// view inputs set since the previous run.
 func (s *sim5) run() {
+	if !s.primed {
+		s.fullPass()
+		return
+	}
+	for _, i := range s.changed {
+		n := s.view.Inputs[i]
+		// A net listed twice in the view takes its last position's value,
+		// as in loadSources.
+		if v := s.stem(n, s.assign[s.inPos[n]]); v != s.vals[n] {
+			s.trail = append(s.trail, undoRec{int32(n), s.vals[n]})
+			s.vals[n] = v
+			s.schedule(int32(n))
+		}
+	}
+	s.changed = s.changed[:0]
+	for lv := 1; s.pending > 0; lv++ {
+		bucket := s.byLevel[lv]
+		for _, id := range bucket {
+			s.queued[id] = false
+			v, hasD := s.evalD(id)
+			if v = s.stem(int(id), v); v != s.vals[id] {
+				s.trail = append(s.trail, undoRec{id, s.vals[id]})
+				s.vals[id] = v
+				s.schedule(id)
+			}
+			if s.setFrontier(s.t.OrderPos[id], v == logic.X && hasD) {
+				s.trail = append(s.trail, undoRec{id, frontierFlip})
+			}
+		}
+		s.pending -= len(bucket)
+		s.evals += len(bucket)
+		s.byLevel[lv] = bucket[:0]
+	}
+}
+
+// fullPass evaluates every gate in c.Order from the assignment and
+// rebuilds the D-frontier. It is the first pass of each search and the
+// whole of Verify.
+func (s *sim5) fullPass() {
 	s.loadSources()
 	s.injectSources()
-	for _, id := range s.c.Order {
-		s.vals[id] = s.stem(id, s.eval(id))
+	clear(s.frontier)
+	for p, id := range s.c.Order {
+		v, hasD := s.evalD(int32(id))
+		v = s.stem(id, v)
+		s.vals[id] = v
+		s.setFrontier(int32(p), v == logic.X && hasD)
+	}
+	s.evals += len(s.c.Order)
+	s.changed = s.changed[:0]
+	s.trail = s.trail[:0]
+	s.primed = true
+}
+
+// mark returns a trail position to undo back to.
+func (s *sim5) mark() int { return len(s.trail) }
+
+// undo restores vals and the D-frontier to what they were at mark,
+// evaluating no gate. The caller restores the matching assignment.
+func (s *sim5) undo(mark int) {
+	for i := len(s.trail) - 1; i >= mark; i-- {
+		r := s.trail[i]
+		if r.old == frontierFlip {
+			p := s.t.OrderPos[r.net]
+			s.frontier[p>>6] ^= 1 << (p & 63)
+		} else {
+			s.vals[r.net] = r.old
+		}
+	}
+	s.trail = s.trail[:mark]
+}
+
+// schedule queues net n's combinational readers in their level
+// buckets.
+func (s *sim5) schedule(n int32) {
+	for _, r := range s.t.ReadersOf(n) {
+		if !s.queued[r] {
+			s.queued[r] = true
+			lv := s.t.Level[r]
+			s.byLevel[lv] = append(s.byLevel[lv], r)
+			s.pending++
+		}
+	}
+}
+
+// setFrontier records whether the gate at position p of c.Order is on
+// the D-frontier, reporting whether that changed.
+func (s *sim5) setFrontier(p int32, on bool) bool {
+	w, bit := &s.frontier[p>>6], uint64(1)<<(p&63)
+	if (*w&bit != 0) == on {
+		return false
+	}
+	*w ^= bit
+	return true
+}
+
+// beginXPath starts a new xPath memo epoch; call it whenever vals may
+// have changed since the last xPath call.
+func (s *sim5) beginXPath() {
+	s.xEpoch += 2
+	if s.xEpoch == 0 { // wrapped: stale stamps could alias
+		clear(s.xMemo)
+		s.xEpoch = 2
 	}
 }
 

@@ -57,7 +57,10 @@ const (
 
 // topology is the flat, immutable form of a circuit under one view that
 // the propagation kernel and critical-path tracing walk. It is built
-// once per engine and shared read-only by every worker's simulator.
+// once per engine and shared read-only by every worker's simulator. The
+// view-independent CSR arrays and levels are the circuit's shared
+// sim.Topology arrays, held here as direct fields so the kernel's inner
+// loops read them without a pointer hop.
 type topology struct {
 	op       []uint8  // gate operator per net
 	inv      []uint64 // output inversion word per net
@@ -83,12 +86,15 @@ type topology struct {
 
 func newTopology(c *logic.Circuit, outputs []int) *topology {
 	n := c.NumNets()
+	st := sim.TopologyFor(c)
 	t := &topology{
 		op:       make([]uint8, n),
 		inv:      make([]uint64, n),
-		fanStart: make([]int32, n+1),
-		rdStart:  make([]int32, n+1),
-		level:    make([]int32, n),
+		fanStart: st.FanStart,
+		fanin:    st.Fanin,
+		rdStart:  st.RdStart,
+		readers:  st.Readers,
+		level:    st.Level,
 		isObs:    make([]bool, n),
 		nOrder:   len(c.Order),
 		kind:     make([]uint8, n),
@@ -111,19 +117,10 @@ func newTopology(c *logic.Circuit, outputs []int) *topology {
 		case logic.Xnor:
 			t.op[id], t.inv[id] = opXor, ^uint64(0)
 		}
-		t.level[id] = int32(c.Level[id])
-		for _, f := range g.Fanin {
-			t.fanin = append(t.fanin, int32(f))
-		}
-		t.fanStart[id+1] = int32(len(t.fanin))
-
 		pins := 0
 		for _, r := range c.Fanout[id] {
 			if !c.Gates[r].Type.IsCombinational() {
 				continue // DFF capture edges are sequential, invisible to one combinational cycle
-			}
-			if pins == 0 || t.readers[len(t.readers)-1] != int32(r) {
-				t.readers = append(t.readers, int32(r)) // a gate's fanout entries are adjacent
 			}
 			if pins++; pins == 1 {
 				t.reader[id] = int32(r)
@@ -135,7 +132,6 @@ func newTopology(c *logic.Circuit, outputs []int) *topology {
 				}
 			}
 		}
-		t.rdStart[id+1] = int32(len(t.readers))
 		switch {
 		case pins == 1:
 			t.kind[id] = cptSingle

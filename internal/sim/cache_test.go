@@ -57,3 +57,68 @@ func TestProgramCacheEviction(t *testing.T) {
 		t.Fatalf("oldest survivor is %s, want %s", progCacheAge[0].Name, want)
 	}
 }
+
+// TestTopologyFor checks that the cached topology is built once per
+// circuit, even under concurrent first use, and flattens the netlist
+// faithfully: fanins in pin order, each combinational reader once,
+// levels, and positions in c.Order.
+func TestTopologyFor(t *testing.T) {
+	c := freshCircuit(-1)
+	got := make([]*Topology, 8)
+	done := make(chan struct{})
+	for i := range got {
+		go func(i int) {
+			defer func() { done <- struct{}{} }()
+			CompiledFor(c)
+			got[i] = TopologyFor(c)
+		}(i)
+	}
+	for range got {
+		<-done
+	}
+	for i, tp := range got {
+		if tp != got[0] {
+			t.Fatalf("goroutine %d got a different topology", i)
+		}
+	}
+
+	c = logic.New("topo")
+	a := c.AddInput("a")
+	b := c.AddInput("b")
+	x := c.AddGate(logic.And, "x", a, a, b) // a read on two pins: one reader entry
+	q := c.AddDFF("q", x)                   // a sequential reader: not listed
+	y := c.AddGate(logic.Or, "y", x, q)
+	c.MarkOutput(y)
+	c.MustFinalize()
+	tp := TopologyFor(c)
+	for id, g := range c.Gates {
+		fan := tp.Fanins(int32(id))
+		if len(fan) != len(g.Fanin) {
+			t.Fatalf("%s: %d fanins, want %d", g.Name, len(fan), len(g.Fanin))
+		}
+		for p, f := range g.Fanin {
+			if int(fan[p]) != f {
+				t.Fatalf("%s pin %d: fanin %d, want %d", g.Name, p, fan[p], f)
+			}
+		}
+		if int(tp.Level[id]) != c.Level[id] {
+			t.Fatalf("%s: level %d, want %d", g.Name, tp.Level[id], c.Level[id])
+		}
+	}
+	wantReaders := map[int][]int32{a: {int32(x)}, b: {int32(x)}, x: {int32(y)}, q: {int32(y)}, y: nil}
+	for n, want := range wantReaders {
+		if got := tp.ReadersOf(int32(n)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: readers %v, want %v", c.NameOf(n), got, want)
+		}
+	}
+	for p, id := range c.Order {
+		if tp.OrderPos[id] != int32(p) {
+			t.Fatalf("%s: order position %d, want %d", c.NameOf(id), tp.OrderPos[id], p)
+		}
+	}
+	for _, n := range []int{a, b, q} {
+		if tp.OrderPos[n] != -1 {
+			t.Fatalf("source %s has order position %d", c.NameOf(n), tp.OrderPos[n])
+		}
+	}
+}

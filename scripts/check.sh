@@ -7,10 +7,11 @@ go build ./...
 go vet ./...
 go test -race ./...
 # Differential-fuzz smoke (mirrors `make fuzz-smoke`): 10s per target
-# of coverage-guided search for kernel/backend divergences on top of
-# the checked-in seed corpora.
+# of coverage-guided search for kernel, backend and PODEM-kernel
+# divergences on top of the checked-in seed corpora.
 go test -run='^$' -fuzz=FuzzKernelEquivalence -fuzztime=10s ./internal/sim
 go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
+go test -run='^$' -fuzz=FuzzPodemIncremental -fuzztime=10s ./internal/atpg
 # Performance smoke (mirrors `make perf-smoke`): one second each of
 # the benchmark's grade workload, every job re-graded on the serial
 # backend; its testgen workload, every ATPG pattern set re-graded on
