@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check fuzz fuzz-smoke perf-smoke bench clean
+.PHONY: all build vet test race check fuzz fuzz-smoke perf-smoke bench loc clean
 
 all: check
 
@@ -56,6 +56,14 @@ perf-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# loc prints the tracked code-size metric: lines of non-test Go outside
+# perfbench/ (and outside hidden build directories), per top-level
+# directory and in total. Files at the repository root count as ".".
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -exec wc -l {} + | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = (n > 2) ? p[2] : "."; lines[d] += $$1; t += $$1 } \
+		END { for (d in lines) printf "%7d %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	$(GO) clean ./...

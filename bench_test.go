@@ -795,12 +795,9 @@ func legacyDictionaryBuild(c *logic.Circuit, faults []fault.Fault, patterns [][]
 		}
 	}
 	ps := fault.NewParallelSim(c)
+	packed := fault.PackPatternSet(len(c.PIs), patterns)
 	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		k := ps.LoadBlock(patterns[base:end])
+		k := ps.LoadPackedBlock(packed.Block(base / 64))
 		for fi, f := range faults {
 			ps.FaultMask(f)
 			for j, po := range c.POs {

@@ -3,9 +3,6 @@ package fault
 import (
 	"context"
 	"math/bits"
-	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"dft/internal/logic"
 	"dft/internal/telemetry"
@@ -93,74 +90,52 @@ func (e *Engine) cptMask(f Fault, good []uint64) uint64 {
 	return (good[src] ^ stuck) & e.topology().sens(int32(f.Gate), int32(f.Pin), good) & e.obs[f.Gate]
 }
 
-// cptBlocks is the block loop runCPT and detailCPT share: for each
+// cptBlocks is the block loop runCPT and RunDetail share: for each
 // block in order it traces every net's observability word into e.obs
 // on up to e.workers workers, then hands worker 0's good machine to
 // grade, which reads the words through cptMask. Cancellation is
 // checked between stem chunks.
-func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, prog *telemetry.Progress, span *telemetry.Span,
+func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, span *telemetry.Span,
 	grade func(bi int, good []uint64)) error {
 	reg := e.reg
 	t := e.topology()
-	w := max(1, min(e.workers, len(t.stems)/minStemShard))
-	span.SetAttr("workers", strconv.Itoa(w))
-	if w > 1 {
-		reg.Gauge("fault.sim.workers").Set(int64(w))
-		reg.Counter("fault.engine.runs").Inc()
-	}
+	w := e.noteWorkers(span, min(e.workers, len(t.stems)/minStemShard))
 	if e.obs == nil {
 		e.obs = make([]uint64, e.c.NumNets())
 	}
 	obs := e.obs
-	if prog != nil {
-		prog.AddTotal(int64(pats.NumPatterns()))
-	}
+	prog := e.progress(int64(pats.NumPatterns()))
 	var flips, chained, blocks int64
 	defer func() {
 		for wi := 0; wi < w; wi++ {
-			masks, evals := e.sim(wi).TakeCounts()
-			reg.Counter("fault.sim.faultmasks").Add(masks)
-			reg.Counter("fault.sim.events").Add(evals)
+			e.flushCounts(e.sim(wi))
 		}
 		reg.Counter("fault.cpt.flips").Add(flips)
 		reg.Counter("fault.cpt.chain_obs").Add(chained)
 		reg.Counter("fault.sim.blocks").Add(blocks)
 	}()
-	errs := make([]error, w)
 	for bi := 0; bi < pats.NumBlocks(); bi++ {
 		words, kb := pats.Block(bi)
 		mask := blockMask(kb)
-		var cursor atomic.Int64
-		flip := func(wi int) error {
+		stems := &cursor{n: len(t.stems), chunk: stemChunk}
+		err := e.fanOut(w, func(wi int) error {
 			ps := e.sim(wi)
 			ps.LoadPackedBlock(words, kb)
 			for {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				lo := int(cursor.Add(stemChunk)) - stemChunk
-				if lo >= len(t.stems) {
+				lo, hi, ok := stems.claim()
+				if !ok {
 					return nil
 				}
-				for _, s := range t.stems[lo:min(lo+stemChunk, len(t.stems))] {
+				for _, s := range t.stems[lo:hi] {
 					obs[s] = ps.FlipMask(int(s)) & mask
 				}
 			}
-		}
-		var wg sync.WaitGroup
-		for wi := 1; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				errs[wi] = flip(wi)
-			}(wi)
-		}
-		errs[0] = flip(0)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
+		})
+		if err != nil {
+			return err
 		}
 		good := e.sim(0).good
 		for _, n := range t.chain {
@@ -190,22 +165,12 @@ func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, prog *tele
 // stem flips sharded across workers, and every still-undetected fault
 // grades in O(1). A detected fault is skipped in either drop mode,
 // since its first detection stands.
-func (e *Engine) runCPT(ctx context.Context, faults []Fault, pats *PackedPatterns) (*Result, error) {
-	reg := e.reg
-	nPats := pats.NumPatterns()
-	ctx, span := telemetry.StartSpanCtx(ctx, reg, "fault.sim.cpt")
-	span.SetAttr("faults", strconv.Itoa(len(faults)))
-	span.SetAttr("patterns", strconv.Itoa(nPats))
-	defer span.End()
-	res := newResult(faults, nPats)
-	if len(faults) == 0 || nPats == 0 {
+func (e *Engine) runCPT(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
+	res := newResult(faults, pats.NumPatterns())
+	if len(faults) == 0 || pats.NumPatterns() == 0 {
 		return res, nil
 	}
-	var prog *telemetry.Progress
-	if !e.opts.NoProgress {
-		prog = reg.Progress("fault.sim.progress")
-	}
-	err := e.cptBlocks(ctx, pats, prog, span, func(bi int, good []uint64) {
+	err := e.cptBlocks(ctx, pats, span, func(bi int, good []uint64) {
 		for fi, f := range faults {
 			if res.Detected[fi] {
 				continue
@@ -218,10 +183,7 @@ func (e *Engine) runCPT(ctx context.Context, faults []Fault, pats *PackedPattern
 		}
 	})
 	if err != nil {
-		reg.Counter("fault.engine.cancelled").Inc()
 		return nil, err
 	}
-	reg.Counter("fault.sim.patterns").Add(int64(nPats))
-	reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
 	return res, nil
 }

@@ -110,7 +110,7 @@ func TestDetailResultFold(t *testing.T) {
 	c := circuits.C17()
 	faults := Universe(c)
 	pats := randomDetailPatterns(len(c.PIs), 64, 3)
-	dr, err := SimulateDetail(context.Background(), c, faults, pats, Options{})
+	dr, err := NewEngine(c, Options{}).RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,8 @@ func TestRunDetailSpanNamesBackendThatRan(t *testing.T) {
 	pats := randomDetailPatterns(len(c.PIs), 8, 3)
 	for _, be := range []Backend{Auto, BackendSerial} {
 		reg := telemetry.NewRegistry()
-		if _, err := SimulateDetail(context.Background(), c, faults, pats,
-			Options{Backend: be, Metrics: reg}); err != nil {
+		if _, err := NewEngine(c, Options{Backend: be, Metrics: reg}).
+			RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats)); err != nil {
 			t.Fatal(err)
 		}
 		var got []string
@@ -168,7 +168,7 @@ func TestRunDetailCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, be := range []Backend{BackendParallel, BackendCPT} {
-		if _, err := SimulateDetail(ctx, c, faults, pats, Options{Backend: be}); err == nil {
+		if _, err := NewEngine(c, Options{Backend: be}).RunDetail(ctx, faults, PackPatternSet(len(c.PIs), pats)); err == nil {
 			t.Fatalf("%v: cancelled detail run returned no error", be)
 		}
 	}

@@ -96,44 +96,60 @@ func (e *Engine) sim(wi int) *ParallelSim {
 // context cancellation between pattern blocks. On cancellation it
 // returns ctx's error and no Result.
 func (e *Engine) Run(ctx context.Context, faults []Fault, patterns [][]bool) (*Result, error) {
-	be := e.opts.Backend
-	if be == Auto {
-		be = pickBackend(len(faults), len(patterns), e.drop())
-	}
-	switch be {
-	case BackendSerial:
-		return e.runSerial(ctx, faults, patterns)
-	case BackendCPT:
-		return e.runCPT(ctx, faults, PackPatternSet(len(e.inputs), patterns))
-	default:
-		// Pack the pattern set once; every worker shares the blocks
-		// read-only instead of repacking them per chunk.
-		return e.runParallel(ctx, faults, PackPatternSet(len(e.inputs), patterns))
-	}
+	return e.RunPacked(ctx, faults, PackPatternSet(len(e.inputs), patterns))
 }
 
 // RunPacked is Run for a pattern set already in packed PPSFP form —
 // the natural input of the exhaustive 2^N consumers (syndrome, Walsh,
 // autonomous testing), which synthesize blocks from periodic masks
-// without ever materializing scalar vectors. Results are byte-identical
-// to Run on the equivalent scalar set. The serial backend, which walks
-// patterns one at a time, unpacks on entry.
+// without ever materializing scalar vectors. Every backend reads the
+// shared blocks read-only. Each run opens one span, named after its
+// backend's timer, recording the backend and whether Auto picked it.
 func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatterns) (*Result, error) {
 	if pats.NumInputs() != len(e.inputs) {
 		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
 	}
-	be := e.opts.Backend
-	if be == Auto {
-		be = pickBackend(len(faults), pats.NumPatterns(), e.drop())
-	}
+	nPats := pats.NumPatterns()
+	be, auto := e.backend(len(faults), nPats, e.drop())
+	run, name := e.runParallel, "fault.sim.engine"
 	switch be {
 	case BackendSerial:
-		return e.runSerial(ctx, faults, pats.Patterns())
+		run, name = e.runSerial, "fault.sim.serial"
 	case BackendCPT:
-		return e.runCPT(ctx, faults, pats)
-	default:
-		return e.runParallel(ctx, faults, pats)
+		run, name = e.runCPT, "fault.sim.cpt"
 	}
+	ctx, span := e.startSpan(ctx, name, be, auto, len(faults), nPats)
+	defer span.End()
+	res, err := run(ctx, span, faults, pats)
+	if err != nil {
+		e.reg.Counter("fault.engine.cancelled").Inc()
+		return nil, err
+	}
+	e.reg.Counter("fault.sim.patterns").Add(int64(nPats))
+	e.reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
+	return res, nil
+}
+
+// backend resolves Options.Backend for one job: Auto picks by the
+// job's shape through pickBackend, and auto reports that it did; an
+// explicit backend is honoured as-is.
+func (e *Engine) backend(nFaults, nPats int, drop bool) (be Backend, auto bool) {
+	if e.opts.Backend != Auto {
+		return e.opts.Backend, false
+	}
+	return pickBackend(nFaults, nPats, drop), true
+}
+
+// startSpan opens a run's span with the job's shape and the backend
+// that runs it. The span observes the same-named timer on End, so run
+// reports keep one timer entry per backend.
+func (e *Engine) startSpan(ctx context.Context, name string, be Backend, auto bool, nFaults, nPats int) (context.Context, *telemetry.Span) {
+	ctx, span := telemetry.StartSpanCtx(ctx, e.reg, name)
+	span.SetAttr("faults", strconv.Itoa(nFaults))
+	span.SetAttr("patterns", strconv.Itoa(nPats))
+	span.SetAttr("backend", be.String())
+	span.SetAttr("auto", strconv.FormatBool(auto))
+	return ctx, span
 }
 
 // pickBackend implements the Auto heuristics; the selection table is
@@ -169,11 +185,90 @@ func newResult(faults []Fault, numPats int) *Result {
 	return res
 }
 
+// progress returns the run's fault.sim.progress tracker with total
+// more units expected, or nil under NoProgress.
+func (e *Engine) progress(total int64) *telemetry.Progress {
+	if e.opts.NoProgress {
+		return nil
+	}
+	prog := e.reg.Progress("fault.sim.progress")
+	prog.AddTotal(total)
+	return prog
+}
+
+// flushCounts drains a simulator's work counters into the registry.
+func (e *Engine) flushCounts(ps *ParallelSim) {
+	masks, evals := ps.TakeCounts()
+	e.reg.Counter("fault.sim.faultmasks").Add(masks)
+	e.reg.Counter("fault.sim.events").Add(evals)
+}
+
+// noteWorkers records a run's worker count, at least one, on its span
+// and counts a sharded run in fault.engine.runs.
+func (e *Engine) noteWorkers(span *telemetry.Span, w int) int {
+	w = max(1, w)
+	span.SetAttr("workers", strconv.Itoa(w))
+	if w > 1 {
+		e.reg.Counter("fault.engine.runs").Inc()
+	}
+	return w
+}
+
+// fanOut is the engine's one way to run workers: fn(wi) runs once for
+// every worker slot wi in [0, w), worker 0 on the calling goroutine,
+// and fanOut returns when all have finished, with the first error in
+// worker order. A sharded fan-out (w > 1) sets the fault.sim.workers
+// gauge.
+func (e *Engine) fanOut(w int, fn func(wi int) error) error {
+	if w <= 1 {
+		return fn(0)
+	}
+	e.reg.Gauge("fault.sim.workers").Set(int64(w))
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for wi := 1; wi < w; wi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[wi] = fn(wi)
+		}()
+	}
+	errs[0] = fn(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// cursor deals the index range [0, n) to concurrent workers in chunks
+// of chunk indices; every index is claimed exactly once.
+type cursor struct {
+	next     atomic.Int64
+	n, chunk int
+}
+
+// claim returns the next unclaimed chunk [lo, hi), or ok false once
+// the range is exhausted.
+func (c *cursor) claim() (lo, hi int, ok bool) {
+	lo = int(c.next.Add(int64(c.chunk))) - c.chunk
+	if lo >= c.n {
+		return 0, 0, false
+	}
+	return lo, min(lo+c.chunk, c.n), true
+}
+
 // chunkSize picks the dynamic-queue chunk: ~4 chunks per worker
 // amortizes the per-chunk good-machine passes while still letting the
 // queue rebalance dropped-out shards, with a floor so a chunk is worth
-// its dispatch.
+// its dispatch. A single worker takes the whole list as one chunk, so
+// it pays one good-machine pass per block.
 func chunkSize(n, workers int) int {
+	if workers <= 1 {
+		return n
+	}
 	chunk := (n + workers*4 - 1) / (workers * 4)
 	if chunk < 64 {
 		chunk = 64
@@ -181,127 +276,83 @@ func chunkSize(n, workers int) int {
 	return chunk
 }
 
-// runParallel is the PPSFP path: single-threaded when one worker
-// suffices, otherwise the fault list is sharded across workers in
-// dynamic chunks and every worker grades its chunks on its own pooled
-// simulator.
-func (e *Engine) runParallel(ctx context.Context, faults []Fault, pats *PackedPatterns) (*Result, error) {
+// shardFaults is the fault-axis scheduler of runParallel and
+// detailParallel: it deals faults [0, n) to min(workers, n) workers in
+// dynamic chunks, and grade(ps, lo, hi) grades one chunk on the
+// worker's pooled simulator, returning the blocks it loaded. Each
+// chunk owns a disjoint range of the caller's outputs, so nothing is
+// merged under a lock. Progress, shard telemetry and work counters are
+// recorded here, once per chunk or per worker.
+func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, n int,
+	grade func(ps *ParallelSim, lo, hi int) (blocks int64, err error)) error {
 	reg := e.reg
-	nPats := pats.NumPatterns()
-	// The span observes the same-named timer on End, so run-report
-	// timers keep the fault.sim.engine entry older consumers expect.
-	ctx, span := telemetry.StartSpanCtx(ctx, reg, "fault.sim.engine")
-	span.SetAttr("faults", strconv.Itoa(len(faults)))
-	span.SetAttr("patterns", strconv.Itoa(nPats))
-	defer span.End()
-	// Progress: faults graded vs. total, ticked once per chunk from
-	// the dispatch loop — batched atomics, per the package discipline.
-	var prog *telemetry.Progress
-	if !e.opts.NoProgress {
-		prog = reg.Progress("fault.sim.progress")
-		prog.AddTotal(int64(len(faults)))
-	}
-	w := e.workers
-	if w > len(faults) {
-		w = len(faults)
-	}
-	span.SetAttr("workers", strconv.Itoa(w))
-	var dropHist *telemetry.Histogram
-	if e.drop() {
-		dropHist = reg.Histogram("fault.sim.drops_per_block")
-	}
-	res := newResult(faults, nPats)
-	if w <= 1 {
-		ps := e.sim(0)
-		caught, blocks, err := blockLoop(ctx, ps, faults, pats, e.drop(), res.Detected, res.DetectedBy, dropHist)
-		masks, evals := ps.TakeCounts()
-		reg.Counter("fault.sim.faultmasks").Add(masks)
-		reg.Counter("fault.sim.events").Add(evals)
-		reg.Counter("fault.sim.blocks").Add(blocks)
-		if err != nil {
-			reg.Counter("fault.engine.cancelled").Inc()
-			return nil, err
-		}
-		if prog != nil {
-			prog.Add(int64(len(faults)))
-		}
-		res.NumCaught = caught
-		reg.Counter("fault.sim.patterns").Add(int64(nPats))
-		reg.Counter("fault.sim.detected").Add(int64(caught))
-		return res, nil
-	}
-
-	reg.Gauge("fault.sim.workers").Set(int64(w))
-	reg.Counter("fault.engine.runs").Inc()
-	chunk := chunkSize(len(faults), w)
+	w := e.noteWorkers(span, min(e.workers, n))
+	prog := e.progress(int64(n))
+	chunks := &cursor{n: n, chunk: chunkSize(n, w)}
 	shardHist := reg.Histogram("fault.engine.shard_faults")
-	var cursor, caught, blocks, shards atomic.Int64
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			ps := e.sim(wi)
-			var myCaught, myBlocks int64
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= len(faults) {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					errs[wi] = err
-					break
-				}
-				hi := lo + chunk
-				if hi > len(faults) {
-					hi = len(faults)
-				}
-				shards.Add(1)
-				shardHist.Observe(int64(hi - lo))
-				n, nb, err := blockLoop(ctx, ps, faults[lo:hi], pats, e.drop(),
-					res.Detected[lo:hi], res.DetectedBy[lo:hi], dropHist)
-				myCaught += int64(n)
-				myBlocks += nb
-				if err != nil {
-					errs[wi] = err
-					break
-				}
-				if prog != nil {
-					prog.Add(int64(hi - lo))
-				}
+	var blocks, shards atomic.Int64
+	err := e.fanOut(w, func(wi int) (err error) {
+		ps := e.sim(wi)
+		var myBlocks int64
+		for err == nil {
+			lo, hi, ok := chunks.claim()
+			if !ok {
+				break
 			}
-			caught.Add(myCaught)
-			blocks.Add(myBlocks)
-			masks, evals := ps.TakeCounts()
-			reg.Counter("fault.sim.faultmasks").Add(masks)
-			reg.Counter("fault.sim.events").Add(evals)
-		}(wi)
-	}
-	wg.Wait()
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			shards.Add(1)
+			shardHist.Observe(int64(hi - lo))
+			var nb int64
+			nb, err = grade(ps, lo, hi)
+			myBlocks += nb
+			if err == nil && prog != nil {
+				prog.Add(int64(hi - lo))
+			}
+		}
+		blocks.Add(myBlocks)
+		e.flushCounts(ps)
+		return err
+	})
 	reg.Counter("fault.engine.shards").Add(shards.Load())
 	reg.Counter("fault.sim.blocks").Add(blocks.Load())
-	for _, err := range errs {
-		if err != nil {
-			reg.Counter("fault.engine.cancelled").Inc()
-			return nil, err
-		}
+	return err
+}
+
+// runParallel is the PPSFP path: the fault list is sharded across
+// workers, and every worker grades its chunks block by block on its
+// own pooled simulator.
+func (e *Engine) runParallel(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
+	var dropHist *telemetry.Histogram
+	if e.drop() {
+		dropHist = e.reg.Histogram("fault.sim.drops_per_block")
+	}
+	res := newResult(faults, pats.NumPatterns())
+	var caught atomic.Int64
+	err := e.shardFaults(ctx, span, len(faults), func(ps *ParallelSim, lo, hi int) (int64, error) {
+		n, blocks, err := blockLoop(ctx, ps, faults[lo:hi], pats, e.drop(),
+			res.Detected[lo:hi], res.DetectedBy[lo:hi], dropHist)
+		caught.Add(int64(n))
+		return blocks, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.NumCaught = int(caught.Load())
-	reg.Counter("fault.sim.patterns").Add(int64(nPats))
-	reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
 	return res, nil
 }
 
 // runSerial is the scalar backend: one good-machine pass per pattern
 // (shared across faults), one faulty-machine pass per live fault per
-// pattern. Detection semantics mirror the PPSFP engine exactly,
-// including its view conventions (unlisted sources held at 0) and its
-// treatment of faults on source elements.
-func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]bool) (*Result, error) {
-	reg := e.reg
-	defer reg.Timer("fault.sim.serial").Time()()
-	res := newResult(faults, len(patterns))
+// pattern, both on the interpreted kernel, with pattern bits read
+// straight from the packed blocks. Detection semantics mirror the
+// PPSFP engine exactly, including its view conventions (unlisted
+// sources held at 0) and its treatment of faults on source elements.
+func (e *Engine) runSerial(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
+	e.noteWorkers(span, 1)
+	nPats := pats.NumPatterns()
+	res := newResult(faults, nPats)
 	n := e.c.NumNets()
 	good := make([]bool, n)
 	bad := make([]bool, n)
@@ -312,16 +363,16 @@ func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]boo
 	}
 	drop := e.drop()
 	passes := int64(0)
-	for pi, p := range patterns {
+	for pi := 0; pi < nPats; pi++ {
 		if err := ctx.Err(); err != nil {
 			cSerialEvals.Add(passes)
-			reg.Counter("fault.engine.cancelled").Inc()
 			return nil, err
 		}
 		if len(live) == 0 && drop {
 			break
 		}
-		e.loadSerial(p, good, scratch)
+		words, _ := pats.Block(pi / 64)
+		e.loadSerial(words, pi%64, good, scratch)
 		passes++
 		next := live[:0]
 		for _, fi := range live {
@@ -349,17 +400,15 @@ func (e *Engine) runSerial(ctx context.Context, faults []Fault, patterns [][]boo
 		live = next
 	}
 	cSerialEvals.Add(passes)
-	reg.Counter("fault.sim.patterns").Add(int64(len(patterns)))
-	reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
 	return res, nil
 }
 
-// loadSerial computes the good machine for one pattern under the
-// engine's view: unlisted source elements at 0, pattern bits on the
-// view inputs, then an interpreted levelized pass. The serial backend
-// never touches the compiled kernel, so it stays an independent
-// reference for every compiled backend.
-func (e *Engine) loadSerial(p []bool, vals, scratch []bool) {
+// loadSerial computes the good machine for pattern bit of a packed
+// block under the engine's view: unlisted source elements at 0, the
+// pattern's bits on the view inputs, then the interpreted levelized
+// pass. The serial backend never touches the compiled kernel, so it
+// stays an independent reference for every compiled backend.
+func (e *Engine) loadSerial(words []uint64, bit int, vals, scratch []bool) {
 	c := e.c
 	for _, pi := range c.PIs {
 		vals[pi] = false
@@ -367,24 +416,16 @@ func (e *Engine) loadSerial(p []bool, vals, scratch []bool) {
 	for _, d := range c.DFFs {
 		vals[d] = false
 	}
-	for i, b := range p {
-		vals[e.inputs[i]] = b
+	for i, in := range e.inputs {
+		vals[in] = words[i]>>uint(bit)&1 == 1
 	}
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = vals[src]
-		}
-		vals[id] = g.Type.EvalBool(in)
-	}
+	evalOrder(c, goodMachine, vals, scratch)
 }
 
 // serialDetects runs the faulty machine for f against the loaded good
 // machine and reports whether any view output differs.
 func (e *Engine) serialDetects(f Fault, good, bad, scratch []bool) bool {
 	c := e.c
-	stuck := f.SA == logic.One
 	for _, pi := range c.PIs {
 		bad[pi] = good[pi]
 	}
@@ -394,23 +435,9 @@ func (e *Engine) serialDetects(f Fault, good, bad, scratch []bool) bool {
 	if !c.Gates[f.Gate].Type.IsCombinational() {
 		// A stem fault pins the source net; a DFF D-pin fault replaces
 		// the whole captured operand, which the element passes through.
-		bad[f.Gate] = stuck
+		bad[f.Gate] = f.SA == logic.One
 	}
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = bad[src]
-		}
-		if f.Pin != Stem && f.Gate == id {
-			in[f.Pin] = stuck
-		}
-		v := g.Type.EvalBool(in)
-		if f.Pin == Stem && f.Gate == id {
-			v = stuck
-		}
-		bad[id] = v
-	}
+	evalOrder(c, f, bad, scratch)
 	for _, o := range e.outputs {
 		if bad[o] != good[o] {
 			return true
@@ -509,22 +536,27 @@ func creditBit(det uint64, order ReplayOrder) int {
 // faults are marked in detected (indexed like the session's fault
 // list) and each credits exactly one block pattern — the first one met
 // in walk order — by incrementing credits[bit]. The live list is
-// sharded across the engine's workers when it is large enough to pay
-// for the per-worker good-machine pass; per-worker credit buffers are
-// summed afterwards, so outcomes are identical for every worker count.
+// sharded across the engine's workers, at most one per
+// minSessionShard live faults since each pays its own good-machine
+// pass; per-worker credit buffers are summed afterwards, so outcomes
+// are identical for every worker count.
 func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected []bool, credits *[64]int) {
 	e := s.e
 	mask := blockMask(k)
-	w := e.workers
-	if max := len(s.live) / minSessionShard; w > max {
-		w = max
-	}
-	var masks, evals int64
-	if w <= 1 {
-		ps := e.sim(0)
+	nLive := len(s.live)
+	w := max(1, min(e.workers, nLive/minSessionShard))
+	// Contiguous live ranges per worker; each worker compacts its
+	// survivors in place (write index trails read index), then the
+	// segments are stitched left. Order is preserved and writes are
+	// disjoint.
+	e.fanOut(w, func(wi int) error {
+		lo, hi := wi*nLive/w, (wi+1)*nLive/w
+		ps := e.sim(wi)
 		ps.LoadPackedBlock(words, k)
-		wr := 0
-		for _, fi := range s.live {
+		wr := lo
+		myCredits := &s.credits[wi]
+		myCaught := 0
+		for _, fi := range s.live[lo:hi] {
 			det := ps.FaultMask(s.faults[fi]) & mask
 			if det == 0 {
 				s.live[wr] = fi
@@ -532,69 +564,32 @@ func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected
 				continue
 			}
 			detected[fi] = true
-			s.caught++
-			credits[creditBit(det, order)]++
+			myCaught++
+			myCredits[creditBit(det, order)]++
 		}
-		s.live = s.live[:wr]
-		masks, evals = ps.TakeCounts()
-	} else {
-		// Contiguous live ranges per worker; each worker compacts its
-		// survivors in place (write index trails read index), then the
-		// segments are stitched left. Order is preserved, writes are
-		// disjoint, and no allocation happens past this line.
-		nLive := len(s.live)
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				lo, hi := wi*nLive/w, (wi+1)*nLive/w
-				ps := e.sim(wi)
-				ps.LoadPackedBlock(words, k)
-				wr := lo
-				myCredits := &s.credits[wi]
-				myCaught := 0
-				for _, fi := range s.live[lo:hi] {
-					det := ps.FaultMask(s.faults[fi]) & mask
-					if det == 0 {
-						s.live[wr] = fi
-						wr++
-						continue
-					}
-					detected[fi] = true
-					myCaught++
-					myCredits[creditBit(det, order)]++
-				}
-				s.counts[wi] = wr - lo
-				s.caughts[wi] = myCaught
-			}(wi)
-		}
-		wg.Wait()
-		kept := s.counts[0]
-		for wi := 1; wi < w; wi++ {
-			lo := wi * nLive / w
-			copy(s.live[kept:], s.live[lo:lo+s.counts[wi]])
-			kept += s.counts[wi]
-		}
-		s.live = s.live[:kept]
-		for wi := 0; wi < w; wi++ {
-			s.caught += s.caughts[wi]
-			for b, n := range s.credits[wi] {
-				if n != 0 {
-					credits[b] += n
-					s.credits[wi][b] = 0
-				}
-			}
-			m, ev := e.sims[wi].TakeCounts()
-			masks += m
-			evals += ev
-		}
+		s.counts[wi] = wr - lo
+		s.caughts[wi] = myCaught
+		return nil
+	})
+	kept := s.counts[0]
+	for wi := 1; wi < w; wi++ {
+		lo := wi * nLive / w
+		copy(s.live[kept:], s.live[lo:lo+s.counts[wi]])
+		kept += s.counts[wi]
 	}
-	reg := e.reg
-	reg.Counter("fault.sim.faultmasks").Add(masks)
-	reg.Counter("fault.sim.events").Add(evals)
-	reg.Counter("fault.sim.blocks").Inc()
-	reg.Counter("fault.sim.patterns").Add(int64(k))
+	s.live = s.live[:kept]
+	for wi := 0; wi < w; wi++ {
+		s.caught += s.caughts[wi]
+		for b, n := range s.credits[wi] {
+			if n != 0 {
+				credits[b] += n
+				s.credits[wi][b] = 0
+			}
+		}
+		e.flushCounts(e.sims[wi])
+	}
+	e.reg.Counter("fault.sim.blocks").Inc()
+	e.reg.Counter("fault.sim.patterns").Add(int64(k))
 }
 
 // ApplyBlock grades one block of up to 64 patterns against the

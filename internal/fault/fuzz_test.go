@@ -8,6 +8,7 @@ import (
 
 	"dft/internal/fault"
 	"dft/internal/fuzzdiff"
+	"dft/internal/logic"
 	"dft/internal/telemetry"
 )
 
@@ -22,7 +23,10 @@ var backendSeeds = []int64{1, 2, 5, 11, 42, -8, 116, 142}
 // (serial, parallel and cpt backends × workers × drop) to report
 // detection outcomes identical to the serial baseline, whose good
 // machine runs on the interpreted kernel, on a seed-generated
-// circuit's collapsed fault list.
+// circuit's collapsed fault list. The same circuit, faults and
+// patterns then go through the dictionary and compaction oracles, so
+// the detail schedulers (RunDetail) and the session scheduler
+// (Session.Replay) are checked at several worker counts too.
 //
 // Run: go test -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 func FuzzBackendEquivalence(f *testing.F) {
@@ -36,12 +40,16 @@ func FuzzBackendEquivalence(f *testing.F) {
 		}
 		faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
 		pats := fuzzdiff.RandomPatterns(len(c.PIs), 32, seed^0x6A09E667)
-		d, err := fuzzdiff.CheckBackends(context.Background(), c, faults, pats, seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if d != nil {
-			t.Fatalf("backend divergence:\n%s", d.Repro())
+		for _, check := range []func(context.Context, *logic.Circuit, []fault.Fault, [][]bool, int64) (*fuzzdiff.Divergence, error){
+			fuzzdiff.CheckBackends, fuzzdiff.CheckDictionary, fuzzdiff.CheckCompaction,
+		} {
+			d, err := check(context.Background(), c, faults, pats, seed)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if d != nil {
+				t.Fatalf("%s divergence:\n%s", d.Kind, d.Repro())
+			}
 		}
 	})
 }
@@ -67,4 +75,25 @@ func TestBackendSeedsShardCPT(t *testing.T) {
 		}
 	}
 	t.Fatal("no seed-corpus circuit shards cpt four ways")
+}
+
+// The seed corpus must reach the sharded session path: on at least one
+// seed circuit, the four-worker reverse replay CheckCompaction runs
+// splits a block's live faults across more than one worker, as the
+// fault.sim.workers gauge the shared fan-out sets records.
+func TestBackendSeedsShardSession(t *testing.T) {
+	for _, seed := range backendSeeds {
+		c := fuzzdiff.Generate(fuzzdiff.ShapeConfig(seed), seed)
+		faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+		pats := fuzzdiff.RandomPatterns(len(c.PIs), 32, seed^0x6A09E667)
+		reg := telemetry.NewRegistry()
+		s := fault.NewEngine(c, fault.Options{Workers: 4, Metrics: reg}).NewSession(faults)
+		if _, err := s.Replay(context.Background(), fault.PackPatternSet(len(c.PIs), pats), fault.ReplayReverse, nil); err != nil {
+			t.Fatal(err)
+		}
+		if reg.Gauge("fault.sim.workers").Value() > 1 {
+			return
+		}
+	}
+	t.Fatal("no seed-corpus circuit shards a session block")
 }

@@ -23,7 +23,6 @@ func EvalFaultyInto(c *logic.Circuit, pi, state []bool, f Fault, vals, scratch [
 }
 
 func evalFaultyInto(c *logic.Circuit, pi, state []bool, f Fault, vals, scratch []bool) {
-	stuck := f.SA == logic.One
 	for i, id := range c.PIs {
 		vals[id] = pi[i]
 	}
@@ -31,8 +30,24 @@ func evalFaultyInto(c *logic.Circuit, pi, state []bool, f Fault, vals, scratch [
 		vals[id] = state[i]
 	}
 	if f.Pin == Stem && !c.Gates[f.Gate].Type.IsCombinational() {
-		vals[f.Gate] = stuck
+		vals[f.Gate] = f.SA == logic.One
 	}
+	evalOrder(c, f, vals, scratch)
+}
+
+// goodMachine is the fault evalOrder injects nowhere: no gate has a
+// negative index.
+var goodMachine = Fault{Gate: -1, Pin: Stem}
+
+// evalOrder is the one interpreted faulty-machine pass: it evaluates
+// c.Order over vals, whose source elements the caller has loaded, with
+// f injected on the way — a branch fault replaces its pin's operand and
+// a stem fault pins its gate's output. Faults on source elements are
+// the caller's to pin, since the conventions differ: a sequential
+// machine keeps a D-pin fault for the clock edge, while the engine's
+// view pins the flip-flop output.
+func evalOrder(c *logic.Circuit, f Fault, vals, scratch []bool) {
+	stuck := f.SA == logic.One
 	for _, id := range c.Order {
 		g := &c.Gates[id]
 		in := scratch[:len(g.Fanin)]

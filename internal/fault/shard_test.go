@@ -207,7 +207,7 @@ func TestFaultyWordAfterFaultMask(t *testing.T) {
 	c := circuits.ALU74181()
 	pats := enginePatterns(len(c.PIs), 64, 21)
 	ps := NewParallelSim(c)
-	ps.LoadBlock(pats)
+	ps.LoadPackedBlock(PackPatternSet(len(c.PIs), pats).Block(0))
 	vals := make([]bool, c.NumNets())
 	scratch := make([]bool, c.MaxFanin())
 	for _, f := range Universe(c) {
@@ -238,7 +238,7 @@ func TestGateReadingNetOnTwoPins(t *testing.T) {
 	c := b.MustFinalize()
 	pats := [][]bool{{false, false}, {false, true}, {true, false}, {true, true}}
 	ps := NewParallelSim(c)
-	ps.LoadBlock(pats)
+	ps.LoadPackedBlock(PackPatternSet(len(c.PIs), pats).Block(0))
 	aWord := ps.GoodWord(a)
 	for _, tc := range []struct {
 		f    Fault

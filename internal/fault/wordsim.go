@@ -231,7 +231,6 @@ type ParallelSim struct {
 	byLevel [][]int32 // worklist buckets indexed by level
 	pending int       // queued gates not yet evaluated
 	det     uint64    // detections of the propagation in progress
-	packBuf []uint64  // LoadBlock's packing buffer, one word per input
 	liveBuf []int     // blockLoop's live list, reused across calls
 
 	// Work counters, accumulated as plain ints (the simulator is owned
@@ -279,19 +278,7 @@ func newParallelSim(c *logic.Circuit, t *topology, inputs []int) *ParallelSim {
 		cur:     make([]uint64, n),
 		queued:  make([]bool, n),
 		byLevel: make([][]int32, c.Depth()+1),
-		packBuf: make([]uint64, len(inputs)),
 	}
-}
-
-// LoadBlock packs up to 64 patterns (each one bit per view input) and
-// computes the good-machine response. It returns the number of
-// patterns loaded.
-func (ps *ParallelSim) LoadBlock(patterns [][]bool) int {
-	if len(patterns) > 64 {
-		patterns = patterns[:64]
-	}
-	k := sim.PackPatternsInto(patterns, ps.packBuf)
-	return ps.LoadPackedBlock(ps.packBuf, k)
 }
 
 // LoadPackedBlock loads an already-packed block (one word per view
