@@ -1,12 +1,18 @@
 # Standard entry points for the DFT toolkit. `make check` is the
-# pre-commit gate: build, vet, the full test suite under the race
-# detector, and the fuzz and performance smokes.
+# pre-commit gate: gofmt, build, vet, the full test suite under the
+# race detector, and the fuzz and performance smokes.
 
 GO ?= go
 
-.PHONY: all build vet test race check fuzz fuzz-smoke perf-smoke bench loc clean
+.PHONY: all fmt build vet test race check fuzz fuzz-smoke perf-smoke bench loc clean
 
 all: check
+
+# fmt fails when gofmt would rewrite any Go file, skipping hidden
+# directories (such as build outputs) the way loc does.
+fmt:
+	@out=$$(find . -name '*.go' ! -path './.*' -exec gofmt -l {} +); \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -20,7 +26,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet race fuzz-smoke perf-smoke
+check: fmt build vet race fuzz-smoke perf-smoke
 
 # fuzz runs the coverage-guided differential fuzz targets: the compiled
 # kernel against the interpreter at every execution width, every

@@ -584,13 +584,12 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // BenchmarkKernelInterpVsCompiled is the kernel acceptance benchmark:
-// interpreted EvalWordsInterpInto vs the compiled program's word and
-// blocked execution, on three circuit sizes. The reported metric is
+// interpreted EvalWordsInterpInto vs the compiled program's word
+// execution, on three circuit sizes. The reported metric is
 // gate-evaluations per second (len(c.Order) nets × 64 patterns per
 // word pass), so rows are comparable across circuits; the compiled
 // word row must come out ≥ 2× the interp row on the largest circuit.
 func BenchmarkKernelInterpVsCompiled(b *testing.B) {
-	const blockW = 8
 	for _, tc := range []struct {
 		name string
 		c    *logic.Circuit
@@ -621,18 +620,6 @@ func BenchmarkKernelInterpVsCompiled(b *testing.B) {
 				p.EvalWordsInto(pi, state, vals)
 			}
 			b.ReportMetric(evalsPerPass*float64(b.N)/b.Elapsed().Seconds(), "gateevals/s")
-		})
-		piW := make([]uint64, len(c.PIs)*blockW)
-		for i := range piW {
-			piW[i] = rng.Uint64()
-		}
-		stateW := make([]uint64, len(c.DFFs)*blockW)
-		valsW := make([]uint64, c.NumNets()*blockW)
-		b.Run(fmt.Sprintf("%s/block%d", tc.name, blockW), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p.EvalBlockInto(piW, stateW, valsW, blockW)
-			}
-			b.ReportMetric(evalsPerPass*blockW*float64(b.N)/b.Elapsed().Seconds(), "gateevals/s")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -69,7 +68,7 @@ func cmdProfile(args []string) error {
 
 	var graded core.TestSet
 	step("faultsim", func() string {
-		graded = d.RandomTestsRand(*random, rand.New(rand.NewSource(*seed)))
+		graded = d.RandomTests(*random, *seed)
 		return fmt.Sprintf("%d random patterns, coverage %.2f%%", *random, graded.Coverage*100)
 	})
 

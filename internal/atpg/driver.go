@@ -39,11 +39,6 @@ type Config struct {
 	// RandomFirst applies this many random patterns (with fault
 	// dropping) before any deterministic generation; 0 disables.
 	RandomFirst int
-	// Rand, when non-nil, is the injected random source for the
-	// random-first phase and X-fill. When nil, Generate derives a
-	// private source from RandomSeed, so either way a run never touches
-	// shared global random state and a fixed seed reproduces exactly.
-	Rand *rand.Rand
 	// Workers is the fault-simulation sharding degree, with the same
 	// meaning as fault.Options.Workers: 0 selects GOMAXPROCS. Detection
 	// outcomes are identical for every worker count.
@@ -84,10 +79,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 	// so done reaches total exactly when the run completes.
 	prog := reg.Progress("atpg.faults.progress")
 	prog.AddTotal(int64(len(targets)))
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.RandomSeed + 1))
-	}
+	rng := rand.New(rand.NewSource(cfg.RandomSeed + 1))
 	res := &GenerateResult{Detected: make([]bool, len(targets))}
 	h := newHarness(c, view, targets, cfg.Workers, reg)
 

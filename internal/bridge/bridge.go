@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"dft/internal/logic"
+	"dft/internal/sim"
 )
 
 // Kind is the resolution function of a short.
@@ -167,19 +168,7 @@ func EvalBridged(c *logic.Circuit, pi []bool, f Fault) []bool {
 // Detects reports whether the pattern distinguishes the bridged
 // circuit from the good one at the primary outputs.
 func Detects(c *logic.Circuit, pi []bool, f Fault) bool {
-	good := make([]bool, c.NumNets())
-	for i, id := range c.PIs {
-		good[id] = pi[i]
-	}
-	scratch := make([]bool, c.MaxFanin())
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = good[src]
-		}
-		good[id] = g.Type.EvalBool(in)
-	}
+	good := sim.Eval(c, pi, make([]bool, len(c.DFFs)))
 	bad := EvalBridged(c, pi, f)
 	for _, po := range c.POs {
 		if good[po] != bad[po] {

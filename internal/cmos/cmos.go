@@ -24,6 +24,7 @@ import (
 	"dft/internal/atpg"
 	"dft/internal/fault"
 	"dft/internal/logic"
+	"dft/internal/sim"
 )
 
 // Network identifies which transistor network the open is in.
@@ -189,20 +190,10 @@ func (m *Machine) Apply(pi []bool) []bool {
 func DetectsSequence(c *logic.Circuit, f Fault, patterns [][]bool) bool {
 	m := NewMachine(c, f)
 	goodVals := make([]bool, c.NumNets())
-	scratch := make([]bool, c.MaxFanin())
+	state := make([]bool, len(c.DFFs))
 	for _, p := range patterns {
 		bad := m.Apply(p)
-		for i, id := range c.PIs {
-			goodVals[id] = p[i]
-		}
-		for _, id := range c.Order {
-			g := &c.Gates[id]
-			in := scratch[:len(g.Fanin)]
-			for i, src := range g.Fanin {
-				in[i] = goodVals[src]
-			}
-			goodVals[id] = g.Type.EvalBool(in)
-		}
+		sim.EvalInto(c, p, state, goodVals)
 		for i, po := range c.POs {
 			if bad[i] != goodVals[po] {
 				return true
@@ -327,19 +318,7 @@ func findInit(c *logic.Circuit, view atpg.View, f Fault, rng *rand.Rand) ([]bool
 }
 
 func gateInputs(c *logic.Circuit, id int, pi []bool) []bool {
-	vals := make([]bool, c.NumNets())
-	for i, n := range c.PIs {
-		vals[n] = pi[i]
-	}
-	scratch := make([]bool, c.MaxFanin())
-	for _, g := range c.Order {
-		gg := &c.Gates[g]
-		in := scratch[:len(gg.Fanin)]
-		for i, src := range gg.Fanin {
-			in[i] = vals[src]
-		}
-		vals[g] = gg.Type.EvalBool(in)
-	}
+	vals := sim.Eval(c, pi, make([]bool, len(c.DFFs)))
 	g := &c.Gates[id]
 	in := make([]bool, len(g.Fanin))
 	for i, src := range g.Fanin {

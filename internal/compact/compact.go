@@ -22,22 +22,15 @@ type Options struct {
 	// and replay, with fault.Options.Workers semantics (0 = GOMAXPROCS).
 	// Results are identical for every worker count.
 	Workers int
-	// Rand, when non-nil, is the injected random source for post-merge
-	// X-fill; when nil a private source is derived from Seed, so a
-	// fixed seed reproduces the compacted set exactly either way.
-	Rand *rand.Rand
+	// Seed derives the private X-fill source, so a fixed seed
+	// reproduces the compacted set exactly.
 	Seed int64
 	// Metrics receives the run's telemetry; nil selects
 	// telemetry.Default().
 	Metrics *telemetry.Registry
 }
 
-func (o Options) rng() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand
-	}
-	return rand.New(rand.NewSource(o.Seed + 2))
-}
+func (o Options) rng() *rand.Rand { return rand.New(rand.NewSource(o.Seed + 2)) }
 
 // Stats reports what a compaction run did, for the dft.run-report/v1
 // document and the dftc one-line summary.
@@ -73,7 +66,7 @@ func (s *Stats) finish() {
 // fault set as the input.
 func Patterns(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
 	patterns [][]bool, opt Options) ([][]bool, *Stats, error) {
-	pats, _, st, err := run(ctx, c, view, faults, patterns, nil, opt)
+	pats, _, st, err := run(ctx, c, view, faults, patterns, nil, nil, opt)
 	return pats, st, err
 }
 
@@ -84,12 +77,11 @@ func Patterns(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fa
 func Tests(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
 	tests []atpg.Test, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
 	rng := opt.rng()
-	opt.Rand = rng
 	patterns := make([][]bool, len(tests))
 	for i, t := range tests {
 		patterns[i] = fillCube(t, rng)
 	}
-	return run(ctx, c, view, faults, patterns, tests, opt)
+	return run(ctx, c, view, faults, patterns, tests, rng, opt)
 }
 
 // Result compacts an ATPG run in place: res.Patterns and res.Tests are
@@ -101,7 +93,7 @@ func Result(ctx context.Context, c *logic.Circuit, view atpg.View, faults []faul
 	if len(cubes) != len(res.Patterns) {
 		cubes = nil // misaligned caller-built result: replay only
 	}
-	pats, kept, st, err := run(ctx, c, view, faults, res.Patterns, cubes, opt)
+	pats, kept, st, err := run(ctx, c, view, faults, res.Patterns, cubes, opt.rng(), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +112,10 @@ const maxReplayPasses = 4
 // run is the shared pipeline: static merge (cubes present and
 // ModeFull), then alternating-direction replay until no shrink.
 // cubes, when non-nil, must be index-aligned with patterns; the
-// returned cube slice stays aligned with the returned patterns.
+// returned cube slice stays aligned with the returned patterns. rng
+// X-fills merged cubes, so it may be nil when cubes is.
 func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
-	patterns [][]bool, cubes []atpg.Test, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
+	patterns [][]bool, cubes []atpg.Test, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
 	st := &Stats{PatternsIn: len(patterns), PatternsOut: len(patterns)}
 	if !opt.Mode.Enabled() || len(patterns) == 0 || len(faults) == 0 {
 		st.finish()
@@ -148,7 +141,7 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 			return nil, nil, nil, err
 		}
 		st.DetectedIn = d0.NumCaught
-		patterns, cubes, err = mergeCubes(ctx, c, faults, patterns, cubes, d0, st, fopt, opt)
+		patterns, cubes, err = mergeCubes(ctx, c, faults, patterns, cubes, d0, st, fopt, rng, opt)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -248,12 +241,12 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 
 // mergeCubes is the static pass: greedy first-fit merging of
 // compatible cubes in essential-first (descending care-count) order,
-// X-fill of the merged cubes through the injected source, then a
+// X-fill of the merged cubes through rng, then a
 // repair step that re-appends an original detector for every fault the
 // refilled set lost — so the set entering replay detects at least what
 // the input did.
 func mergeCubes(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns [][]bool, cubes []atpg.Test,
-	d0 *fault.Result, st *Stats, fopt fault.Options, opt Options) ([][]bool, []atpg.Test, error) {
+	d0 *fault.Result, st *Stats, fopt fault.Options, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, error) {
 	reg := telemetry.OrDefault(opt.Metrics)
 	packed := make([]sim.PackedCube, len(cubes))
 	for i, t := range cubes {
@@ -292,7 +285,6 @@ func mergeCubes(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pat
 	reg.Counter("compact.merge.hits").Add(int64(hits))
 
 	width := len(cubes[0].Values)
-	rng := opt.rng()
 	mergedCubes := make([]atpg.Test, len(groups))
 	mergedPats := make([][]bool, len(groups))
 	for g := range groups {

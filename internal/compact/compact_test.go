@@ -133,9 +133,7 @@ func TestTestsStatic(t *testing.T) {
 	}
 }
 
-// Same seed, same input -> byte-identical compacted set, whether the
-// source is injected or derived from Seed; a different seed may fill
-// differently.
+// Same seed, same input -> byte-identical compacted set.
 func TestStaticSeedDeterminism(t *testing.T) {
 	c := circuits.ALU74181()
 	view := atpg.PrimaryView(c)
@@ -150,12 +148,8 @@ func TestStaticSeedDeterminism(t *testing.T) {
 	}
 	a := run(Options{Mode: ModeFull, Seed: 9, Metrics: telemetry.NewRegistry()})
 	b := run(Options{Mode: ModeFull, Seed: 9, Metrics: telemetry.NewRegistry()})
-	inj := run(Options{Mode: ModeFull, Rand: rand.New(rand.NewSource(9 + 2)), Metrics: telemetry.NewRegistry()})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different compacted sets")
-	}
-	if !reflect.DeepEqual(a, inj) {
-		t.Fatal("injected source diverged from Seed-derived source")
 	}
 }
 

@@ -149,9 +149,6 @@ type GenerateOptions struct {
 	// CompactMode selects the compaction pipeline (off / reverse /
 	// full) run on the generated set.
 	CompactMode compact.Mode
-	// Rand, when non-nil, is the injected random source; it takes
-	// precedence over Seed.
-	Rand *rand.Rand
 	// Workers is the fault-simulation sharding degree, with the same
 	// meaning as fault.Options.Workers: 0 selects GOMAXPROCS. Detection
 	// outcomes are identical for every worker count.
@@ -180,7 +177,6 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		MaxBacktracks: opt.MaxBacktracks,
 		RandomSeed:    opt.Seed,
 		RandomFirst:   opt.RandomFirst,
-		Rand:          opt.Rand,
 		Workers:       opt.Workers,
 		Metrics:       opt.Metrics,
 	})
@@ -198,7 +194,6 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 		st, err := compact.Result(ctx, d.Circuit, d.View(), targets, res, compact.Options{
 			Mode:    opt.CompactMode,
 			Workers: opt.Workers,
-			Rand:    opt.Rand,
 			Seed:    opt.Seed,
 			Metrics: opt.Metrics,
 		})
@@ -213,19 +208,13 @@ func (d *Design) GenerateContext(ctx context.Context, opt GenerateOptions) (Test
 
 // RandomTests generates random patterns with fault dropping and
 // returns the resulting set and coverage. The source is private to the
-// call, so a fixed seed reproduces exactly; see RandomTestsRand to
-// inject one.
+// call, so a fixed seed reproduces exactly.
 func (d *Design) RandomTests(budget int, seed int64) TestSet {
-	return d.RandomTestsRand(budget, rand.New(rand.NewSource(seed)))
-}
-
-// RandomTestsRand is RandomTests with an injected random source.
-func (d *Design) RandomTestsRand(budget int, rng *rand.Rand) TestSet {
 	span := telemetry.Default().StartSpan("core.randomtests")
 	span.SetDetail(d.Circuit.Name)
 	defer span.End()
 	targets := d.Faults()
-	res := atpg.RandomGenerate(d.Circuit, d.View(), targets, 1.0, budget, rng)
+	res := atpg.RandomGenerate(d.Circuit, d.View(), targets, 1.0, budget, rand.New(rand.NewSource(seed)))
 	return TestSet{
 		Patterns: res.Patterns,
 		Coverage: res.Coverage,

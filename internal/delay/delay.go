@@ -15,6 +15,7 @@ import (
 	"dft/internal/atpg"
 	"dft/internal/fault"
 	"dft/internal/logic"
+	"dft/internal/sim"
 )
 
 // Fault is a transition fault on a net.
@@ -73,20 +74,7 @@ func DetectsPair(c *logic.Circuit, f Fault, launch, capture []bool) bool {
 }
 
 func evalValue(c *logic.Circuit, pi []bool, net int) bool {
-	vals := make([]bool, c.NumNets())
-	for i, id := range c.PIs {
-		vals[id] = pi[i]
-	}
-	scratch := make([]bool, c.MaxFanin())
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		in := scratch[:len(g.Fanin)]
-		for i, src := range g.Fanin {
-			in[i] = vals[src]
-		}
-		vals[id] = g.Type.EvalBool(in)
-	}
-	return vals[net]
+	return sim.Eval(c, pi, make([]bool, len(c.DFFs)))[net]
 }
 
 // TwoPattern is a (launch, capture) pair.

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dft/internal/circuits"
@@ -277,6 +278,41 @@ func TestSequentialCoverageCounter(t *testing.T) {
 	}
 	if res.NumCaught == len(u) {
 		t.Log("all faults caught (enable-off behavior untested, expected some misses)")
+	}
+}
+
+// TestMachineMatchesSimulateSequence holds the cycle-level faulty
+// machine to the serial sequential simulator: from reset, over the
+// same input sequence, every fault first shows at the same cycle. A
+// D-input fault corrupts only captured values, so it must not touch
+// the reset state.
+func TestMachineMatchesSimulateSequence(t *testing.T) {
+	for _, c := range []*logic.Circuit{circuits.ShiftRegister(4), circuits.Counter(4), circuits.FSM()} {
+		rng := rand.New(rand.NewSource(7))
+		seq := make([][]bool, 8)
+		for i := range seq {
+			seq[i] = make([]bool, len(c.PIs))
+			for j := range seq[i] {
+				seq[i][j] = rng.Intn(2) == 1
+			}
+		}
+		good := sim.NewMachine(c).Run(seq)
+		u := Universe(c)
+		ref := SimulateSequence(c, u, seq)
+		for i, f := range u {
+			m := NewMachine(c, f)
+			first := -1
+			for cyc, pi := range seq {
+				if !slices.Equal(m.Step(pi), good[cyc]) {
+					first = cyc
+					break
+				}
+			}
+			if first != ref.DetectCyc[i] {
+				t.Errorf("%s %s: Machine first fails at cycle %d, SimulateSequence at %d",
+					c.Name, f.Name(c), first, ref.DetectCyc[i])
+			}
+		}
 	}
 }
 

@@ -21,7 +21,8 @@ type Machine struct {
 }
 
 // NewMachine creates a faulty machine with all flip-flops reset to 0
-// (the stuck value wins immediately for faults on DFF outputs).
+// (the stuck value wins immediately for faults on DFF outputs; a fault
+// on a D input first shows in the value captured at the next clock).
 func NewMachine(c *logic.Circuit, f Fault) *Machine {
 	m := &Machine{
 		c:       c,
@@ -32,13 +33,15 @@ func NewMachine(c *logic.Circuit, f Fault) *Machine {
 		lastPI:  make([]bool, len(c.PIs)),
 		dirty:   true,
 	}
-	m.forceState()
+	m.forceState(false)
 	return m
 }
 
-// forceState pins the state bit corresponding to a DFF fault.
-func (m *Machine) forceState() {
-	if m.c.Gates[m.f.Gate].Type != logic.DFF {
+// forceState pins the state bit of a fault on a flip-flop. An output
+// (stem) fault holds the bit at all times; a D-input fault corrupts
+// only captured values, so it is pinned only when captured is set.
+func (m *Machine) forceState(captured bool) {
+	if m.c.Gates[m.f.Gate].Type != logic.DFF || (m.f.Pin != Stem && !captured) {
 		return
 	}
 	for k, id := range m.c.DFFs {
@@ -73,7 +76,7 @@ func (m *Machine) Clock() {
 	for k, id := range m.c.DFFs {
 		m.state[k] = m.vals[m.c.Gates[id].Fanin[0]]
 	}
-	m.forceState()
+	m.forceState(true)
 	evalFaultyInto(m.c, m.lastPI, m.state, m.f, m.vals, m.scratch)
 	m.dirty = false
 }
@@ -97,12 +100,13 @@ func (m *Machine) Peek(net int) bool {
 // State returns a copy of the flip-flop contents.
 func (m *Machine) State() []bool { return append([]bool(nil), m.state...) }
 
-// SetState forces the flip-flop contents (fault overrides applied).
+// SetState forces the flip-flop contents (output-fault overrides
+// applied; a D-input fault acts at the next Clock).
 func (m *Machine) SetState(s []bool) {
 	if len(s) != len(m.state) {
 		panic(fmt.Sprintf("fault: SetState with %d values for %d flip-flops", len(s), len(m.state)))
 	}
 	copy(m.state, s)
-	m.forceState()
+	m.forceState(false)
 	m.dirty = true
 }

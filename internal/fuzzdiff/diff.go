@@ -170,9 +170,7 @@ func CheckKernels(c *logic.Circuit, seed int64, vectors int) *Divergence {
 //   - interpreted scalar vs compiled scalar (ExecBool), per vector;
 //   - interpreted 64-way word vs compiled word (Exec);
 //   - interpreted scalar vs interpreted word, bit-extracted (the
-//     exec-width axis independent of the compiler);
-//   - compiled blocked (ExecBlock, W in 2..4) vs the interpreted word
-//     reference, lane by lane.
+//     exec-width axis independent of the compiler).
 func CheckProgram(c *logic.Circuit, p *sim.Program, seed int64, vectors int) *Divergence {
 	if vectors <= 0 {
 		vectors = 8
@@ -228,32 +226,6 @@ func CheckProgram(c *logic.Circuit, p *sim.Program, seed int64, vectors int) *Di
 		}
 	}
 
-	// Blocked: every lane of ExecBlock must match the interpreted word
-	// kernel on that lane's inputs.
-	W := 2 + int(splitmix64(uint64(seed))%3)
-	piB := randWords(rng, nPI*W)
-	stB := randWords(rng, nFF*W)
-	vals := p.EvalBlock(piB, stB, W)
-	lanePI := make([]uint64, nPI)
-	laneST := make([]uint64, nFF)
-	for w := 0; w < W; w++ {
-		for i := 0; i < nPI; i++ {
-			lanePI[i] = piB[i*W+w]
-		}
-		for i := 0; i < nFF; i++ {
-			laneST[i] = stB[i*W+w]
-		}
-		sim.EvalWordsInterpInto(c, lanePI, laneST, refW, nil)
-		for id := 0; id < n; id++ {
-			if vals[id*W+w] != refW[id] {
-				bit := firstDiffBit(refW[id], vals[id*W+w])
-				pi, st := extractBit(lanePI, laneST, bit)
-				return kernelDivergence(c, id, pi, st,
-					fmt.Sprintf("net %s: compiled(block W=%d lane %d)=%d interp(word)=%d at bit %d",
-						c.NameOf(id), W, w, vals[id*W+w]>>uint(bit)&1, refW[id]>>uint(bit)&1, bit))
-			}
-		}
-	}
 	return nil
 }
 

@@ -1,6 +1,6 @@
 // Package fuzzdiff is the toolkit's differential-fuzzing and
 // cross-oracle validation layer. The compiled kernel, the interpreted
-// kernel, every execution width (scalar, 64-way word, blocked) and
+// kernel, both execution widths (scalar, 64-way word) and
 // every fault-simulation backend (serial, parallel and critical-path
 // tracing, at any worker count) are
 // required to produce byte-identical results — the

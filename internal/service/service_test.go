@@ -447,18 +447,18 @@ func TestServiceValidation(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 
 	for name, req := range map[string]JobRequest{
-		"missing kind":    {Builtin: "c17"},
-		"unknown kind":    {Kind: "synthesis", Builtin: "c17"},
-		"no circuit":      {Kind: KindFaultSim},
-		"both sources":    {Kind: KindFaultSim, Builtin: "c17", Bench: "INPUT(a)"},
-		"bad builtin":     {Kind: KindFaultSim, Builtin: "nonesuch"},
-		"bad size":        {Kind: KindFaultSim, Builtin: "maj", N: 4},
-		"huge size":       {Kind: KindFaultSim, Builtin: "adder", N: 1 << 20},
-		"bad backend":     {Kind: KindFaultSim, Builtin: "c17", Options: Options{Backend: "warp"}},
-		"bad engine":      {Kind: KindATPG, Builtin: "c17", Options: Options{Engine: "brute"}},
-		"bad compaction":  {Kind: KindATPG, Builtin: "c17", Options: Options{CompactMode: "bogus"}},
-		"negative budget": {Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: -4}},
-		"fuzz + circuit":  {Kind: KindFuzz, Builtin: "c17"},
+		"missing kind":         {Builtin: "c17"},
+		"unknown kind":         {Kind: "synthesis", Builtin: "c17"},
+		"no circuit":           {Kind: KindFaultSim},
+		"both sources":         {Kind: KindFaultSim, Builtin: "c17", Bench: "INPUT(a)"},
+		"bad builtin":          {Kind: KindFaultSim, Builtin: "nonesuch"},
+		"bad size":             {Kind: KindFaultSim, Builtin: "maj", N: 4},
+		"huge size":            {Kind: KindFaultSim, Builtin: "adder", N: 1 << 20},
+		"bad backend":          {Kind: KindFaultSim, Builtin: "c17", Options: Options{Backend: "warp"}},
+		"bad engine":           {Kind: KindATPG, Builtin: "c17", Options: Options{Engine: "brute"}},
+		"bad compaction":       {Kind: KindATPG, Builtin: "c17", Options: Options{CompactMode: "bogus"}},
+		"negative budget":      {Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: -4}},
+		"fuzz + circuit":       {Kind: KindFuzz, Builtin: "c17"},
 		"diagnose no evidence": {Kind: KindDiagnose, Builtin: "c17"},
 		"diagnose both evidence": {Kind: KindDiagnose, Builtin: "c17",
 			Options: Options{Inject: "g6 s-a-0", Signature: "0101"}},

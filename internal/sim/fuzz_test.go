@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzKernelEquivalence requires the compiled kernel at every
-// execution width (scalar, 64-way word, blocked) to agree with the
+// execution width (scalar, 64-way word) to agree with the
 // interpreted reference on a seed-generated circuit.
 //
 // Run: go test -fuzz=FuzzKernelEquivalence -fuzztime=10s ./internal/sim

@@ -5,10 +5,8 @@
 // with 2-input fast-path opcodes for the common gates, a single
 // contiguous fanin-index array for the n-ary fallback (no per-gate
 // slice gather), and constant folding of Const0/Const1 feeds and tied
-// inputs. The program is then executed scalar (ExecBool), 64-way
-// bit-parallel (Exec), or blocked W words at a time (ExecBlock) so
-// instruction decode and fanin-index loads amortize across up to W×64
-// patterns per pass.
+// inputs. The program is then executed scalar (ExecBool) or 64-way
+// bit-parallel (Exec).
 //
 // Every folding rule used here (idempotence of AND/OR, constant
 // absorption, XOR pair cancellation and parity flips) is an exact
@@ -32,8 +30,7 @@ var (
 	cCompileHashed   = telemetry.Default().Counter("sim.compile.hashed_gates")
 	cKernelBoolEvals = telemetry.Default().Counter("sim.kernel.bool_evals")
 	cKernelWordEvals = telemetry.Default().Counter("sim.kernel.word_evals")
-	cKernelBlockEvals = telemetry.Default().Counter("sim.kernel.block_evals")
-	tKernelExec       = telemetry.Default().Timer("sim.kernel.exec")
+	tKernelExec      = telemetry.Default().Timer("sim.kernel.exec")
 )
 
 // opcode is a compiled gate operation. The two-input fast paths cover
@@ -491,118 +488,6 @@ func (p *Program) Exec(vals []uint64) {
 	cKernelWordEvals.Add(int64(len(p.code)))
 }
 
-// ExecBlock runs the blocked kernel: vals holds W consecutive words
-// per net (net n's lane w at vals[n*W+w]), so each instruction visit
-// evaluates up to W×64 patterns while its decode and fanin-index loads
-// are paid once. Source lanes must be preloaded; every evaluated net's
-// W lanes are written.
-func (p *Program) ExecBlock(vals []uint64, W int) {
-	if W <= 0 {
-		panic("sim: ExecBlock needs W >= 1")
-	}
-	if W == 1 {
-		p.Exec(vals)
-		return
-	}
-	fan := p.fanins
-	for _, ins := range p.code {
-		out := vals[int(ins.out)*W : int(ins.out)*W+W]
-		switch ins.op {
-		case opConst0:
-			for w := range out {
-				out[w] = 0
-			}
-		case opConst1:
-			for w := range out {
-				out[w] = ^uint64(0)
-			}
-		case opBuf:
-			copy(out, vals[int(ins.a)*W:int(ins.a)*W+W])
-		case opNot:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			for w := range out {
-				out[w] = ^a[w]
-			}
-		case opAnd2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = a[w] & b[w]
-			}
-		case opNand2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = ^(a[w] & b[w])
-			}
-		case opOr2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = a[w] | b[w]
-			}
-		case opNor2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = ^(a[w] | b[w])
-			}
-		case opXor2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = a[w] ^ b[w]
-			}
-		case opXnor2:
-			a := vals[int(ins.a)*W : int(ins.a)*W+W]
-			b := vals[int(ins.b)*W : int(ins.b)*W+W]
-			for w := range out {
-				out[w] = ^(a[w] ^ b[w])
-			}
-		case opAndN, opNandN:
-			copy(out, vals[int(fan[ins.a])*W:int(fan[ins.a])*W+W])
-			for _, f := range fan[ins.a+1 : ins.a+ins.b] {
-				src := vals[int(f)*W : int(f)*W+W]
-				for w := range out {
-					out[w] &= src[w]
-				}
-			}
-			if ins.op == opNandN {
-				for w := range out {
-					out[w] = ^out[w]
-				}
-			}
-		case opOrN, opNorN:
-			copy(out, vals[int(fan[ins.a])*W:int(fan[ins.a])*W+W])
-			for _, f := range fan[ins.a+1 : ins.a+ins.b] {
-				src := vals[int(f)*W : int(f)*W+W]
-				for w := range out {
-					out[w] |= src[w]
-				}
-			}
-			if ins.op == opNorN {
-				for w := range out {
-					out[w] = ^out[w]
-				}
-			}
-		default: // opXorN, opXnorN
-			copy(out, vals[int(fan[ins.a])*W:int(fan[ins.a])*W+W])
-			for _, f := range fan[ins.a+1 : ins.a+ins.b] {
-				src := vals[int(f)*W : int(f)*W+W]
-				for w := range out {
-					out[w] ^= src[w]
-				}
-			}
-			if ins.op == opXnorN {
-				for w := range out {
-					out[w] = ^out[w]
-				}
-			}
-		}
-	}
-	cKernelBlockEvals.Add(int64(len(p.code) * W))
-}
-
 // checkWidths validates Eval-style inputs against the program's
 // circuit, mirroring the interpreter's panics.
 func (p *Program) checkWidths(nPI, nState int) {
@@ -614,15 +499,8 @@ func (p *Program) checkWidths(nPI, nState int) {
 	}
 }
 
-// Eval runs a scalar simulation through the compiled kernel,
-// semantically identical to sim.Eval.
-func (p *Program) Eval(pi, state []bool) []bool {
-	vals := make([]bool, p.c.NumNets())
-	p.EvalInto(pi, state, vals)
-	return vals
-}
-
-// EvalInto is Eval into caller-provided storage.
+// EvalInto loads pi and state into vals (one bool per net) and runs the
+// scalar kernel; sim.EvalInto is this on the circuit's cached program.
 func (p *Program) EvalInto(pi, state, vals []bool) {
 	p.checkWidths(len(pi), len(state))
 	for i, id := range p.c.PIs {
@@ -634,15 +512,9 @@ func (p *Program) EvalInto(pi, state, vals []bool) {
 	p.ExecBool(vals)
 }
 
-// EvalWords runs 64-way bit-parallel simulation through the compiled
-// kernel, semantically identical to sim.EvalWords.
-func (p *Program) EvalWords(pi, state []uint64) Words {
-	vals := make(Words, p.c.NumNets())
-	p.EvalWordsInto(pi, state, vals)
-	return vals
-}
-
-// EvalWordsInto is EvalWords into caller-provided storage.
+// EvalWordsInto loads pi and state into vals (one word per net) and
+// runs the 64-way kernel; sim.EvalWordsInto is this on the circuit's
+// cached program.
 func (p *Program) EvalWordsInto(pi, state []uint64, vals Words) {
 	p.checkWidths(len(pi), len(state))
 	defer tKernelExec.Time()()
@@ -653,30 +525,4 @@ func (p *Program) EvalWordsInto(pi, state []uint64, vals Words) {
 		vals[id] = state[i]
 	}
 	p.Exec(vals)
-}
-
-// EvalBlock runs the blocked kernel over W words per net. pi and state
-// are lane-major ([input][W]uint64 flattened: input i's lane w at
-// pi[i*W+w]); the result has net n's lane w at vals[n*W+w].
-func (p *Program) EvalBlock(pi, state []uint64, W int) []uint64 {
-	vals := make([]uint64, p.c.NumNets()*W)
-	p.EvalBlockInto(pi, state, vals, W)
-	return vals
-}
-
-// EvalBlockInto is EvalBlock into caller-provided storage (length
-// NumNets×W).
-func (p *Program) EvalBlockInto(pi, state, vals []uint64, W int) {
-	if W <= 0 {
-		panic("sim: EvalBlock needs W >= 1")
-	}
-	p.checkWidths(len(pi)/W, len(state)/W)
-	defer tKernelExec.Time()()
-	for i, id := range p.c.PIs {
-		copy(vals[id*W:id*W+W], pi[i*W:i*W+W])
-	}
-	for i, id := range p.c.DFFs {
-		copy(vals[id*W:id*W+W], state[i*W:i*W+W])
-	}
-	p.ExecBlock(vals, W)
 }

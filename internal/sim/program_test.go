@@ -54,8 +54,8 @@ func randomCircuit(rng *rand.Rand, nIn, nGates, nDFF int) *logic.Circuit {
 	return c
 }
 
-// evalAllKernels runs one (pi, state) vector through the four scalar/
-// word paths plus the blocked kernel and checks every net agrees.
+// checkKernelsAgree runs one (pi, state) vector through the four
+// scalar/word paths and checks every net agrees.
 func checkKernelsAgree(t *testing.T, c *logic.Circuit, p *Program, pi, state []bool) {
 	t.Helper()
 	n := c.NumNets()
@@ -99,38 +99,11 @@ func checkKernelsAgree(t *testing.T, c *logic.Circuit, p *Program, pi, state []b
 			t.Fatalf("%s: compiled word net %d = %#x, want %#x", c.Name, i, wgot[i], want)
 		}
 	}
-
-	// Blocked kernel, W=3: lane-major inputs replicated per lane.
-	const W = 3
-	bpi := make([]uint64, len(pi)*W)
-	for i := range wpi {
-		for w := 0; w < W; w++ {
-			bpi[i*W+w] = wpi[i]
-		}
-	}
-	bstate := make([]uint64, len(state)*W)
-	for i := range wstate {
-		for w := 0; w < W; w++ {
-			bstate[i*W+w] = wstate[i]
-		}
-	}
-	bgot := p.EvalBlock(bpi, bstate, W)
-	for i := 0; i < n; i++ {
-		want := uint64(0)
-		if ref[i] {
-			want = ^uint64(0)
-		}
-		for w := 0; w < W; w++ {
-			if bgot[i*W+w] != want {
-				t.Fatalf("%s: blocked net %d lane %d = %#x, want %#x", c.Name, i, w, bgot[i*W+w], want)
-			}
-		}
-	}
 }
 
 // TestCrossKernelRandomCircuits is the cross-kernel property test:
 // on randomized circuits (all gate types, random fanin/fanout, tied
-// inputs, constants, DFFs) the compiled scalar, compiled word, blocked,
+// inputs, constants, DFFs) the compiled scalar, compiled word,
 // interpreted scalar and interpreted word kernels agree on every net
 // for random pattern sets.
 func TestCrossKernelRandomCircuits(t *testing.T) {
@@ -185,12 +158,12 @@ func TestCompileFoldsConstants(t *testing.T) {
 	b := c.AddInput("b")
 	k0 := c.AddGate(logic.Const0, "k0")
 	k1 := c.AddGate(logic.Const1, "k1")
-	andK0 := c.AddGate(logic.And, "andK0", a, k0)    // -> const 0
-	andK1 := c.AddGate(logic.And, "andK1", a, k1, b) // -> a AND b
-	orTied := c.AddGate(logic.Or, "orTied", a, a, a) // -> buf a
-	xorPair := c.AddGate(logic.Xor, "xorPair", a, b, a) // -> buf b
-	xorK1 := c.AddGate(logic.Xor, "xorK1", a, k1)       // -> not a
-	norK1 := c.AddGate(logic.Nor, "norK1", a, k1)       // -> const 0
+	andK0 := c.AddGate(logic.And, "andK0", a, k0)           // -> const 0
+	andK1 := c.AddGate(logic.And, "andK1", a, k1, b)        // -> a AND b
+	orTied := c.AddGate(logic.Or, "orTied", a, a, a)        // -> buf a
+	xorPair := c.AddGate(logic.Xor, "xorPair", a, b, a)     // -> buf b
+	xorK1 := c.AddGate(logic.Xor, "xorK1", a, k1)           // -> not a
+	norK1 := c.AddGate(logic.Nor, "norK1", a, k1)           // -> const 0
 	nandDead := c.AddGate(logic.Nand, "nandDead", andK0, b) // andK0 is const 0 -> const 1
 	c.MarkOutput(nandDead)
 	c.MustFinalize()
@@ -202,7 +175,8 @@ func TestCompileFoldsConstants(t *testing.T) {
 	for _, pi := range [][]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
 		ref := make([]bool, c.NumNets())
 		EvalInterpInto(c, pi, nil, ref, nil)
-		got := p.Eval(pi, nil)
+		got := make([]bool, c.NumNets())
+		p.EvalInto(pi, nil, got)
 		for _, net := range []int{andK0, andK1, orTied, xorPair, xorK1, norK1, nandDead} {
 			if got[net] != ref[net] {
 				t.Fatalf("pi=%v net %s: compiled %v, interp %v", pi, c.NameOf(net), got[net], ref[net])

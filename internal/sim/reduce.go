@@ -1,16 +1,16 @@
 // Pre-compile netlist reduction.
 //
-// Reduce shrinks a finalized netlist before any simulation work is
-// spent on it: constants propagate through the logic, structurally
-// identical gates merge (structural hashing), Buf/single-operand
-// wrappers collapse into aliases, and single-fanout gates of an
-// associative type are absorbed into a compatible reader — the
-// fanout-free-region collapse that turns AND-into-NAND trees into one
-// n-ary gate. The same Boolean identities drive the compiled kernel's
-// instruction folding (program.go); Reduce applies them at the netlist
-// level so every downstream consumer — fault engine, syndrome, Walsh,
-// fuzzdiff, the service — sees fewer nets, and returns a remap table
-// so views and fault sites on the original netlist survive the move.
+// Reduce shrinks a finalized netlist: constants propagate through the
+// logic, structurally identical gates merge (structural hashing),
+// Buf/single-operand wrappers collapse into aliases, and single-fanout
+// gates of an associative type are absorbed into a compatible reader —
+// the fanout-free-region collapse that turns AND-into-NAND trees into
+// one n-ary gate. The same Boolean identities drive the compiled
+// kernel's instruction folding (program.go); Reduce applies them at the
+// netlist level and returns a remap table so views and fault sites on
+// the original netlist survive the move. It is a standalone library
+// transform, exposed as dft.Reduce: no pass, job or command of the
+// toolkit runs it, so it shrinks only what a caller chooses to hand it.
 //
 // The reduced circuit is guaranteed to stay structurally clean: if the
 // input passes fuzzdiff.Lint without diagnostics, so does the output.
@@ -78,11 +78,11 @@ const (
 // rdecision is the analysis verdict for one original element.
 type rdecision struct {
 	kind uint8
-	cval bool   // for dConst
-	to   int    // for dAlias: original net whose value this one equals
+	cval bool // for dConst
+	to   int  // for dAlias: original net whose value this one equals
 	typ  logic.GateType
-	ops  []int  // simplified operand list, original root net ids
-	flip bool   // for dAbsorb of XOR chains: parity carried to the reader
+	ops  []int // simplified operand list, original root net ids
+	flip bool  // for dAbsorb of XOR chains: parity carried to the reader
 }
 
 // Reduce returns a reduced copy of the finalized circuit c and the

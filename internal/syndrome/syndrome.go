@@ -21,10 +21,6 @@ import (
 // MaxExhaustiveInputs bounds 2ⁿ enumeration.
 const MaxExhaustiveInputs = 24
 
-// syndromeBlockW is the blocked-kernel width for the good-machine
-// enumeration: 8 words (512 patterns) per instruction visit.
-const syndromeBlockW = 8
-
 // identityFree returns the free-variable positions 0..n-1 for packed
 // exhaustive enumeration over the primary inputs.
 func identityFree(n int) []int {
@@ -44,10 +40,9 @@ func blockMask(k int) uint64 {
 
 // Syndromes returns K (ones count) and S = K/2ⁿ for every primary
 // output of a combinational circuit, by exhaustive bit-parallel
-// simulation. The enumeration is packed: blocks of 64 patterns are
-// synthesized directly from periodic bit masks, and the compiled
-// kernel's blocked evaluator grades syndromeBlockW words per
-// instruction visit.
+// simulation. The enumeration is packed: each 64-pattern block is
+// synthesized from periodic bit masks straight into the primary-input
+// words and graded by one pass of the compiled 64-way kernel.
 func Syndromes(c *logic.Circuit) (counts []int, syndromes []float64) {
 	n := len(c.PIs)
 	if n > MaxExhaustiveInputs {
@@ -55,34 +50,13 @@ func Syndromes(c *logic.Circuit) (counts []int, syndromes []float64) {
 	}
 	counts = make([]int, len(c.POs))
 	total := uint64(1) << uint(n)
-	free := identityFree(n)
 	prog := sim.CompiledFor(c)
-	W := syndromeBlockW
-	if nb := int((total + 63) / 64); nb < W {
-		W = nb
-	}
-	vals := make([]uint64, c.NumNets()*W)
-	words := make([]uint64, n)
-	var ks [syndromeBlockW]int
-	for base := uint64(0); base < total; base += uint64(64 * W) {
-		lanes := 0
-		for j := 0; j < W; j++ {
-			k := sim.ExhaustiveBlock(words, free, base+uint64(64*j))
-			if k == 0 {
-				break
-			}
-			ks[j] = k
-			lanes++
-			for i, pi := range c.PIs {
-				vals[pi*W+j] = words[i]
-			}
-		}
-		prog.ExecBlock(vals, W)
-		for j := 0; j < lanes; j++ {
-			mask := blockMask(ks[j])
-			for oi, po := range c.POs {
-				counts[oi] += bits.OnesCount64(vals[po*W+j] & mask)
-			}
+	vals := make([]uint64, c.NumNets())
+	for base := uint64(0); base < total; base += 64 {
+		mask := blockMask(sim.ExhaustiveBlock(vals, c.PIs, base))
+		prog.Exec(vals)
+		for j, po := range c.POs {
+			counts[j] += bits.OnesCount64(vals[po] & mask)
 		}
 	}
 	syndromes = make([]float64, len(counts))

@@ -26,92 +26,15 @@ type COP struct {
 func ViewCOP(c *logic.Circuit, inputs, outputs []int) *COP {
 	n := c.NumNets()
 	cop := &COP{P: make([]float64, n), Obs: make([]float64, n)}
-	p := cop.P
-	free := make([]bool, n)
 	for _, in := range inputs {
-		free[in] = true
-		p[in] = 0.5
+		cop.P[in] = 0.5
 	}
 	// Unlisted PIs and DFFs keep p=0: the engine holds them at 0.
-	for _, id := range c.Order {
-		g := &c.Gates[id]
-		switch g.Type {
-		case logic.Const0:
-			p[id] = 0
-		case logic.Const1:
-			p[id] = 1
-		case logic.Buf:
-			p[id] = p[g.Fanin[0]]
-		case logic.Not:
-			p[id] = 1 - p[g.Fanin[0]]
-		case logic.And, logic.Nand:
-			prod := 1.0
-			for _, src := range g.Fanin {
-				prod *= p[src]
-			}
-			if g.Type == logic.Nand {
-				prod = 1 - prod
-			}
-			p[id] = prod
-		case logic.Or, logic.Nor:
-			prod := 1.0
-			for _, src := range g.Fanin {
-				prod *= 1 - p[src]
-			}
-			if g.Type == logic.Nor {
-				p[id] = prod
-			} else {
-				p[id] = 1 - prod
-			}
-		case logic.Xor, logic.Xnor:
-			odd := 0.0
-			for i, src := range g.Fanin {
-				if i == 0 {
-					odd = p[src]
-					continue
-				}
-				odd = odd*(1-p[src]) + (1-odd)*p[src]
-			}
-			if g.Type == logic.Xnor {
-				odd = 1 - odd
-			}
-			p[id] = odd
-		}
-	}
-	obs := cop.Obs
+	propagateProbabilities(c, cop.P)
 	for _, o := range outputs {
-		obs[o] = 1
+		cop.Obs[o] = 1
 	}
-	// Reverse topological walk, best propagation path per net. A DFF is
-	// a propagation barrier: its D-pin value is observable only when the
-	// D net itself is a view output (already seeded above).
-	for i := len(c.Order) - 1; i >= 0; i-- {
-		id := c.Order[i]
-		g := &c.Gates[id]
-		if g.Type == logic.DFF {
-			continue
-		}
-		for pin, src := range g.Fanin {
-			through := obs[id]
-			switch g.Type {
-			case logic.And, logic.Nand:
-				for q, other := range g.Fanin {
-					if q != pin {
-						through *= p[other]
-					}
-				}
-			case logic.Or, logic.Nor:
-				for q, other := range g.Fanin {
-					if q != pin {
-						through *= 1 - p[other]
-					}
-				}
-			}
-			if through > obs[src] {
-				obs[src] = through
-			}
-		}
-	}
+	propagateObservabilities(c, cop.P, cop.Obs)
 	return cop
 }
 

@@ -28,6 +28,30 @@ func SignalProbabilities(c *logic.Circuit, piProb []float64) []float64 {
 	for _, d := range c.DFFs {
 		p[d] = 0.5
 	}
+	propagateProbabilities(c, p)
+	return p
+}
+
+// Observabilities estimates, per net, the probability that a value
+// change on the net propagates to some primary output under random
+// patterns (a STAFAN-style measure built on the signal probabilities):
+// O(PO) = 1; through an AND-type gate the change must find every other
+// input non-controlling; through XOR it always propagates; a stem's
+// observability is approximated by its best branch.
+func Observabilities(c *logic.Circuit, p []float64) []float64 {
+	obs := make([]float64, c.NumNets())
+	for _, po := range c.POs {
+		obs[po] = 1
+	}
+	propagateObservabilities(c, p, obs)
+	return obs
+}
+
+// propagateProbabilities fills in the 1-probability of every
+// combinational net in topological order from the source
+// probabilities already in p: AND multiplies, OR complements-
+// multiplies, XOR combines pairwise.
+func propagateProbabilities(c *logic.Circuit, p []float64) {
 	for _, id := range c.Order {
 		g := &c.Gates[id]
 		switch g.Type {
@@ -73,22 +97,15 @@ func SignalProbabilities(c *logic.Circuit, piProb []float64) []float64 {
 			p[id] = odd
 		}
 	}
-	return p
 }
 
-// Observabilities estimates, per net, the probability that a value
-// change on the net propagates to some primary output under random
-// patterns (a STAFAN-style measure built on the signal probabilities):
-// O(PO) = 1; through an AND-type gate the change must find every other
-// input non-controlling; through XOR it always propagates; a stem's
-// observability is approximated by its best branch.
-func Observabilities(c *logic.Circuit, p []float64) []float64 {
-	obs := make([]float64, c.NumNets())
-	for _, po := range c.POs {
-		obs[po] = 1
-	}
-	// Walk nets in reverse topological order, keeping each net's best
-	// propagation path (PO nets already hold the maximum, 1).
+// propagateObservabilities walks nets in reverse topological order
+// from the observation points already seeded in obs, keeping each
+// net's best propagation path: through an AND-type gate the change
+// must find every other input non-controlling, through XOR it always
+// propagates. Flip-flops are not in c.Order, so a D input is
+// observable only when it is seeded itself.
+func propagateObservabilities(c *logic.Circuit, p, obs []float64) {
 	for i := len(c.Order) - 1; i >= 0; i-- {
 		id := c.Order[i]
 		g := &c.Gates[id]
@@ -113,7 +130,6 @@ func Observabilities(c *logic.Circuit, p []float64) []float64 {
 			}
 		}
 	}
-	return obs
 }
 
 // DetectProbability estimates the single-random-pattern detection

@@ -1,8 +1,16 @@
 #!/bin/sh
-# Pre-commit gate: build, vet, and the full test suite under the race
-# detector. Mirrors `make check` for environments without make.
+# Pre-commit gate: gofmt, build, vet, and the full test suite under the
+# race detector. Mirrors `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
+# gofmt gate (mirrors `make fmt`): no Go file outside hidden
+# directories may need reformatting.
+unformatted=$(find . -name '*.go' ! -path './.*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed:"
+	echo "$unformatted"
+	exit 1
+fi
 go build ./...
 go vet ./...
 go test -race ./...
