@@ -28,16 +28,15 @@ race:
 
 check: fmt build vet race fuzz-smoke perf-smoke
 
-# fuzz runs the coverage-guided differential fuzz targets: the compiled
-# kernel against the interpreter at every execution width, every
-# fault-simulation backend/worker/drop configuration against the serial
-# baseline, and event-driven PODEM against the whole-circuit reference
-# search. FUZZTIME bounds each target.
+# fuzz runs every coverage-guided differential fuzz target in the tree
+# (scripts/fuzz.sh finds each `func Fuzz...` in a *_test.go file): today
+# the compiled kernel against the interpreter at every execution width,
+# every fault-simulation backend/worker/drop configuration against the
+# serial baseline, and event-driven PODEM against the whole-circuit
+# reference search. FUZZTIME bounds each target.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzKernelEquivalence -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run='^$$' -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) ./internal/fault
-	$(GO) test -run='^$$' -fuzz=FuzzPodemIncremental -fuzztime=$(FUZZTIME) ./internal/atpg
+	sh scripts/fuzz.sh $(FUZZTIME)
 
 # fuzz-smoke is the short differential-fuzz pass that `make check` and
 # scripts/check.sh share: same targets as fuzz, bounded by SMOKETIME,

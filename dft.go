@@ -12,7 +12,6 @@ import (
 	"dft/internal/fault"
 	"dft/internal/logic"
 	"dft/internal/service"
-	"dft/internal/sim"
 )
 
 // This file is the public façade over the toolkit's unified surface:
@@ -74,22 +73,6 @@ func Simulate(ctx context.Context, c *Circuit, faults []Fault, patterns [][]bool
 // NewSimEngine prepares a reusable engine for the circuit.
 func NewSimEngine(c *Circuit, opts SimOptions) *SimEngine {
 	return fault.NewEngine(c, opts)
-}
-
-// ReduceMap relates a reduced netlist to its original: per-net images,
-// proven constants, and the pass statistics.
-type ReduceMap = sim.ReduceMap
-
-// ReduceStats summarizes one netlist reduction pass.
-type ReduceStats = sim.ReduceStats
-
-// Reduce returns a smaller, functionally equivalent netlist (constant
-// propagation, structural hashing, fanout-free-region collapsing) plus
-// the remap table that carries fault sites and views across. The
-// interface — PI, PO and flip-flop order and count — is preserved
-// exactly.
-func Reduce(c *Circuit) (*Circuit, *ReduceMap) {
-	return sim.Reduce(c)
 }
 
 // FaultUniverse enumerates every uncollapsed stuck-at fault of the

@@ -73,7 +73,7 @@ func TestIntegrationFullScanFlow(t *testing.T) {
 	if cst.PatternsOut > cst.PatternsIn {
 		t.Fatalf("compaction grew the set: %+v", cst)
 	}
-	if got := mustFaultSim(t, c, cl.Reps, patterns, fault.Options{Backend: fault.BackendParallel, View: fault.View{Inputs: view.Inputs, Outputs: view.Outputs}}); got.Coverage() < 1.0 {
+	if got := mustFaultSim(t, c, cl.Reps, patterns, fault.Options{Backend: fault.BackendParallel, View: view}); got.Coverage() < 1.0 {
 		t.Fatalf("compacted coverage %.3f", got.Coverage())
 	}
 

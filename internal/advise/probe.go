@@ -30,7 +30,7 @@ func (st *state) probe(ctx context.Context, seed uint64, opt Options, reg *telem
 	defer reg.Timer("advise.probe").Time()()
 	view := viewFor(st.work, st.scanned)
 	eng := fault.NewEngine(st.work, fault.Options{
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 		Workers: opt.Workers,
 		Metrics: reg,
 	})

@@ -140,7 +140,7 @@ func newHarness(c *logic.Circuit, view View, faults []fault.Fault, workers int, 
 	reg = telemetry.OrDefault(reg)
 	eng := fault.NewEngine(c, fault.Options{
 		Workers: workers,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 		Metrics: reg,
 	})
 	return &harness{session: eng.NewSession(faults), reg: reg}

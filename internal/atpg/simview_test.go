@@ -32,6 +32,6 @@ func simViewQuick(c *logic.Circuit, view View, faults []fault.Fault, pats [][]bo
 func simView(c *logic.Circuit, view View, faults []fault.Fault, pats [][]bool) (*fault.Result, error) {
 	return fault.Simulate(context.Background(), c, faults, pats, fault.Options{
 		Backend: fault.BackendParallel,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 	})
 }

@@ -127,8 +127,7 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	span.SetAttr("mode", opt.Mode.String())
 	span.SetAttr("patterns", strconv.Itoa(len(patterns)))
 
-	fview := fault.View{Inputs: view.Inputs, Outputs: view.Outputs}
-	fopt := fault.Options{Workers: opt.Workers, View: fview, Metrics: reg}
+	fopt := fault.Options{Workers: opt.Workers, View: view, Metrics: reg}
 
 	// Baseline grading: the contract is stated against what the input
 	// set actually detects, so static repair has exact targets.

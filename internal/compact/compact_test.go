@@ -208,7 +208,7 @@ func TestScanViewCompaction(t *testing.T) {
 	view := atpg.FullScanView(c)
 	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
 	pats := randomPatterns(len(view.Inputs), 256, 19)
-	fopt := fault.Options{View: fault.View{Inputs: view.Inputs, Outputs: view.Outputs}}
+	fopt := fault.Options{View: view}
 	want, err := fault.Simulate(context.Background(), c, faults, pats, fopt)
 	if err != nil {
 		t.Fatal(err)

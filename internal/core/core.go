@@ -232,7 +232,7 @@ func (d *Design) FaultGrade(patterns [][]bool) float64 {
 	view := d.View()
 	targets := d.Faults()
 	res, _ := fault.Simulate(context.Background(), d.Circuit, targets, patterns, fault.Options{
-		View: fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View: view,
 	})
 	return res.Coverage()
 }

@@ -127,11 +127,3 @@ func Universe(c *logic.Circuit) []Fault {
 	}
 	return fs
 }
-
-// CombinationalUniverse is Universe restricted to faults inside the
-// combinational core: faults on DFF pins are mapped onto the pseudo
-// PI/PO boundary and retained, so the set is the same as Universe for
-// combinational circuits.
-func CombinationalUniverse(c *logic.Circuit) []Fault {
-	return Universe(c)
-}

@@ -134,7 +134,7 @@ func runViewConfig(ctx context.Context, c *logic.Circuit, view atpg.View, faults
 		Backend: sc.Backend,
 		Workers: sc.Workers,
 		Drop:    sc.Drop,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 	})
 }
 

@@ -2,9 +2,11 @@ package fuzzdiff
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"dft/internal/circuits"
 	"dft/internal/fault"
 	"dft/internal/logic"
 	"dft/internal/sim"
@@ -21,23 +23,52 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateLintClean holds generator output and the builtin library
+// to zero lint diagnostics, warnings included: the shaped seeds, corner
+// configs the shapes under-sample (const-heavy, tie-heavy XOR, deep
+// sequential, BUF/NOT chains, deep-biased wide), and every builtin
+// circuit at its default size.
 func TestGenerateLintClean(t *testing.T) {
+	check := func(t *testing.T, c *logic.Circuit) {
+		t.Helper()
+		if ds := Lint(c); len(ds) != 0 {
+			t.Fatalf("diagnostics: %v", ds)
+		}
+		if len(c.POs) == 0 {
+			t.Fatal("no primary outputs")
+		}
+	}
 	seq := 0
-	for seed := int64(1); seed <= 60; seed++ {
+	for seed := int64(0); seed <= 60; seed++ {
 		cfg := ShapeConfig(seed)
 		if cfg.DFFs > 0 {
 			seq++
 		}
 		c := Generate(cfg, seed)
-		if ds := Lint(c); len(ds) != 0 {
-			t.Fatalf("seed %d: generator emitted diagnostics: %v", seed, ds)
-		}
-		if len(c.POs) == 0 {
-			t.Fatalf("seed %d: no primary outputs", seed)
-		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { check(t, c) })
 	}
 	if seq == 0 {
-		t.Fatal("no sequential circuit in 60 seeds; ShapeConfig DFF mix broken")
+		t.Fatal("no sequential circuit in 61 seeds; ShapeConfig DFF mix broken")
+	}
+	corners := []Config{
+		{Inputs: 4, Gates: 80, ConstProb: 0.45, TieProb: 0.30},
+		{Inputs: 3, Gates: 60, MaxFanin: 2, GateMix: []logic.GateType{logic.Xor, logic.Xnor}, TieProb: 0.4},
+		{Inputs: 6, Gates: 120, DFFs: 6, ConstProb: 0.25},
+		{Inputs: 2, Gates: 40, GateMix: []logic.GateType{logic.Buf, logic.Not}},
+		{Inputs: 10, Gates: 200, DepthBias: 0.95},
+	}
+	for i, cfg := range corners {
+		for s := int64(0); s < 8; s++ {
+			c := Generate(cfg, 1000+int64(i)*8+s)
+			t.Run(fmt.Sprintf("corner%d_seed%d", i, s), func(t *testing.T) { check(t, c) })
+		}
+	}
+	for _, name := range circuits.BuiltinNames() {
+		c, err := circuits.Builtin(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { check(t, c) })
 	}
 }
 

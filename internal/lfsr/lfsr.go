@@ -7,7 +7,6 @@ package lfsr
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dft/internal/telemetry"
 )
@@ -104,9 +103,6 @@ func NewMaximal(n int) *LFSR {
 
 // Width returns the register width.
 func (l *LFSR) Width() int { return l.n }
-
-// Taps returns a copy of the tap list.
-func (l *LFSR) Taps() []int { return append([]int(nil), l.taps...) }
 
 // State returns the register contents; bit i of the result is stage
 // Q(i+1).
@@ -267,6 +263,3 @@ func AliasingProbability(width int) float64 {
 	cAliasingChecks.Inc()
 	return 1.0 / float64(uint64(1)<<uint(width))
 }
-
-// OnesCount is a helper for syndrome-style analyses of LFSR states.
-func OnesCount(x uint64) int { return bits.OnesCount64(x) }

@@ -50,9 +50,6 @@ func (t GateType) IsCombinational() bool {
 	return true
 }
 
-// HasState reports whether the element holds state across clock cycles.
-func (t GateType) HasState() bool { return t == DFF }
-
 // MinFanin returns the minimum legal fanin count for the type.
 func (t GateType) MinFanin() int {
 	switch t {

@@ -51,9 +51,6 @@ func FromBool(b bool) V {
 	return Zero
 }
 
-// IsKnown reports whether v is a definite Boolean value (0 or 1).
-func (v V) IsKnown() bool { return v == Zero || v == One }
-
 // IsError reports whether v carries a fault effect (D or D').
 func (v V) IsError() bool { return v == D || v == Dbar }
 

@@ -105,7 +105,7 @@ func (s FaultSim) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 			Backend: backend,
 			Workers: s.Workers,
 			Drop:    drop,
-			View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+			View:    view,
 			Metrics: reg,
 		})
 		if err != nil {
@@ -240,7 +240,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 	dopt := diagnose.Options{
 		Backend: backend,
 		Workers: s.Workers,
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 		Full:    s.Full,
 		Metrics: reg,
 	}

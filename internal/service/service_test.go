@@ -156,7 +156,7 @@ func directCoverage(t *testing.T, req JobRequest) float64 {
 		pats[i] = p
 	}
 	res, err := fault.Simulate(context.Background(), d.Circuit, d.Faults(), pats, fault.Options{
-		View:    fault.View{Inputs: view.Inputs, Outputs: view.Outputs},
+		View:    view,
 		Metrics: telemetry.NewRegistry(),
 	})
 	if err != nil {

@@ -11,54 +11,21 @@ import (
 	"dft/internal/sim"
 )
 
-// checkReduced verifies the full reduction contract for one circuit:
-// the reduced netlist lints as clean as the original, preserves the
-// PI/PO/DFF interface exactly, and is functionally equivalent on
-// random stimulus — including every claim the remap table makes.
-func checkReduced(t *testing.T, c *logic.Circuit, rng *rand.Rand) {
+// checkReduced verifies the contract of the compile-time reduction
+// (constant folding and structural hashing in sim.Compile) for one
+// circuit: every net stays materialized as one instruction, and the
+// reduced program's 64-way valuation equals the interpreter's on every
+// net for random stimulus, with DFF outputs driven as free inputs so
+// sequential behavior is covered for arbitrary state.
+func checkReduced(t *testing.T, c *logic.Circuit, rng *rand.Rand) *sim.Program {
 	t.Helper()
-	rc, rm := sim.Reduce(c)
-
-	// Interface preservation: pattern and response vectors must carry
-	// over unchanged.
-	if got, want := len(rc.PIs), len(c.PIs); got != want {
-		t.Fatalf("Reduce changed PI count: got %d want %d", got, want)
+	p := sim.Compile(c)
+	if got, want := p.NumInstrs(), len(c.Order); got != want {
+		t.Fatalf("Compile emitted %d instructions for %d ordered nets", got, want)
 	}
-	if got, want := len(rc.POs), len(c.POs); got != want {
-		t.Fatalf("Reduce changed PO count: got %d want %d", got, want)
-	}
-	if got, want := len(rc.DFFs), len(c.DFFs); got != want {
-		t.Fatalf("Reduce changed DFF count: got %d want %d", got, want)
-	}
-	if rc.NumNets() > c.NumNets() {
-		t.Errorf("Reduce grew the netlist: %d nets from %d", rc.NumNets(), c.NumNets())
-	}
-
-	// The guard property: reduction never introduces diagnostics. The
-	// generator and the builtin library both produce lint-clean
-	// netlists, so the reduced form must be clean too.
-	if ds := fuzzdiff.Lint(c); len(ds) != 0 {
-		t.Fatalf("input circuit not lint-clean, test premise broken: %v", ds)
-	}
-	if ds := fuzzdiff.Lint(rc); len(ds) != 0 {
-		t.Fatalf("Reduce introduced diagnostics (stats %+v): %v", rm.Stats, ds)
-	}
-
-	// Source elements must map to themselves positionally.
-	for i, pi := range c.PIs {
-		if rm.NetOf[pi] != rc.PIs[i] {
-			t.Fatalf("PI %d maps to %d, want %d", pi, rm.NetOf[pi], rc.PIs[i])
-		}
-	}
-	for i, d := range c.DFFs {
-		if rm.NetOf[d] != rc.DFFs[i] {
-			t.Fatalf("DFF %d maps to %d, want %d", d, rm.NetOf[d], rc.DFFs[i])
-		}
-	}
-
-	// Functional equivalence over random 64-pattern words, with DFF
-	// outputs driven as free inputs so sequential behavior is covered
-	// for arbitrary state.
+	n := c.NumNets()
+	ref := make(sim.Words, n)
+	got := make(sim.Words, n)
 	for trial := 0; trial < 4; trial++ {
 		pi := make([]uint64, len(c.PIs))
 		state := make([]uint64, len(c.DFFs))
@@ -68,42 +35,19 @@ func checkReduced(t *testing.T, c *logic.Circuit, rng *rand.Rand) {
 		for i := range state {
 			state[i] = rng.Uint64()
 		}
-		ov := sim.EvalWords(c, pi, state)
-		rv := sim.EvalWords(rc, pi, state)
-		for i := range c.POs {
-			if ov[c.POs[i]] != rv[rc.POs[i]] {
-				t.Fatalf("trial %d: PO %d differs: %x vs %x (stats %+v)",
-					trial, i, ov[c.POs[i]], rv[rc.POs[i]], rm.Stats)
-			}
-		}
-		for i := range c.DFFs {
-			od := c.Gates[c.DFFs[i]].Fanin[0]
-			rd := rc.Gates[rc.DFFs[i]].Fanin[0]
-			if ov[od] != rv[rd] {
-				t.Fatalf("trial %d: next-state %d differs: %x vs %x", trial, i, ov[od], rv[rd])
-			}
-		}
-		// Every remap claim must hold for every net.
-		for n := 0; n < c.NumNets(); n++ {
-			if rn := rm.NetOf[n]; rn >= 0 && ov[n] != rv[rn] {
-				t.Fatalf("trial %d: net %d (%s) mapped to %d but values differ: %x vs %x",
-					trial, n, c.NameOf(n), rn, ov[n], rv[rn])
-			}
-			if kv := rm.ConstOf[n]; kv >= 0 {
-				want := uint64(0)
-				if kv == 1 {
-					want = ^uint64(0)
-				}
-				if ov[n] != want {
-					t.Fatalf("trial %d: net %d (%s) claimed constant %d but evaluates %x",
-						trial, n, c.NameOf(n), kv, ov[n])
-				}
+		sim.EvalWordsInterpInto(c, pi, state, ref, nil)
+		p.EvalWordsInto(pi, state, got)
+		for i := 0; i < n; i++ {
+			if got[i] != ref[i] {
+				t.Fatalf("trial %d: net %d (%s) reduced %x, interp %x (folded %d, hashed %d)",
+					trial, i, c.NameOf(i), got[i], ref[i], p.Folded(), p.Hashed())
 			}
 		}
 	}
+	return p
 }
 
-// TestReduceBuiltins runs the reduction guard over the whole builtin
+// TestReduceBuiltins runs the reduction check over the whole builtin
 // circuit library at its default sizes.
 func TestReduceBuiltins(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -119,7 +63,7 @@ func TestReduceBuiltins(t *testing.T) {
 	}
 }
 
-// TestReduceFuzzCircuits runs the guard over generator output across a
+// TestReduceFuzzCircuits runs the check over generator output across a
 // spread of shapes: const-heavy, tie-heavy, deep, wide, sequential.
 func TestReduceFuzzCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -147,9 +91,9 @@ func TestReduceFuzzCircuits(t *testing.T) {
 	}
 }
 
-// TestReduceActuallyReduces pins down that the pass finds real work on
-// circuits built to contain it: shared structure for hashing, constant
-// feeds for folding, single-fanout chains for collapsing.
+// TestReduceActuallyReduces pins down that compilation finds real work
+// on a circuit built to contain it: commutative twins for hashing and a
+// constant feed for folding.
 func TestReduceActuallyReduces(t *testing.T) {
 	b := logic.New("reducible")
 	a := b.AddInput("a")
@@ -157,34 +101,30 @@ func TestReduceActuallyReduces(t *testing.T) {
 	y := b.AddInput("y")
 	one := b.AddGate(logic.Const1, "one")
 	// Two structurally identical NANDs (commutative operands) -> one
-	// survives; NAND is inverting so absorption cannot claim it first.
+	// survives.
 	n1 := b.AddGate(logic.Nand, "n1", a, x)
 	n2 := b.AddGate(logic.Nand, "n2", x, a)
 	// Constant feed folds through.
 	g3 := b.AddGate(logic.And, "g3", n1, one)
-	// Buf chain collapses.
 	g4 := b.AddGate(logic.Buf, "g4", g3)
-	// Single-fanout AND absorbed into its NAND reader.
+	// AND of two aliases of n1 collapses by idempotence.
 	g5 := b.AddGate(logic.And, "g5", g4, n2)
 	g6 := b.AddGate(logic.Nand, "g6", g5, y)
 	b.MarkOutput(g6)
 	c := b.MustFinalize()
 
-	rc, rm := sim.Reduce(c)
-	if rm.Stats.Hashed == 0 {
-		t.Errorf("expected structural hashing to fire: %+v", rm.Stats)
+	p := checkReduced(t, c, rand.New(rand.NewSource(3)))
+	if p.Hashed() == 0 {
+		t.Errorf("expected structural hashing to fire: hashed %d", p.Hashed())
 	}
-	if rm.Stats.Collapsed == 0 {
-		t.Errorf("expected wrapper/FFR collapsing to fire: %+v", rm.Stats)
+	if p.Folded() < 2 {
+		t.Errorf("expected the constant feed and the aliased AND to fold: folded %d", p.Folded())
 	}
-	if rc.NumGates() >= c.NumGates() {
-		t.Errorf("expected fewer gates: %d -> %d", c.NumGates(), rc.NumGates())
-	}
-	checkReduced(t, c, rand.New(rand.NewSource(3)))
 }
 
-// TestReduceConstantCircuit exercises the orphan-repair path: folding
-// the only reader of a primary input must not leave the input dangling.
+// TestReduceConstantCircuit checks folding through a primary input's
+// only reader: XOR(a, a) cancels to 0, its inverter folds to 1, and the
+// program still writes every net, a included.
 func TestReduceConstantCircuit(t *testing.T) {
 	b := logic.New("allconst")
 	a := b.AddInput("a")
@@ -193,9 +133,13 @@ func TestReduceConstantCircuit(t *testing.T) {
 	y := b.AddGate(logic.Not, "y", x)
 	b.MarkOutput(y)
 	c := b.MustFinalize()
-	checkReduced(t, c, rand.New(rand.NewSource(5)))
-	_, rm := sim.Reduce(c)
-	if rm.ConstOf[y] != 1 {
-		t.Errorf("expected output folded to constant 1, got %d", rm.ConstOf[y])
+	p := checkReduced(t, c, rand.New(rand.NewSource(5)))
+	if p.Folded() != 2 {
+		t.Errorf("expected x and y folded, got %d folded gates", p.Folded())
+	}
+	vals := make(sim.Words, c.NumNets())
+	p.EvalWordsInto([]uint64{0x5555}, nil, vals)
+	if vals[y] != ^uint64(0) || vals[a] != 0x5555 {
+		t.Errorf("y = %x (want all ones), a = %x (want 5555)", vals[y], vals[a])
 	}
 }

@@ -14,12 +14,11 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
-# Differential-fuzz smoke (mirrors `make fuzz-smoke`): 10s per target
-# of coverage-guided search for kernel, backend and PODEM-kernel
-# divergences on top of the checked-in seed corpora.
-go test -run='^$' -fuzz=FuzzKernelEquivalence -fuzztime=10s ./internal/sim
-go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
-go test -run='^$' -fuzz=FuzzPodemIncremental -fuzztime=10s ./internal/atpg
+# Differential-fuzz smoke (mirrors `make fuzz-smoke`): 10s of
+# coverage-guided search per fuzz target in the tree (today: kernel,
+# backend and PODEM-kernel divergences) on top of the checked-in seed
+# corpora.
+sh scripts/fuzz.sh 10s
 # Performance smoke (mirrors `make perf-smoke`): one second each of
 # the benchmark's grade workload, every job re-graded on the serial
 # backend; its testgen workload, every ATPG pattern set re-graded on
