@@ -10,6 +10,10 @@ package dft
 // fingerprint of the full fault × pattern matrix.
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
@@ -22,10 +26,12 @@ import (
 	"dft/internal/bridge"
 	"dft/internal/circuits"
 	"dft/internal/cmos"
+	"dft/internal/compact"
 	"dft/internal/delay"
 	"dft/internal/fault"
 	"dft/internal/logic"
 	"dft/internal/syndrome"
+	"dft/internal/telemetry"
 	"dft/internal/testability"
 )
 
@@ -215,5 +221,72 @@ func TestGoldenCOP(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: COP fingerprints %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// compactionDigests pins the output of reverse-order compaction: the
+// kept patterns, the surviving cubes and every Stats field, for
+// compact.Result on an ATPG run and compact.Patterns on a random set.
+// A refactor of the replay passes must leave each one byte-identical.
+var compactionDigests = map[string]string{
+	"alu74181x2/result":   "ef28424993e191692431a9f2bcb6e568713c302bd5a6e238f4feb4855584fb89",
+	"alu74181x2/patterns": "fd95d3b5561776b48135000b0ce8a9e37afebbaf5fb6ab211aa98cc0183c6c01",
+	"mult6/result":        "0d6c4030316d5060e21873297285ee834921bcadbe328376a553f4d314fd87d1",
+	"mult6/patterns":      "b9df6e19cbe4bc51b67afc1243ad8533ec1872f630d076db79841301c378fbbd",
+	"hardcore8/result":    "c702d7f735c9e84ebe3c46310deb6059adb6865be185a0cc3f0ad07764404eab",
+	"hardcore8/patterns":  "4d2e133e389bc036e17423c30aa1973b77250dd57cfde93023bb1ca2151f3bb7",
+	"random/result":       "5e96bd2bfef0a2674a03f87ee1a55ef6ea0e9b95af016d67fdfe0ec733e24524",
+	"random/patterns":     "f7f242e54a2b6957a5b6261c3ccb07c71021c6251c4b83b85957f1036a6c5fed",
+}
+
+func TestCompactionDigest(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		c    *logic.Circuit
+		scan bool
+	}{
+		{"alu74181x2", circuits.Cascade74181(2), false},
+		{"mult6", circuits.ArrayMultiplier(6), false},
+		{"hardcore8", circuits.Hardcore(8), true},
+		{"random", circuits.RandomCircuit(rand.New(rand.NewSource(3)), 12, 80, 6, 4), false},
+	} {
+		view := atpg.PrimaryView(tc.c)
+		if tc.scan {
+			view = atpg.FullScanView(tc.c)
+		}
+		faults := fault.CollapseEquiv(tc.c, fault.Universe(tc.c)).Reps
+		opt := compact.Options{Mode: compact.ModeReverse, Seed: 1, Workers: 1, Metrics: telemetry.NewRegistry()}
+
+		gen := atpg.Generate(tc.c, view, faults, atpg.Config{RandomSeed: 1, Workers: 1, Metrics: telemetry.NewRegistry()})
+		st, err := compact.Result(ctx, tc.c, view, faults, gen, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for i, p := range gen.Patterns {
+			fmt.Fprintln(h, p, gen.Tests[i].String())
+		}
+		fmt.Fprintf(h, "%+v\n", *st)
+		checkCompactionDigest(t, tc.name+"/result", h)
+
+		pats := goldenPatterns(rand.New(rand.NewSource(7)), len(view.Inputs), 512)
+		kept, st, err := compact.Patterns(ctx, tc.c, view, faults, pats, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = sha256.New()
+		for _, p := range kept {
+			fmt.Fprintln(h, p)
+		}
+		fmt.Fprintf(h, "%+v\n", *st)
+		checkCompactionDigest(t, tc.name+"/patterns", h)
+	}
+}
+
+func checkCompactionDigest(t *testing.T, key string, h hash.Hash) {
+	t.Helper()
+	if got, want := hex.EncodeToString(h.Sum(nil)), compactionDigests[key]; got != want {
+		t.Errorf("%s: digest %s, want %s", key, got, want)
 	}
 }

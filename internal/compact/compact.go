@@ -104,11 +104,6 @@ func Result(ctx context.Context, c *logic.Circuit, view atpg.View, faults []faul
 	return st, nil
 }
 
-// maxReplayPasses caps the alternating reverse/forward replay loop. A
-// second pass in the same direction is a fixpoint, so the loop flips
-// direction each pass and stops as soon as a pass fails to shrink.
-const maxReplayPasses = 4
-
 // run is the shared pipeline: static merge (cubes present and
 // ModeFull), then alternating-direction replay until no shrink.
 // cubes, when non-nil, must be index-aligned with patterns; the
@@ -127,7 +122,62 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	span.SetAttr("mode", opt.Mode.String())
 	span.SetAttr("patterns", strconv.Itoa(len(patterns)))
 
-	fopt := fault.Options{Workers: opt.Workers, View: view, Metrics: reg}
+	eng := fault.NewEngine(c, fault.Options{Workers: opt.Workers, View: view, Metrics: reg})
+	prog := reg.Progress("compact.patterns.progress")
+
+	// replay keeps only the patterns that first-detect some fault,
+	// alternating the walk direction until a pass stops shrinking. The
+	// first, reverse pass is one dropping grade of the set walked
+	// last-to-first: a fault's first detector there is its last one in
+	// the set. The survivors then get one detail grade, and every later
+	// pass is a Credits scan of that matrix, not a re-simulation. Each
+	// pass that continues strictly shrinks the set, so the loop ends.
+	replay := func(patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg.Test, []bool, error) {
+		n := len(patterns)
+		prog.AddTotal(int64(n))
+		rev := make([][]bool, n)
+		for i, p := range patterns {
+			rev[n-1-i] = p
+		}
+		res, err := eng.Run(ctx, faults, rev)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		prog.Add(int64(n))
+		st.ReplayPasses++
+		var last []int
+		var hit []fault.Fault
+		for fi, p := range res.DetectedBy {
+			if p >= 0 {
+				last = append(last, n-1-p)
+				hit = append(hit, faults[fi])
+			}
+		}
+		keep, kept := columns(n, last)
+		patterns, cubes = pick(keep, patterns, cubes)
+		if kept == n {
+			return patterns, cubes, res.Detected, nil
+		}
+		dr, err := eng.RunDetail(ctx, hit, fault.PackPatternSet(len(view.Inputs), patterns))
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		keep = nil // every survivor
+		for reverse := false; ; reverse = !reverse {
+			next, nextKept := columns(len(patterns), dr.Credits(keep, reverse))
+			prog.AddTotal(int64(kept))
+			prog.Add(int64(kept))
+			st.ReplayPasses++
+			if nextKept == kept {
+				break
+			}
+			keep, kept = next, nextKept
+		}
+		if keep != nil {
+			patterns, cubes = pick(keep, patterns, cubes)
+		}
+		return patterns, cubes, res.Detected, nil
+	}
 
 	// Baseline grading: the contract is stated against what the input
 	// set actually detects, so static repair has exact targets.
@@ -135,91 +185,43 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	var d0 *fault.Result
 	if opt.Mode == ModeFull && len(cubes) == len(patterns) {
 		var err error
-		d0, err = fault.Simulate(ctx, c, faults, patterns, fopt)
+		d0, err = eng.Run(ctx, faults, patterns)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		st.DetectedIn = d0.NumCaught
-		patterns, cubes, err = mergeCubes(ctx, c, faults, patterns, cubes, d0, st, fopt, rng, opt)
+		patterns, cubes, err = mergeCubes(ctx, eng, faults, patterns, cubes, d0, st, rng, opt)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 	}
-
-	// Alternating-direction replay until a pass stops shrinking.
-	eng := fault.NewEngine(c, fopt)
-	session := eng.NewSession(faults)
-	prog := reg.Progress("compact.patterns.progress")
-	replayLoop := func(patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg.Test, []bool, error) {
-		order := fault.ReplayReverse
-		var lastDetected []bool
-		for pass := 0; pass < maxReplayPasses; pass++ {
-			prog.AddTotal(int64(len(patterns)))
-			session.Reset()
-			detected := make([]bool, len(faults))
-			credits, err := session.Replay(ctx, fault.PackPatternSet(len(view.Inputs), patterns), order, detected)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			prog.Add(int64(len(patterns)))
-			st.ReplayPasses++
-			lastDetected = detected
-			kept := patterns[:0:0]
-			var keptCubes []atpg.Test
-			for p, n := range credits {
-				if n > 0 {
-					kept = append(kept, patterns[p])
-					if cubes != nil {
-						keptCubes = append(keptCubes, cubes[p])
-					}
-				}
-			}
-			shrunk := len(kept) < len(patterns)
-			patterns = kept
-			if cubes != nil {
-				cubes = keptCubes
-			}
-			if !shrunk {
-				break
-			}
-			if order == fault.ReplayReverse {
-				order = fault.ReplayForward
-			} else {
-				order = fault.ReplayReverse
-			}
-		}
-		return patterns, cubes, lastDetected, nil
-	}
-	patterns, cubes, lastDetected, err := replayLoop(patterns, cubes)
+	patterns, cubes, detected, err := replay(patterns, cubes)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-
-	detectedCount := func(detected []bool) int {
-		n := 0
-		for _, d := range detected {
-			if d {
-				n++
-			}
-		}
-		return n
-	}
-	// The merged-and-repaired set can end up no smaller than the input
-	// (dense cubes merge poorly and repair re-appends patterns) without
-	// buying any coverage. Compaction must never return a worse set than
-	// it was given, so fall back to plain replay of the original input.
-	if d0 != nil && len(patterns) >= len(origPatterns) && detectedCount(lastDetected) == d0.NumCaught {
-		patterns, cubes, lastDetected, err = replayLoop(origPatterns, origCubes)
+	if d0 != nil {
+		// Dense cubes merge poorly and repair re-appends patterns, so the
+		// merged set can replay larger than the input does. Replay the
+		// input too and keep it when strictly smaller: full mode never
+		// returns more patterns than reverse mode.
+		plain, plainCubes, plainDetected, err := replay(origPatterns, origCubes)
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		if len(plain) < len(patterns) {
+			patterns, cubes, detected = plain, plainCubes, plainDetected
+		}
 	}
-	st.DetectedOut = detectedCount(lastDetected)
+	for _, d := range detected {
+		if d {
+			st.DetectedOut++
+		}
+	}
 	if d0 != nil {
 		// The repair pass re-appended a detector for every lost fault, so
 		// a gap here is a bug in the engine or the theorem — fail loudly.
 		for fi, d := range d0.Detected {
-			if d && !lastDetected[fi] {
+			if d && !detected[fi] {
 				return nil, nil, nil, fmt.Errorf("compact: fault %s lost during compaction", faults[fi].Name(c))
 			}
 		}
@@ -238,14 +240,45 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	return patterns, cubes, st, nil
 }
 
+// columns packs the credited patterns of an n-pattern set into a
+// keep mask and counts them; a negative credit (an undetected fault)
+// marks nothing.
+func columns(n int, credits []int) ([]uint64, int) {
+	keep := make([]uint64, (n+63)/64)
+	kept := 0
+	for _, p := range credits {
+		if p >= 0 && keep[p/64]>>uint(p%64)&1 == 0 {
+			keep[p/64] |= 1 << uint(p%64)
+			kept++
+		}
+	}
+	return keep, kept
+}
+
+// pick returns the patterns whose column is set in keep, in their
+// original order, with their cubes when cubes is non-nil.
+func pick(keep []uint64, patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg.Test) {
+	kept := patterns[:0:0]
+	var keptCubes []atpg.Test
+	for p := range patterns {
+		if keep[p/64]>>uint(p%64)&1 == 1 {
+			kept = append(kept, patterns[p])
+			if cubes != nil {
+				keptCubes = append(keptCubes, cubes[p])
+			}
+		}
+	}
+	return kept, keptCubes
+}
+
 // mergeCubes is the static pass: greedy first-fit merging of
 // compatible cubes in essential-first (descending care-count) order,
 // X-fill of the merged cubes through rng, then a
 // repair step that re-appends an original detector for every fault the
 // refilled set lost — so the set entering replay detects at least what
 // the input did.
-func mergeCubes(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns [][]bool, cubes []atpg.Test,
-	d0 *fault.Result, st *Stats, fopt fault.Options, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, error) {
+func mergeCubes(ctx context.Context, eng *fault.Engine, faults []fault.Fault, patterns [][]bool, cubes []atpg.Test,
+	d0 *fault.Result, st *Stats, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, error) {
 	reg := telemetry.OrDefault(opt.Metrics)
 	packed := make([]sim.PackedCube, len(cubes))
 	for i, t := range cubes {
@@ -293,7 +326,7 @@ func mergeCubes(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pat
 
 	// Repair: the refill can lose chance detections the original fill
 	// had, so re-append the original first detector of every lost fault.
-	after, err := fault.Simulate(ctx, c, faults, mergedPats, fopt)
+	after, err := eng.Run(ctx, faults, mergedPats)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -236,3 +236,27 @@ func TestCancellation(t *testing.T) {
 		t.Fatal("want cancellation error")
 	}
 }
+
+// Full mode must never return more patterns than reverse mode on the
+// same input: on this run cube merging replays to a larger set than
+// plain replay of the ATPG patterns does, so full keeps the plain set.
+func TestFullNeverWorseThanReverse(t *testing.T) {
+	c := circuits.Cascade74181(2)
+	view := atpg.PrimaryView(c)
+	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	kept := map[Mode]int{}
+	for _, mode := range []Mode{ModeReverse, ModeFull} {
+		gen := atpg.Generate(c, view, faults, atpg.Config{RandomSeed: 2, Workers: 1, Metrics: telemetry.NewRegistry()})
+		st, err := Result(context.Background(), c, view, faults, gen, Options{Mode: mode, Seed: 2, Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DetectedOut != st.DetectedIn {
+			t.Fatalf("%v: detected %d -> %d", mode, st.DetectedIn, st.DetectedOut)
+		}
+		kept[mode] = len(gen.Patterns)
+	}
+	if kept[ModeFull] > kept[ModeReverse] {
+		t.Fatalf("full kept %d patterns, reverse %d", kept[ModeFull], kept[ModeReverse])
+	}
+}

@@ -4,9 +4,13 @@
 // what a fast generator buys. Two passes do the work — static
 // compaction (merge compatible partially-specified cubes before
 // X-fill) and reverse-order fault simulation (keep only patterns that
-// first-detect something, walking last-to-first). Every pipeline ends
-// with replay, so a compacted set is never larger than its input and
-// always detects the same collapsed fault set.
+// first-detect something, walking last-to-first). Replay runs on the
+// fault engine's two one-shot grading calls: one reverse-order
+// dropping grade, then alternating passes over one detail matrix of
+// the survivors. Every pipeline ends with replay, so a compacted set
+// is never larger than its input and always detects the same
+// collapsed fault set; ModeFull also never keeps more patterns than
+// ModeReverse on the same input and seed.
 package compact
 
 import (
@@ -22,10 +26,14 @@ const (
 	// ModeOff disables compaction entirely.
 	ModeOff Mode = iota
 	// ModeReverse runs reverse-order replay only: patterns are graded
-	// last-to-first with dropping and only first-detectors survive.
+	// last-to-first with dropping and only first-detectors survive,
+	// then forward and reverse passes over the survivors' detection
+	// matrix alternate until one stops shrinking.
 	ModeReverse
 	// ModeFull merges compatible test cubes before X-fill, then
-	// replays. Raw pattern sets have no cubes and get replay only.
+	// replays, and keeps plain replay of the unmerged input instead
+	// when that is strictly smaller. Raw pattern sets have no cubes and
+	// get replay only.
 	ModeFull
 )
 

@@ -34,25 +34,48 @@ func (dr *DetailResult) Detects(fi, p int) bool {
 	return dr.Detect[fi][p/64]>>(uint(p)%64)&1 == 1
 }
 
-// FirstDetect returns the lowest-indexed detecting pattern for fault
-// fi, or -1 when no pattern detects it.
-func (dr *DetailResult) FirstDetect(fi int) int {
-	for w, word := range dr.Detect[fi] {
-		if word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
+// Credits returns, for every fault, the first detecting pattern among
+// the keep columns in walk order — the lowest-indexed one, or the
+// highest-indexed one when reverse is set — or -1 when no kept pattern
+// detects it. keep is a packed column mask laid out like a row; nil
+// keeps every column. The patterns that earn a credit detect exactly
+// what the kept columns detect, which makes one call a whole
+// reverse- or forward-order compaction pass over the matrix.
+func (dr *DetailResult) Credits(keep []uint64, reverse bool) []int {
+	credits := make([]int, len(dr.Detect))
+	for fi, row := range dr.Detect {
+		credits[fi] = -1
+		for i := range row {
+			w := i
+			if reverse {
+				w = len(row) - 1 - i
+			}
+			word := row[w]
+			if keep != nil {
+				word &= keep[w]
+			}
+			if word == 0 {
+				continue
+			}
+			if reverse {
+				credits[fi] = w*64 + 63 - bits.LeadingZeros64(word)
+			} else {
+				credits[fi] = w*64 + bits.TrailingZeros64(word)
+			}
+			break
 		}
 	}
-	return -1
+	return credits
 }
 
 // Result folds the rows into the classic first-detection Result, the
 // form the cross-oracle compares against an independent grade.
 func (dr *DetailResult) Result() *Result {
 	res := newResult(dr.Faults, dr.NumPats)
-	for fi := range dr.Detect {
-		if p := dr.FirstDetect(fi); p >= 0 {
+	res.DetectedBy = dr.Credits(nil, false)
+	for fi, p := range res.DetectedBy {
+		if p >= 0 {
 			res.Detected[fi] = true
-			res.DetectedBy[fi] = p
 			res.NumCaught++
 		}
 	}

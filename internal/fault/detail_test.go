@@ -129,9 +129,6 @@ func TestDetailResultFold(t *testing.T) {
 		if got.Detected[fi] && got.DetectedBy[fi] != want.DetectedBy[fi] {
 			t.Fatalf("fault %d first detect %d, want %d", fi, got.DetectedBy[fi], want.DetectedBy[fi])
 		}
-		if got.Detected[fi] && dr.FirstDetect(fi) != got.DetectedBy[fi] {
-			t.Fatalf("FirstDetect disagrees with folded result for fault %d", fi)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package fault
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -452,27 +451,29 @@ const minSessionShard = 64
 
 // Session is an incremental fault-dropping grader over a fixed fault
 // list — the engine's interface for generator loops (random-pattern
-// ATPG, compaction) that produce patterns block by block and need to
-// know which patterns earned their keep. Dropping is always on: a
-// session exists to shrink its live list. Replay adds the compaction
-// discipline on top: a whole packed set graded in either direction
-// with per-pattern first-detect credit, and Reset re-arms the fault
-// list between passes without rebuilding the session (or re-collapsing
-// the fault list).
+// ATPG, advise's probe) that produce patterns block by block and need
+// to know which patterns earned their keep. Dropping is always on: a
+// session exists to shrink its live list.
 type Session struct {
 	e      *Engine
 	faults []Fault
 	live   []int
 	caught int
 
-	// per-worker scratch, reused every block
-	counts  []int
-	caughts []int
-	credits [][64]int
+	// per-worker tallies, rewritten every block
+	shards []sessionShard
 
 	// packed holds the current block, packed once and shared read-only
 	// by every worker's LoadPackedBlock.
 	packed []uint64
+}
+
+// sessionShard is one worker's share of a block: how many of its live
+// faults survive, how many it caught, and which block patterns first
+// detected them.
+type sessionShard struct {
+	kept, caught int
+	useful       uint64
 }
 
 // NewSession starts a grading session over faults. The session shares
@@ -484,63 +485,28 @@ func (e *Engine) NewSession(faults []Fault) *Session {
 		live[i] = i
 	}
 	return &Session{
-		e:       e,
-		faults:  faults,
-		live:    live,
-		counts:  make([]int, e.workers),
-		caughts: make([]int, e.workers),
-		credits: make([][64]int, e.workers),
-		packed:  make([]uint64, len(e.inputs)),
+		e:      e,
+		faults: faults,
+		live:   live,
+		shards: make([]sessionShard, e.workers),
+		packed: make([]uint64, len(e.inputs)),
 	}
 }
 
-// Reset re-arms every fault: the live list returns to the full fault
-// list and the caught count clears, while the engine's pooled
-// simulators — the expensive state — carry over. Multi-pass compaction
-// replays call this between passes.
-func (s *Session) Reset() {
-	if cap(s.live) < len(s.faults) {
-		s.live = make([]int, len(s.faults))
+// ApplyBlock grades one block of up to 64 patterns against the
+// still-live faults, with dropping. Newly caught faults are marked in
+// detected (indexed like the session's fault list), and the returned
+// mask has bit p set when block pattern p was the first detector of
+// some fault — the block's "useful" patterns. The live list is sharded
+// across the engine's workers, at most one per minSessionShard live
+// faults since each pays its own good-machine pass; each worker
+// compacts its survivors in place and the masks are ORed afterwards,
+// so outcomes are bit-identical for every worker count.
+func (s *Session) ApplyBlock(block [][]bool, detected []bool) uint64 {
+	if len(block) > 64 {
+		block = block[:64]
 	}
-	s.live = s.live[:len(s.faults)]
-	for i := range s.live {
-		s.live[i] = i
-	}
-	s.caught = 0
-}
-
-// ReplayOrder selects the direction Replay walks a pattern set.
-type ReplayOrder int
-
-const (
-	// ReplayForward walks patterns first-to-last; a caught fault
-	// credits its lowest-indexed detecting pattern.
-	ReplayForward ReplayOrder = iota
-	// ReplayReverse walks patterns last-to-first; a caught fault
-	// credits its highest-indexed detecting pattern — the reverse-order
-	// compaction discipline.
-	ReplayReverse
-)
-
-// creditBit picks the block bit a newly caught fault credits: the
-// first detecting pattern met in walk order.
-func creditBit(det uint64, order ReplayOrder) int {
-	if order == ReplayReverse {
-		return 63 - bits.LeadingZeros64(det)
-	}
-	return bits.TrailingZeros64(det)
-}
-
-// applyPacked grades one packed block (k patterns in the words' low
-// bits) against the still-live faults, with dropping. Newly caught
-// faults are marked in detected (indexed like the session's fault
-// list) and each credits exactly one block pattern — the first one met
-// in walk order — by incrementing credits[bit]. The live list is
-// sharded across the engine's workers, at most one per
-// minSessionShard live faults since each pays its own good-machine
-// pass; per-worker credit buffers are summed afterwards, so outcomes
-// are identical for every worker count.
-func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected []bool, credits *[64]int) {
+	k := sim.PackPatternsInto(block, s.packed)
 	e := s.e
 	mask := blockMask(k)
 	nLive := len(s.live)
@@ -552,10 +518,9 @@ func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected
 	e.fanOut(w, func(wi int) error {
 		lo, hi := wi*nLive/w, (wi+1)*nLive/w
 		ps := e.sim(wi)
-		ps.LoadPackedBlock(words, k)
+		ps.LoadPackedBlock(s.packed, k)
 		wr := lo
-		myCredits := &s.credits[wi]
-		myCaught := 0
+		var sh sessionShard
 		for _, fi := range s.live[lo:hi] {
 			det := ps.FaultMask(s.faults[fi]) & mask
 			if det == 0 {
@@ -564,101 +529,27 @@ func (s *Session) applyPacked(words []uint64, k int, order ReplayOrder, detected
 				continue
 			}
 			detected[fi] = true
-			myCaught++
-			myCredits[creditBit(det, order)]++
+			sh.caught++
+			sh.useful |= det & -det
 		}
-		s.counts[wi] = wr - lo
-		s.caughts[wi] = myCaught
+		sh.kept = wr - lo
+		s.shards[wi] = sh
 		return nil
 	})
-	kept := s.counts[0]
-	for wi := 1; wi < w; wi++ {
+	kept := 0
+	var useful uint64
+	for wi, sh := range s.shards[:w] {
 		lo := wi * nLive / w
-		copy(s.live[kept:], s.live[lo:lo+s.counts[wi]])
-		kept += s.counts[wi]
-	}
-	s.live = s.live[:kept]
-	for wi := 0; wi < w; wi++ {
-		s.caught += s.caughts[wi]
-		for b, n := range s.credits[wi] {
-			if n != 0 {
-				credits[b] += n
-				s.credits[wi][b] = 0
-			}
-		}
+		copy(s.live[kept:], s.live[lo:lo+sh.kept])
+		kept += sh.kept
+		s.caught += sh.caught
+		useful |= sh.useful
 		e.flushCounts(e.sims[wi])
 	}
+	s.live = s.live[:kept]
 	e.reg.Counter("fault.sim.blocks").Inc()
 	e.reg.Counter("fault.sim.patterns").Add(int64(k))
-}
-
-// ApplyBlock grades one block of up to 64 patterns against the
-// still-live faults, with dropping. Newly caught faults are marked in
-// detected (indexed like the session's fault list), and the returned
-// mask has bit p set when block pattern p was the first detector of
-// some fault — the block's "useful" patterns. The live list is sharded
-// across the engine's workers when it is large enough to pay for the
-// per-worker good-machine pass; outcomes are bit-identical either way.
-func (s *Session) ApplyBlock(block [][]bool, detected []bool) uint64 {
-	if len(block) > 64 {
-		block = block[:64]
-	}
-	k := sim.PackPatternsInto(block, s.packed)
-	var credits [64]int
-	s.applyPacked(s.packed, k, ReplayForward, detected, &credits)
-	var useful uint64
-	for b := 0; b < k; b++ {
-		if credits[b] != 0 {
-			useful |= 1 << uint(b)
-		}
-	}
 	return useful
-}
-
-// Replay grades an entire packed pattern set through the session with
-// dropping, crediting each fault's first detection to exactly one
-// pattern and returning the per-pattern credit counts: credits[p] is
-// the number of faults pattern p first-detected, so the patterns with
-// credits[p] > 0 are the set's useful patterns. Under ReplayForward
-// blocks run first-to-last and a fault credits its lowest-indexed
-// detecting pattern; under ReplayReverse blocks run last-to-first and
-// a fault credits its highest-indexed one — exactly per-pattern
-// reverse-order processing, at PPSFP block speed: dropping between
-// blocks reproduces the per-pattern live lists, and within a block
-// each fault's detection mask is independent of the order patterns are
-// consumed. detected, when non-nil, receives the caught faults
-// (indexed like the session's fault list). Cancellation is honored
-// between blocks. Callers replaying a set from scratch on a used
-// session call Reset first.
-func (s *Session) Replay(ctx context.Context, pats *PackedPatterns, order ReplayOrder, detected []bool) ([]int, error) {
-	if pats.NumInputs() != len(s.e.inputs) {
-		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(s.e.inputs)))
-	}
-	if detected == nil {
-		detected = make([]bool, len(s.faults))
-	}
-	credits := make([]int, pats.NumPatterns())
-	nb := pats.NumBlocks()
-	for i := 0; i < nb && len(s.live) > 0; i++ {
-		if err := ctx.Err(); err != nil {
-			s.e.reg.Counter("fault.engine.cancelled").Inc()
-			return nil, err
-		}
-		bi := i
-		if order == ReplayReverse {
-			bi = nb - 1 - i
-		}
-		words, k := pats.Block(bi)
-		var block [64]int
-		s.applyPacked(words, k, order, detected, &block)
-		base := bi * 64
-		for b := 0; b < k; b++ {
-			if block[b] != 0 {
-				credits[base+b] = block[b]
-			}
-		}
-	}
-	return credits, nil
 }
 
 // Remaining reports the number of still-undetected faults.

@@ -25,8 +25,10 @@ var backendSeeds = []int64{1, 2, 5, 11, 42, -8, 116, 142}
 // machine runs on the interpreted kernel, on a seed-generated
 // circuit's collapsed fault list. The same circuit, faults and
 // patterns then go through the dictionary and compaction oracles, so
-// the detail schedulers (RunDetail) and the session scheduler
-// (Session.Replay) are checked at several worker counts too.
+// the detail schedulers (RunDetail) and compaction's replay on the
+// engine's two grading calls are checked at several worker counts too,
+// along with the rule that -compact full never keeps more patterns
+// than reverse.
 //
 // Run: go test -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/fault
 func FuzzBackendEquivalence(f *testing.F) {
@@ -78,8 +80,8 @@ func TestBackendSeedsShardCPT(t *testing.T) {
 }
 
 // The seed corpus must reach the sharded session path: on at least one
-// seed circuit, the four-worker reverse replay CheckCompaction runs
-// splits a block's live faults across more than one worker, as the
+// seed circuit, a four-worker ApplyBlock of the fuzz patterns splits
+// the block's live faults across more than one worker, as the
 // fault.sim.workers gauge the shared fan-out sets records.
 func TestBackendSeedsShardSession(t *testing.T) {
 	for _, seed := range backendSeeds {
@@ -88,9 +90,7 @@ func TestBackendSeedsShardSession(t *testing.T) {
 		pats := fuzzdiff.RandomPatterns(len(c.PIs), 32, seed^0x6A09E667)
 		reg := telemetry.NewRegistry()
 		s := fault.NewEngine(c, fault.Options{Workers: 4, Metrics: reg}).NewSession(faults)
-		if _, err := s.Replay(context.Background(), fault.PackPatternSet(len(c.PIs), pats), fault.ReplayReverse, nil); err != nil {
-			t.Fatal(err)
-		}
+		s.ApplyBlock(pats, make([]bool, len(faults)))
 		if reg.Gauge("fault.sim.workers").Value() > 1 {
 			return
 		}

@@ -33,20 +33,22 @@ func NewMachine(c *logic.Circuit, f Fault) *Machine {
 		lastPI:  make([]bool, len(c.PIs)),
 		dirty:   true,
 	}
-	m.forceState(false)
+	pinFaultyState(m.c, m.f, m.state, false)
 	return m
 }
 
-// forceState pins the state bit of a fault on a flip-flop. An output
-// (stem) fault holds the bit at all times; a D-input fault corrupts
-// only captured values, so it is pinned only when captured is set.
-func (m *Machine) forceState(captured bool) {
-	if m.c.Gates[m.f.Gate].Type != logic.DFF || (m.f.Pin != Stem && !captured) {
+// pinFaultyState applies the clock-edge rule for a fault on a
+// flip-flop to state, indexed like c.DFFs. An output (stem) fault holds
+// the bit at all times; a D-input fault corrupts only captured values,
+// so it is pinned only when captured is set. Faults elsewhere leave
+// state alone.
+func pinFaultyState(c *logic.Circuit, f Fault, state []bool, captured bool) {
+	if c.Gates[f.Gate].Type != logic.DFF || (f.Pin != Stem && !captured) {
 		return
 	}
-	for k, id := range m.c.DFFs {
-		if id == m.f.Gate {
-			m.state[k] = m.f.SA == logic.One
+	for k, id := range c.DFFs {
+		if id == f.Gate {
+			state[k] = f.SA == logic.One
 		}
 	}
 }
@@ -76,7 +78,7 @@ func (m *Machine) Clock() {
 	for k, id := range m.c.DFFs {
 		m.state[k] = m.vals[m.c.Gates[id].Fanin[0]]
 	}
-	m.forceState(true)
+	pinFaultyState(m.c, m.f, m.state, true)
 	evalFaultyInto(m.c, m.lastPI, m.state, m.f, m.vals, m.scratch)
 	m.dirty = false
 }
@@ -107,6 +109,6 @@ func (m *Machine) SetState(s []bool) {
 		panic(fmt.Sprintf("fault: SetState with %d values for %d flip-flops", len(s), len(m.state)))
 	}
 	copy(m.state, s)
-	m.forceState(false)
+	pinFaultyState(m.c, m.f, m.state, false)
 	m.dirty = true
 }

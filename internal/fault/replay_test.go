@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"dft/internal/circuits"
@@ -9,10 +10,21 @@ import (
 	"dft/internal/telemetry"
 )
 
-// Replay in either order must catch exactly the faults a fresh
-// one-shot Simulate catches, at every worker count and on engines
-// configured for every backend (sessions always run the PPSFP block
-// path, but the pooled simulators are shared with backend runs).
+// creditMask packs the credited patterns of a Credits vector into a
+// keep mask for an nPats-column matrix.
+func creditMask(credits []int, nPats int) []uint64 {
+	keep := make([]uint64, detailWords(nPats))
+	for _, p := range credits {
+		if p >= 0 {
+			keep[p/64] |= 1 << uint(p%64)
+		}
+	}
+	return keep
+}
+
+// Credits in either order must credit exactly the faults a fresh
+// one-shot Simulate catches, each to a pattern that detects it, at
+// every worker count and on both packed detail backends.
 func TestSessionReplayMatchesSimulate(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	faults := CollapseEquiv(c, Universe(c)).Reps
@@ -25,38 +37,39 @@ func TestSessionReplayMatchesSimulate(t *testing.T) {
 	}
 	for _, be := range []Backend{BackendParallel, BackendCPT} {
 		for _, w := range []int{1, 4} {
-			for _, order := range []ReplayOrder{ReplayForward, ReplayReverse} {
-				eng := NewEngine(c, Options{Backend: be, Workers: w, Metrics: telemetry.NewRegistry()})
-				s := eng.NewSession(faults)
-				detected := make([]bool, len(faults))
-				credits, err := s.Replay(context.Background(), packed, order, detected)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.Caught() != want.NumCaught {
-					t.Fatalf("%v workers=%d order=%v: caught %d, want %d", be, w, order, s.Caught(), want.NumCaught)
-				}
-				for i := range faults {
-					if detected[i] != want.Detected[i] {
-						t.Fatalf("%v workers=%d order=%v fault %d: detected %v, want %v",
-							be, w, order, i, detected[i], want.Detected[i])
+			eng := NewEngine(c, Options{Backend: be, Workers: w, Metrics: telemetry.NewRegistry()})
+			dr, err := eng.RunDetail(context.Background(), faults, packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, reverse := range []bool{false, true} {
+				credits := dr.Credits(nil, reverse)
+				caught := 0
+				for fi, p := range credits {
+					if (p >= 0) != want.Detected[fi] {
+						t.Fatalf("%v workers=%d reverse=%v fault %d: credit %d, detected %v",
+							be, w, reverse, fi, p, want.Detected[fi])
+					}
+					if p < 0 {
+						continue
+					}
+					caught++
+					if !dr.Detects(fi, p) {
+						t.Fatalf("%v workers=%d reverse=%v fault %d: credited pattern %d does not detect it",
+							be, w, reverse, fi, p)
 					}
 				}
-				sum := 0
-				for _, n := range credits {
-					sum += n
-				}
-				if sum != want.NumCaught {
-					t.Fatalf("%v workers=%d order=%v: credit sum %d, want %d", be, w, order, sum, want.NumCaught)
+				if caught != want.NumCaught {
+					t.Fatalf("%v workers=%d reverse=%v: %d credited, want %d", be, w, reverse, caught, want.NumCaught)
 				}
 			}
 		}
 	}
 }
 
-// Forward replay assigns each fault's credit to the same pattern a
-// dropping Simulate records in DetectedBy: per-pattern credit counts
-// must equal the DetectedBy histogram.
+// Forward credits go to the same pattern a dropping Simulate records
+// in DetectedBy: per-pattern credit counts must equal the DetectedBy
+// histogram.
 func TestSessionReplayForwardMatchesDetectedBy(t *testing.T) {
 	c := circuits.ALU74181()
 	faults := CollapseEquiv(c, Universe(c)).Reps
@@ -73,21 +86,27 @@ func TestSessionReplayForwardMatchesDetectedBy(t *testing.T) {
 		}
 	}
 	eng := NewEngine(c, Options{Workers: 4, Metrics: telemetry.NewRegistry()})
-	s := eng.NewSession(faults)
-	credits, err := s.Replay(context.Background(), PackPatternSet(len(c.PIs), pats), ReplayForward, nil)
+	dr, err := eng.RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]int, len(pats))
+	for _, p := range dr.Credits(nil, false) {
+		if p >= 0 {
+			got[p]++
+		}
+	}
 	for p := range pats {
-		if credits[p] != hist[p] {
-			t.Fatalf("pattern %d: credit %d, want %d", p, credits[p], hist[p])
+		if got[p] != hist[p] {
+			t.Fatalf("pattern %d: credit %d, want %d", p, got[p], hist[p])
 		}
 	}
 }
 
-// The reverse-order compaction theorem: the patterns credited by a
-// reverse replay, kept in original order, catch exactly the faults the
-// full set catches — verified by a fresh Simulate over the kept set.
+// The reverse-order compaction theorem: the patterns credited by
+// reverse-order Credits, kept in original order, catch exactly the
+// faults the full set catches — verified by a fresh Simulate over the
+// kept set.
 func TestSessionReplayReverseKeptCoverage(t *testing.T) {
 	for _, c := range []*logic.Circuit{circuits.ArrayMultiplier(5), circuits.ALU74181()} {
 		faults := CollapseEquiv(c, Universe(c)).Reps
@@ -98,19 +117,19 @@ func TestSessionReplayReverseKeptCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := NewEngine(c, Options{Workers: 4, Metrics: telemetry.NewRegistry()})
-		s := eng.NewSession(faults)
-		credits, err := s.Replay(context.Background(), PackPatternSet(len(c.PIs), pats), ReplayReverse, nil)
+		dr, err := eng.RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats))
 		if err != nil {
 			t.Fatal(err)
 		}
+		keep := creditMask(dr.Credits(nil, true), len(pats))
 		var kept [][]bool
-		for p, n := range credits {
-			if n > 0 {
+		for p := range pats {
+			if keep[p/64]>>uint(p%64)&1 == 1 {
 				kept = append(kept, pats[p])
 			}
 		}
 		if len(kept) >= len(pats) {
-			t.Fatalf("%s: reverse replay kept all %d patterns", c.Name, len(pats))
+			t.Fatalf("%s: reverse credits kept all %d patterns", c.Name, len(pats))
 		}
 		got, err := Simulate(context.Background(), c, faults, kept,
 			Options{Backend: BackendSerial})
@@ -128,39 +147,42 @@ func TestSessionReplayReverseKeptCoverage(t *testing.T) {
 	}
 }
 
-// Reset re-arms the session: a second replay over the same set must
-// reproduce the first one's credits exactly, and interleaving with
-// ApplyBlock must not disturb it.
+// Credits is pure: repeated calls, with or without a keep mask, return
+// the same vector and leave the mask alone, and a session block graded
+// on the same engine in between disturbs neither the matrix nor the
+// credits.
 func TestSessionResetReplay(t *testing.T) {
 	c := circuits.RippleAdder(6)
 	faults := CollapseEquiv(c, Universe(c)).Reps
 	pats := enginePatterns(len(c.PIs), 128, 3)
 	packed := PackPatternSet(len(c.PIs), pats)
 	eng := NewEngine(c, Options{Workers: 2, Metrics: telemetry.NewRegistry()})
-	s := eng.NewSession(faults)
-	first, err := s.Replay(context.Background(), packed, ReplayReverse, nil)
+	dr, err := eng.RunDetail(context.Background(), faults, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caught := s.Caught()
-	s.Reset()
-	if s.Caught() != 0 || s.Remaining() != len(faults) {
-		t.Fatalf("after Reset: caught=%d remaining=%d", s.Caught(), s.Remaining())
+	first := dr.Credits(nil, true)
+	keep := creditMask(first, len(pats))
+	keepCopy := append([]uint64(nil), keep...)
+	forward := dr.Credits(keep, false)
+	// Grade a forward block through a session on the same engine: the
+	// pooled simulators are shared, the matrix must not be.
+	eng.NewSession(faults).ApplyBlock(pats[:64], make([]bool, len(faults)))
+	if again := dr.Credits(nil, true); !reflect.DeepEqual(first, again) {
+		t.Fatal("reverse credits changed between calls")
 	}
-	// Dirty the live list with a forward block pass, then reset again.
-	s.ApplyBlock(pats[:64], make([]bool, len(faults)))
-	s.Reset()
-	again, err := s.Replay(context.Background(), packed, ReplayReverse, nil)
+	if again := dr.Credits(keep, false); !reflect.DeepEqual(forward, again) {
+		t.Fatal("kept-column credits changed between calls")
+	}
+	if !reflect.DeepEqual(keep, keepCopy) {
+		t.Fatal("Credits modified its keep mask")
+	}
+	dr2, err := eng.RunDetail(context.Background(), faults, packed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Caught() != caught {
-		t.Fatalf("second replay caught %d, first %d", s.Caught(), caught)
-	}
-	for p := range first {
-		if first[p] != again[p] {
-			t.Fatalf("pattern %d: credits %d then %d", p, first[p], again[p])
-		}
+	if !reflect.DeepEqual(dr.Detect, dr2.Detect) {
+		t.Fatal("a session block on the engine changed a later detail grade")
 	}
 }
 
@@ -174,18 +196,18 @@ func TestSessionReplayWorkerInvariance(t *testing.T) {
 	var base []int
 	for _, w := range []int{1, 2, 4, 8} {
 		eng := NewEngine(c, Options{Workers: w, Metrics: telemetry.NewRegistry()})
-		s := eng.NewSession(faults)
-		credits, err := s.Replay(context.Background(), packed, ReplayReverse, nil)
+		dr, err := eng.RunDetail(context.Background(), faults, packed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		credits := dr.Credits(nil, true)
 		if base == nil {
 			base = credits
 			continue
 		}
-		for p := range base {
-			if credits[p] != base[p] {
-				t.Fatalf("workers=%d pattern %d: credit %d, want %d", w, p, credits[p], base[p])
+		for fi := range base {
+			if credits[fi] != base[fi] {
+				t.Fatalf("workers=%d fault %d: credit %d, want %d", w, fi, credits[fi], base[fi])
 			}
 		}
 	}
@@ -196,10 +218,9 @@ func TestSessionReplayCancellation(t *testing.T) {
 	faults := Universe(c)
 	packed := PackPatternSet(len(c.PIs), enginePatterns(len(c.PIs), 128, 2))
 	eng := NewEngine(c, Options{Metrics: telemetry.NewRegistry()})
-	s := eng.NewSession(faults)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if credits, err := s.Replay(ctx, packed, ReplayReverse, nil); err == nil || credits != nil {
-		t.Fatalf("want cancellation error, got credits=%v err=%v", credits, err)
+	if dr, err := eng.RunDetail(ctx, faults, packed); err == nil || dr != nil {
+		t.Fatalf("want cancellation error, got rows=%v err=%v", dr != nil, err)
 	}
 }

@@ -175,16 +175,7 @@ func SimulateSequence(c *logic.Circuit, faults []Fault, seq [][]bool) *Sequentia
 			for k, id := range c.DFFs {
 				badState[k] = badVals[c.Gates[id].Fanin[0]]
 			}
-			// Faults on the DFF itself persist across the clock edge: a
-			// stem fault keeps the output stuck, and a D-input fault
-			// corrupts the value being captured.
-			if c.Gates[f.Gate].Type == logic.DFF {
-				for k, id := range c.DFFs {
-					if id == f.Gate {
-						badState[k] = f.SA == logic.One
-					}
-				}
-			}
+			pinFaultyState(c, f, badState, true)
 		}
 		if res.Detected[fi] {
 			res.NumCaught++

@@ -23,8 +23,9 @@ import (
 //   - static merging: after X-masking a third of the bits, the merged,
 //     filled and repaired set must never lose coverage versus its own
 //     filled baseline, its reported stats must match a baseline-cell
-//     grade of the output, and the whole pipeline must be a pure
-//     function of the seed.
+//     grade of the output, the whole pipeline must be a pure function
+//     of the seed, and it must keep no more patterns than reverse-only
+//     compaction of the same cubes under the same seed.
 //
 // A nil result means compaction and the simulation oracles agree.
 func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pats [][]bool, seed int64) (*Divergence, error) {
@@ -104,6 +105,16 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 			fmt.Sprintf("static stats claim %d detected, baseline grade of the output says %d",
 				stS.DetectedOut, gotS.NumCaught)), nil
 	}
+	sopt.Mode = compact.ModeReverse
+	keptR, _, _, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
+	if err != nil {
+		return nil, err
+	}
+	if len(keptS) > len(keptR) {
+		return compactDivergence(c, seed, keptS,
+			fmt.Sprintf("full compaction kept %d patterns, reverse kept %d", len(keptS), len(keptR))), nil
+	}
+	sopt.Mode = compact.ModeFull
 	keptS2, _, _, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
 	if err != nil {
 		return nil, err

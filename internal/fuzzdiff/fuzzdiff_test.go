@@ -188,8 +188,8 @@ func TestRoundCleanTree(t *testing.T) {
 // TestCheckCompactionCleanSweep is the compaction acceptance check:
 // 200 seeded rounds of the compaction cross-oracle — reverse replay
 // against an independent baseline grade, worker invariance, static
-// merge coverage repair and seed purity — must produce zero
-// divergences.
+// merge coverage repair, seed purity and full never keeping more
+// patterns than reverse — must produce zero divergences.
 func TestCheckCompactionCleanSweep(t *testing.T) {
 	rounds := int64(200)
 	if testing.Short() {
