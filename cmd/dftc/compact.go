@@ -19,9 +19,11 @@ import (
 
 // cmdCompact compacts a test set against a circuit without rerunning
 // generation: either cubes read from a file in 01X notation (one per
-// line, width = view inputs, -mode full merges them) or a seeded
-// random set (-random N, replay only). The kept fully-specified
-// patterns are written one per line as 01 strings.
+// line, width = view inputs, X-filled from -seed) or a seeded random
+// set (-random N). -mode reverse replays the set; -mode full also runs
+// a set cover over the replay's detection matrix and keeps it when
+// smaller. The kept fully-specified patterns are written one per line
+// as 01 strings.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
 	modeFlag := fs.String("mode", "reverse", "compaction mode: reverse or full")
@@ -97,15 +99,13 @@ func cmdCompact(args []string) error {
 			"scan": *scan, "workers": *workers,
 		})
 		rep.Results = map[string]any{
-			"patterns_in":    st.PatternsIn,
-			"patterns_out":   st.PatternsOut,
-			"compact_ratio":  st.Ratio,
-			"replay_passes":  st.ReplayPasses,
-			"merge_attempts": st.MergeAttempts,
-			"merge_hits":     st.MergeHits,
-			"coverage_in":    st.CoverageIn,
-			"coverage_out":   st.CoverageOut,
-			"targets":        targets,
+			"patterns_in":   st.PatternsIn,
+			"patterns_out":  st.PatternsOut,
+			"compact_ratio": st.Ratio,
+			"replay_passes": st.ReplayPasses,
+			"coverage_in":   st.CoverageIn,
+			"coverage_out":  st.CoverageOut,
+			"targets":       targets,
 		}
 		if err := rep.Finish(telemetry.Default()).WriteJSON(os.Stdout); err != nil {
 			return err
@@ -119,12 +119,8 @@ func cmdCompact(args []string) error {
 // compactSummary is the one-line account of a compaction run that
 // atpg and compact print.
 func compactSummary(st *compact.Stats) string {
-	note := "coverage unchanged"
-	if st.DetectedOut > st.DetectedIn {
-		note = fmt.Sprintf("coverage +%d faults", st.DetectedOut-st.DetectedIn)
-	}
-	return fmt.Sprintf("compact   : patterns %d -> %d (%.1fx, %d replay passes), %s",
-		st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses, note)
+	return fmt.Sprintf("compact   : patterns %d -> %d (%.1fx, %d replay passes), coverage unchanged",
+		st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses)
 }
 
 // readCubes parses one test cube per line in 01X notation; blank lines

@@ -225,18 +225,19 @@ func TestGoldenCOP(t *testing.T) {
 }
 
 // compactionDigests pins the output of reverse-order compaction: the
-// kept patterns, the surviving cubes and every Stats field, for
+// kept patterns, the surviving cubes and the Stats fields statsLine
+// lists, for
 // compact.Result on an ATPG run and compact.Patterns on a random set.
 // A refactor of the replay passes must leave each one byte-identical.
 var compactionDigests = map[string]string{
-	"alu74181x2/result":   "ef28424993e191692431a9f2bcb6e568713c302bd5a6e238f4feb4855584fb89",
-	"alu74181x2/patterns": "fd95d3b5561776b48135000b0ce8a9e37afebbaf5fb6ab211aa98cc0183c6c01",
-	"mult6/result":        "0d6c4030316d5060e21873297285ee834921bcadbe328376a553f4d314fd87d1",
-	"mult6/patterns":      "b9df6e19cbe4bc51b67afc1243ad8533ec1872f630d076db79841301c378fbbd",
-	"hardcore8/result":    "c702d7f735c9e84ebe3c46310deb6059adb6865be185a0cc3f0ad07764404eab",
-	"hardcore8/patterns":  "4d2e133e389bc036e17423c30aa1973b77250dd57cfde93023bb1ca2151f3bb7",
-	"random/result":       "5e96bd2bfef0a2674a03f87ee1a55ef6ea0e9b95af016d67fdfe0ec733e24524",
-	"random/patterns":     "f7f242e54a2b6957a5b6261c3ccb07c71021c6251c4b83b85957f1036a6c5fed",
+	"alu74181x2/result":   "5e002d82551d120a59c7227b7df5fe3ea32ece9a00cebbc32d919e200a48f4ff",
+	"alu74181x2/patterns": "8cac8159437b7b46932d7c285bb0061c4a5e06b495d896f84ef4b2f237973246",
+	"mult6/result":        "160cb4e5d60d67fb9d88174286a38bb18973712902f01db87d8eed13aba5855f",
+	"mult6/patterns":      "63223d5bf855ee9d1339c2a0a59d000830b8ae557774eab9eb7f67b6be140dfe",
+	"hardcore8/result":    "1d2b87d8b825bd1bf74013c09d888a4e09b0089bfb6bb30bc8bbb193b462a1a0",
+	"hardcore8/patterns":  "490beeb98c3ec38ab0d9a61f386d77cfbb1e9467f2477924517b04cbc91dd915",
+	"random/result":       "5170f06413a9dfc69e05d15bc517da49e73898d1c7a8053a7f3065e0e871b370",
+	"random/patterns":     "93a4e6aa7e507a703d125a7c65735acb4f4a60d44d17255f81d24d0e5f2db368",
 }
 
 func TestCompactionDigest(t *testing.T) {
@@ -267,7 +268,7 @@ func TestCompactionDigest(t *testing.T) {
 		for i, p := range gen.Patterns {
 			fmt.Fprintln(h, p, gen.Tests[i].String())
 		}
-		fmt.Fprintf(h, "%+v\n", *st)
+		fmt.Fprintln(h, statsLine(st))
 		checkCompactionDigest(t, tc.name+"/result", h)
 
 		pats := goldenPatterns(rand.New(rand.NewSource(7)), len(view.Inputs), 512)
@@ -279,9 +280,17 @@ func TestCompactionDigest(t *testing.T) {
 		for _, p := range kept {
 			fmt.Fprintln(h, p)
 		}
-		fmt.Fprintf(h, "%+v\n", *st)
+		fmt.Fprintln(h, statsLine(st))
 		checkCompactionDigest(t, tc.name+"/patterns", h)
 	}
+}
+
+// statsLine names the Stats fields a digest covers, so adding or
+// removing an unrelated field does not move the digests.
+func statsLine(st *compact.Stats) string {
+	return fmt.Sprintf("in=%d out=%d ratio=%v passes=%d detected=%d/%d coverage=%v/%v",
+		st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses,
+		st.DetectedIn, st.DetectedOut, st.CoverageIn, st.CoverageOut)
 }
 
 func checkCompactionDigest(t *testing.T, key string, h hash.Hash) {

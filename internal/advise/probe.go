@@ -82,7 +82,7 @@ func (st *state) probe(ctx context.Context, seed uint64, opt Options, reg *telem
 		t, err := searcher.Podem(st.faults[i], atpg.PodemConfig{MaxBacktracks: opt.Backtracks, Metrics: reg})
 		switch err {
 		case nil:
-			block = append(block, atpg.Test{Values: t.Filled(logic.Zero)}.Bools())
+			block = append(block, t.Bools())
 			if len(block) == 64 {
 				flush()
 			}

@@ -269,9 +269,10 @@ func TestTestStringAndFill(t *testing.T) {
 	if tst.String() != "01X" {
 		t.Errorf("String = %q", tst.String())
 	}
-	filled := tst.Filled(logic.One)
-	if filled[2] != logic.One {
-		t.Error("Filled did not fill")
+	draws := 0
+	filled := tst.Fill(func() bool { draws++; return true })
+	if filled[0] || !filled[1] || !filled[2] || draws != 1 {
+		t.Errorf("Fill = %v after %d draws, want [false true true] after 1", filled, draws)
 	}
 	b := tst.Bools()
 	if b[0] || !b[1] || b[2] {

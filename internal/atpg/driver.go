@@ -154,17 +154,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 			continue
 		}
 		// Fill X positions randomly: free fault coverage.
-		full := make([]bool, len(t.Values))
-		for i, v := range t.Values {
-			switch v {
-			case logic.One:
-				full[i] = true
-			case logic.Zero:
-				full[i] = false
-			default:
-				full[i] = rng.Intn(2) == 1
-			}
-		}
+		full := t.Fill(func() bool { return rng.Intn(2) == 1 })
 		res.Tests = append(res.Tests, t)
 		res.Patterns = append(res.Patterns, full)
 		h.applyBlock([][]bool{full}, res.Detected)

@@ -69,27 +69,23 @@ type Test struct {
 	Values []logic.V
 }
 
-// Filled returns a copy with X positions replaced by fill.
-func (t Test) Filled(fill logic.V) []logic.V {
-	out := make([]logic.V, len(t.Values))
+// Fill converts the cube to a pattern, drawing each X position from x
+// in input order.
+func (t Test) Fill(x func() bool) []bool {
+	out := make([]bool, len(t.Values))
 	for i, v := range t.Values {
 		if v == logic.X {
-			out[i] = fill
+			out[i] = x()
 		} else {
-			out[i] = v
+			out[i] = v == logic.One
 		}
 	}
 	return out
 }
 
-// Bools converts a fully specified test to booleans, filling X with
-// false.
+// Bools converts the cube to a pattern, filling X with false.
 func (t Test) Bools() []bool {
-	out := make([]bool, len(t.Values))
-	for i, v := range t.Values {
-		out[i] = v == logic.One
-	}
-	return out
+	return t.Fill(func() bool { return false })
 }
 
 // String renders the cube in 01X notation.

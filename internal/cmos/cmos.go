@@ -259,8 +259,8 @@ func findExcitation(c *logic.Circuit, view atpg.View, f Fault, sa fault.Fault, r
 	// PODEM's stuck-at test satisfies series-network excitation
 	// automatically; verify and accept.
 	if cube, err := atpg.Podem(c, view, sa, atpg.PodemConfig{}); err == nil {
-		for _, fill := range []logic.V{logic.Zero, logic.One} {
-			p := boolsOf(cube.Filled(fill))
+		for _, fill := range []bool{false, true} {
+			p := cube.Fill(func() bool { return fill })
 			if check(p) {
 				return p, true
 			}
@@ -297,8 +297,8 @@ func findInit(c *logic.Circuit, view atpg.View, f Fault, rng *rand.Rand) ([]bool
 	// drives the node to want.
 	saInit := fault.Fault{Gate: f.Gate, Pin: fault.Stem, SA: logic.FromBool(!want)}
 	if cube, err := atpg.Podem(c, view, saInit, atpg.PodemConfig{}); err == nil {
-		for _, fill := range []logic.V{logic.Zero, logic.One} {
-			p := boolsOf(cube.Filled(fill))
+		for _, fill := range []bool{false, true} {
+			p := cube.Fill(func() bool { return fill })
 			if check(p) {
 				return p, true
 			}
@@ -325,14 +325,6 @@ func gateInputs(c *logic.Circuit, id int, pi []bool) []bool {
 		in[i] = vals[src]
 	}
 	return in
-}
-
-func boolsOf(vs []logic.V) []bool {
-	out := make([]bool, len(vs))
-	for i, v := range vs {
-		out[i] = v == logic.One
-	}
-	return out
 }
 
 // GradeSequence measures stuck-open coverage of a pattern sequence

@@ -2,15 +2,13 @@ package compact
 
 import (
 	"context"
-	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"dft/internal/atpg"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
 
@@ -18,12 +16,12 @@ import (
 type Options struct {
 	// Mode selects the passes; ModeOff makes every entry point a no-op.
 	Mode Mode
-	// Workers is the fault-simulation sharding degree for re-grading
-	// and replay, with fault.Options.Workers semantics (0 = GOMAXPROCS).
+	// Workers is the fault-simulation sharding degree for replay, with
+	// fault.Options.Workers semantics (0 = GOMAXPROCS).
 	// Results are identical for every worker count.
 	Workers int
-	// Seed derives the private X-fill source, so a fixed seed
-	// reproduces the compacted set exactly.
+	// Seed derives the X-fill source Tests fills cubes from, so a
+	// fixed seed reproduces the compacted set exactly.
 	Seed int64
 	// Metrics receives the run's telemetry; nil selects
 	// telemetry.Default().
@@ -35,14 +33,12 @@ func (o Options) rng() *rand.Rand { return rand.New(rand.NewSource(o.Seed + 2)) 
 // Stats reports what a compaction run did, for the dft.run-report/v1
 // document and the dftc one-line summary.
 type Stats struct {
-	PatternsIn    int     `json:"patterns_in"`
-	PatternsOut   int     `json:"patterns_out"`
-	Ratio         float64 `json:"compact_ratio"` // PatternsIn / PatternsOut
-	ReplayPasses  int     `json:"replay_passes"`
-	MergeAttempts int     `json:"merge_attempts,omitempty"`
-	MergeHits     int     `json:"merge_hits,omitempty"`
+	PatternsIn   int     `json:"patterns_in"`
+	PatternsOut  int     `json:"patterns_out"`
+	Ratio        float64 `json:"compact_ratio"` // PatternsIn / PatternsOut
+	ReplayPasses int     `json:"replay_passes"`
 	// DetectedIn/Out count faults detected by the original and
-	// compacted sets; compaction never lets Out drop below In.
+	// compacted sets; compaction keeps them equal.
 	DetectedIn  int     `json:"detected_in"`
 	DetectedOut int     `json:"detected_out"`
 	CoverageIn  float64 `json:"coverage_in"`
@@ -60,28 +56,28 @@ func (s *Stats) finish() {
 	}
 }
 
-// Patterns compacts a raw fully-specified pattern set: reverse-order
-// replay only, since without cubes there is nothing to merge. The kept
+// Patterns compacts a raw fully-specified pattern set. The kept
 // patterns (in original relative order) detect the same collapsed
 // fault set as the input.
 func Patterns(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
 	patterns [][]bool, opt Options) ([][]bool, *Stats, error) {
-	pats, _, st, err := run(ctx, c, view, faults, patterns, nil, nil, opt)
+	pats, _, st, err := run(ctx, c, view, faults, patterns, nil, opt)
 	return pats, st, err
 }
 
-// Tests compacts a set of partially-specified cubes: static merging
-// (under ModeFull) then X-fill and replay. Returns the compacted
-// fully-specified patterns, the surviving cubes (merged where merging
-// happened), and the run's stats.
+// Tests compacts a set of partially-specified cubes: X-fill through
+// the seeded source, then the shared pipeline. Returns the compacted
+// fully-specified patterns, the cubes they were filled from, and the
+// run's stats.
 func Tests(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
 	tests []atpg.Test, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
 	rng := opt.rng()
+	x := func() bool { return rng.Intn(2) == 1 }
 	patterns := make([][]bool, len(tests))
 	for i, t := range tests {
-		patterns[i] = fillCube(t, rng)
+		patterns[i] = t.Fill(x)
 	}
-	return run(ctx, c, view, faults, patterns, tests, rng, opt)
+	return run(ctx, c, view, faults, patterns, tests, opt)
 }
 
 // Result compacts an ATPG run in place: res.Patterns and res.Tests are
@@ -91,9 +87,9 @@ func Result(ctx context.Context, c *logic.Circuit, view atpg.View, faults []faul
 	res *atpg.GenerateResult, opt Options) (*Stats, error) {
 	cubes := res.Tests
 	if len(cubes) != len(res.Patterns) {
-		cubes = nil // misaligned caller-built result: replay only
+		cubes = nil // misaligned caller-built result: patterns only
 	}
-	pats, kept, st, err := run(ctx, c, view, faults, res.Patterns, cubes, opt.rng(), opt)
+	pats, kept, st, err := run(ctx, c, view, faults, res.Patterns, cubes, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -104,13 +100,19 @@ func Result(ctx context.Context, c *logic.Circuit, view atpg.View, faults []faul
 	return st, nil
 }
 
-// run is the shared pipeline: static merge (cubes present and
-// ModeFull), then alternating-direction replay until no shrink.
-// cubes, when non-nil, must be index-aligned with patterns; the
-// returned cube slice stays aligned with the returned patterns. rng
-// X-fills merged cubes, so it may be nil when cubes is.
+// run is the shared pipeline. Replay keeps only the patterns that
+// first-detect some fault, alternating the walk direction until a pass
+// stops shrinking. The first, reverse pass is one dropping grade of the
+// set walked last-to-first: a fault's first detector there is its last
+// one in the set. The survivors then get one detail grade, and every
+// later pass is a Credits scan of that matrix, not a re-simulation.
+// Each pass that continues strictly shrinks the set, so the loop ends.
+// ModeFull builds the matrix even when the first pass keeps every
+// pattern, and keeps its set cover instead when that is strictly
+// smaller. cubes, when non-nil, must be index-aligned with patterns;
+// the returned cube slice stays aligned with the returned patterns.
 func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.Fault,
-	patterns [][]bool, cubes []atpg.Test, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
+	patterns [][]bool, cubes []atpg.Test, opt Options) ([][]bool, []atpg.Test, *Stats, error) {
 	st := &Stats{PatternsIn: len(patterns), PatternsOut: len(patterns)}
 	if !opt.Mode.Enabled() || len(patterns) == 0 || len(faults) == 0 {
 		st.finish()
@@ -125,39 +127,29 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 	eng := fault.NewEngine(c, fault.Options{Workers: opt.Workers, View: view, Metrics: reg})
 	prog := reg.Progress("compact.patterns.progress")
 
-	// replay keeps only the patterns that first-detect some fault,
-	// alternating the walk direction until a pass stops shrinking. The
-	// first, reverse pass is one dropping grade of the set walked
-	// last-to-first: a fault's first detector there is its last one in
-	// the set. The survivors then get one detail grade, and every later
-	// pass is a Credits scan of that matrix, not a re-simulation. Each
-	// pass that continues strictly shrinks the set, so the loop ends.
-	replay := func(patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg.Test, []bool, error) {
-		n := len(patterns)
-		prog.AddTotal(int64(n))
-		rev := make([][]bool, n)
-		for i, p := range patterns {
-			rev[n-1-i] = p
+	n := len(patterns)
+	prog.AddTotal(int64(n))
+	rev := make([][]bool, n)
+	for i, p := range patterns {
+		rev[n-1-i] = p
+	}
+	res, err := eng.Run(ctx, faults, rev)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	prog.Add(int64(n))
+	st.ReplayPasses++
+	var last []int
+	var hit []fault.Fault
+	for fi, p := range res.DetectedBy {
+		if p >= 0 {
+			last = append(last, n-1-p)
+			hit = append(hit, faults[fi])
 		}
-		res, err := eng.Run(ctx, faults, rev)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prog.Add(int64(n))
-		st.ReplayPasses++
-		var last []int
-		var hit []fault.Fault
-		for fi, p := range res.DetectedBy {
-			if p >= 0 {
-				last = append(last, n-1-p)
-				hit = append(hit, faults[fi])
-			}
-		}
-		keep, kept := columns(n, last)
-		patterns, cubes = pick(keep, patterns, cubes)
-		if kept == n {
-			return patterns, cubes, res.Detected, nil
-		}
+	}
+	keep, kept := columns(n, last)
+	patterns, cubes = pick(keep, patterns, cubes)
+	if kept < n || opt.Mode == ModeFull {
 		dr, err := eng.RunDetail(ctx, hit, fault.PackPatternSet(len(view.Inputs), patterns))
 		if err != nil {
 			return nil, nil, nil, err
@@ -173,64 +165,22 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 			}
 			keep, kept = next, nextKept
 		}
+		if opt.Mode == ModeFull {
+			cov, covKept := cover(dr)
+			useCover := covKept < kept
+			span.SetAttr("cover", strconv.FormatBool(useCover))
+			if useCover {
+				keep = cov
+			}
+		}
 		if keep != nil {
 			patterns, cubes = pick(keep, patterns, cubes)
 		}
-		return patterns, cubes, res.Detected, nil
-	}
-
-	// Baseline grading: the contract is stated against what the input
-	// set actually detects, so static repair has exact targets.
-	origPatterns, origCubes := patterns, cubes
-	var d0 *fault.Result
-	if opt.Mode == ModeFull && len(cubes) == len(patterns) {
-		var err error
-		d0, err = eng.Run(ctx, faults, patterns)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		st.DetectedIn = d0.NumCaught
-		patterns, cubes, err = mergeCubes(ctx, eng, faults, patterns, cubes, d0, st, rng, opt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	patterns, cubes, detected, err := replay(patterns, cubes)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if d0 != nil {
-		// Dense cubes merge poorly and repair re-appends patterns, so the
-		// merged set can replay larger than the input does. Replay the
-		// input too and keep it when strictly smaller: full mode never
-		// returns more patterns than reverse mode.
-		plain, plainCubes, plainDetected, err := replay(origPatterns, origCubes)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if len(plain) < len(patterns) {
-			patterns, cubes, detected = plain, plainCubes, plainDetected
-		}
-	}
-	for _, d := range detected {
-		if d {
-			st.DetectedOut++
-		}
-	}
-	if d0 != nil {
-		// The repair pass re-appended a detector for every lost fault, so
-		// a gap here is a bug in the engine or the theorem — fail loudly.
-		for fi, d := range d0.Detected {
-			if d && !detected[fi] {
-				return nil, nil, nil, fmt.Errorf("compact: fault %s lost during compaction", faults[fi].Name(c))
-			}
-		}
-	} else {
-		st.DetectedIn = st.DetectedOut
 	}
 	st.PatternsOut = len(patterns)
+	st.DetectedIn, st.DetectedOut = res.NumCaught, res.NumCaught
 	st.CoverageIn = float64(st.DetectedIn) / float64(len(faults))
-	st.CoverageOut = float64(st.DetectedOut) / float64(len(faults))
+	st.CoverageOut = st.CoverageIn
 	st.finish()
 	if d := st.PatternsIn - st.PatternsOut; d > 0 {
 		reg.Counter("compact.patterns.dropped").Add(int64(d))
@@ -247,7 +197,7 @@ func columns(n int, credits []int) ([]uint64, int) {
 	keep := make([]uint64, (n+63)/64)
 	kept := 0
 	for _, p := range credits {
-		if p >= 0 && keep[p/64]>>uint(p%64)&1 == 0 {
+		if p >= 0 && !has(keep, p) {
 			keep[p/64] |= 1 << uint(p%64)
 			kept++
 		}
@@ -261,7 +211,7 @@ func pick(keep []uint64, patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg
 	kept := patterns[:0:0]
 	var keptCubes []atpg.Test
 	for p := range patterns {
-		if keep[p/64]>>uint(p%64)&1 == 1 {
+		if has(keep, p) {
 			kept = append(kept, patterns[p])
 			if cubes != nil {
 				keptCubes = append(keptCubes, cubes[p])
@@ -271,93 +221,107 @@ func pick(keep []uint64, patterns [][]bool, cubes []atpg.Test) ([][]bool, []atpg
 	return kept, keptCubes
 }
 
-// mergeCubes is the static pass: greedy first-fit merging of
-// compatible cubes in essential-first (descending care-count) order,
-// X-fill of the merged cubes through rng, then a
-// repair step that re-appends an original detector for every fault the
-// refilled set lost — so the set entering replay detects at least what
-// the input did.
-func mergeCubes(ctx context.Context, eng *fault.Engine, faults []fault.Fault, patterns [][]bool, cubes []atpg.Test,
-	d0 *fault.Result, st *Stats, rng *rand.Rand, opt Options) ([][]bool, []atpg.Test, error) {
-	reg := telemetry.OrDefault(opt.Metrics)
-	packed := make([]sim.PackedCube, len(cubes))
-	for i, t := range cubes {
-		packed[i] = sim.PackCube(t.Values)
+// cover is the set-cover pass over a detail matrix whose rows are the
+// detected faults and whose columns are patterns. It takes every
+// essential column (some row's only detector), then, while a row is
+// uncovered, the column that detects the most uncovered rows, lowest
+// index on ties. Last, it walks the taken columns from the highest
+// index down and drops each one whose rows the other taken columns all
+// detect.
+// It returns the keep mask and its size; the kept columns detect
+// every row some column detects.
+func cover(dr *fault.DetailResult) ([]uint64, int) {
+	keep := make([]uint64, (dr.NumPats+63)/64)
+	gain := make([]int, dr.NumPats) // uncovered rows per column
+	for _, row := range dr.Detect {
+		eachColumn(row, func(p int) { gain[p]++ })
 	}
-	order := make([]int, len(cubes))
-	for i := range order {
-		order[i] = i
+	covered := make([]bool, len(dr.Detect))
+	kept := 0
+	take := func(p int) {
+		keep[p/64] |= 1 << uint(p%64)
+		kept++
+		for r, row := range dr.Detect {
+			if !covered[r] && has(row, p) {
+				covered[r] = true
+				eachColumn(row, func(q int) { gain[q]-- })
+			}
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return packed[order[a]].CareCount() > packed[order[b]].CareCount()
-	})
-	var groups []sim.PackedCube
-	attempts, hits := 0, 0
-	for _, i := range order {
-		placed := false
-		for g := range groups {
-			attempts++
-			if groups[g].Compatible(packed[i]) {
-				groups[g].Merge(packed[i])
-				hits++
-				placed = true
+	for r, row := range dr.Detect {
+		if only := onlyColumn(row); only >= 0 && !covered[r] {
+			take(only)
+		}
+	}
+	for {
+		best := -1
+		for p, g := range gain {
+			if g > 0 && (best < 0 || g > gain[best]) {
+				best = p
+			}
+		}
+		if best < 0 {
+			break
+		}
+		take(best)
+	}
+
+	// count[r] is the number of taken columns that detect row r.
+	count := make([]int, len(dr.Detect))
+	for r, row := range dr.Detect {
+		for w, word := range row {
+			count[r] += bits.OnesCount64(word & keep[w])
+		}
+	}
+	for p := dr.NumPats - 1; p >= 0; p-- {
+		if !has(keep, p) {
+			continue
+		}
+		redundant := true
+		for r, row := range dr.Detect {
+			if has(row, p) && count[r] < 2 {
+				redundant = false
 				break
 			}
 		}
-		if !placed {
-			// Copy: Merge mutates in place and packed[i] backs the input cube.
-			nw := len(packed[i].Care)
-			g := sim.PackedCube{Care: make([]uint64, nw), Val: make([]uint64, nw)}
-			g.Merge(packed[i])
-			groups = append(groups, g)
-		}
-	}
-	st.MergeAttempts, st.MergeHits = attempts, hits
-	reg.Counter("compact.merge.attempts").Add(int64(attempts))
-	reg.Counter("compact.merge.hits").Add(int64(hits))
-
-	width := len(cubes[0].Values)
-	mergedCubes := make([]atpg.Test, len(groups))
-	mergedPats := make([][]bool, len(groups))
-	for g := range groups {
-		mergedCubes[g] = atpg.Test{Values: groups[g].Unpack(width)}
-		mergedPats[g] = fillCube(mergedCubes[g], rng)
-	}
-
-	// Repair: the refill can lose chance detections the original fill
-	// had, so re-append the original first detector of every lost fault.
-	after, err := eng.Run(ctx, faults, mergedPats)
-	if err != nil {
-		return nil, nil, err
-	}
-	readded := make(map[int]bool)
-	for fi, was := range d0.Detected {
-		if !was || after.Detected[fi] {
+		if !redundant {
 			continue
 		}
-		p := d0.DetectedBy[fi]
-		if readded[p] {
-			continue
+		keep[p/64] &^= 1 << uint(p%64)
+		kept--
+		for r, row := range dr.Detect {
+			if has(row, p) {
+				count[r]--
+			}
 		}
-		readded[p] = true
-		mergedPats = append(mergedPats, patterns[p])
-		mergedCubes = append(mergedCubes, cubes[p])
 	}
-	return mergedPats, mergedCubes, nil
+	return keep, kept
 }
 
-// fillCube specifies a cube's X positions from the injected source.
-func fillCube(t atpg.Test, rng *rand.Rand) []bool {
-	full := make([]bool, len(t.Values))
-	for i, v := range t.Values {
-		switch v {
-		case logic.One:
-			full[i] = true
-		case logic.Zero:
-			full[i] = false
-		default:
-			full[i] = rng.Intn(2) == 1
+// has reports whether column p is set in a packed row or mask.
+func has(row []uint64, p int) bool { return row[p/64]>>uint(p%64)&1 == 1 }
+
+// eachColumn calls f with every column set in a packed row, in order.
+func eachColumn(row []uint64, f func(p int)) {
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			f(w*64 + bits.TrailingZeros64(word))
 		}
 	}
-	return full
+}
+
+// onlyColumn returns the one column set in a packed row, or -1 when
+// the row has none or several.
+func onlyColumn(row []uint64) int {
+	only := -1
+	for w, word := range row {
+		if word == 0 {
+			continue
+		}
+		if only >= 0 || word&(word-1) != 0 {
+			return -1
+		}
+		only = w*64 + bits.TrailingZeros64(word)
+	}
+	return only
 }

@@ -39,7 +39,7 @@ func TestParseMode(t *testing.T) {
 	}
 	// The removed modes are refused with the one that replaces them.
 	for _, s := range []string{"static", "dynamic"} {
-		want := `compact: mode "` + s + `" was removed; use "full" (cube merging, then replay)`
+		want := `compact: mode "` + s + `" was removed; use "full" (replay, then set cover)`
 		if _, err := ParseMode(s); err == nil || err.Error() != want {
 			t.Fatalf("ParseMode(%q) error %v, want %q", s, err, want)
 		}
@@ -96,9 +96,9 @@ func TestPatternsReverse(t *testing.T) {
 	}
 }
 
-// Static compaction over deterministic cubes: merging must fire, the
-// compacted set must cover at least the original detections, and the
-// paranoia re-grade in the pipeline must hold.
+// Full compaction over deterministic cubes: the kept patterns stay
+// aligned with their cubes, detect exactly what the filled input
+// detects, and number no more than reverse mode keeps.
 func TestTestsStatic(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -111,24 +111,44 @@ func TestTestsStatic(t *testing.T) {
 		view := atpg.PrimaryView(c)
 		faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
 		gen := atpg.Generate(c, view, faults, atpg.Config{RandomSeed: 3})
-		reg := telemetry.NewRegistry()
-		kept, cubes, st, err := Tests(context.Background(), c, view, faults, gen.Tests,
-			Options{Mode: ModeFull, Seed: 3, Metrics: reg})
+		opt := Options{Mode: ModeFull, Seed: 3, Metrics: telemetry.NewRegistry()}
+		kept, cubes, st, err := Tests(context.Background(), c, view, faults, gen.Tests, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(kept) != len(cubes) {
 			t.Fatalf("%s: %d patterns but %d cubes", tc.name, len(kept), len(cubes))
 		}
-		if st.MergeAttempts == 0 {
-			t.Fatalf("%s: static pass did not attempt any merges", tc.name)
+		for i, cube := range cubes {
+			for j, v := range cube.Values {
+				if v != logic.X && kept[i][j] != (v == logic.One) {
+					t.Fatalf("%s: pattern %d is not a fill of its cube %s", tc.name, i, cube)
+				}
+			}
 		}
-		if st.DetectedOut < st.DetectedIn {
-			t.Fatalf("%s: compaction lost coverage %d -> %d", tc.name, st.DetectedIn, st.DetectedOut)
+		rng := opt.rng()
+		filled := make([][]bool, len(gen.Tests))
+		for i, cube := range gen.Tests {
+			filled[i] = cube.Fill(func() bool { return rng.Intn(2) == 1 })
 		}
-		snap := reg.Snapshot()
-		if snap.Counters["compact.merge.attempts"] == 0 {
-			t.Fatalf("%s: merge counters not flushed: %v", tc.name, snap.Counters)
+		want, err := fault.Simulate(context.Background(), c, faults, filled, fault.Options{View: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fault.Simulate(context.Background(), c, faults, kept, fault.Options{View: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Detected, want.Detected) || st.DetectedOut != want.NumCaught {
+			t.Fatalf("%s: kept set detects %d faults, filled input %d (stats %+v)", tc.name, got.NumCaught, want.NumCaught, st)
+		}
+		opt.Mode = ModeReverse
+		keptR, _, _, err := Tests(context.Background(), c, view, faults, gen.Tests, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) > len(keptR) {
+			t.Fatalf("%s: full kept %d patterns, reverse %d", tc.name, len(kept), len(keptR))
 		}
 	}
 }
@@ -238,8 +258,8 @@ func TestCancellation(t *testing.T) {
 }
 
 // Full mode must never return more patterns than reverse mode on the
-// same input: on this run cube merging replays to a larger set than
-// plain replay of the ATPG patterns does, so full keeps the plain set.
+// same input: the set cover is kept only when strictly smaller than
+// the replay passes' set.
 func TestFullNeverWorseThanReverse(t *testing.T) {
 	c := circuits.Cascade74181(2)
 	view := atpg.PrimaryView(c)
@@ -257,6 +277,101 @@ func TestFullNeverWorseThanReverse(t *testing.T) {
 		kept[mode] = len(gen.Patterns)
 	}
 	if kept[ModeFull] > kept[ModeReverse] {
+		t.Fatalf("full kept %d patterns, reverse %d", kept[ModeFull], kept[ModeReverse])
+	}
+}
+
+// Set cover on a hand-built matrix where replay cannot shrink but the
+// cover can: p0 {1,2,3}, p1 {4,5,6}, p2 {1,4}, p3 {2,5}, p4 {3,6}.
+// Reverse credits keep p2-p4; the cover keeps p0 and p1. The second
+// matrix has no essential column, so greedy takes p0 first and the
+// last-to-first walk must drop it once p1 and p2 are in.
+func TestCoverBeatsCredits(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		columns [][]int // rows each column detects
+		credits []int   // columns reverse Credits keeps
+		cover   []int   // columns cover keeps
+	}{
+		{"pairs", [][]int{{0, 1, 2}, {3, 4, 5}, {0, 3}, {1, 4}, {2, 5}}, []int{2, 3, 4}, []int{0, 1}},
+		{"redundant", [][]int{{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}, {4}, {5}}, []int{1, 2, 3, 4}, []int{1, 2}},
+	} {
+		dr := &fault.DetailResult{Faults: make([]fault.Fault, 6), NumPats: len(tc.columns), Detect: make([][]uint64, 6)}
+		for r := range dr.Detect {
+			dr.Detect[r] = make([]uint64, 1)
+		}
+		for p, rows := range tc.columns {
+			for _, r := range rows {
+				dr.Detect[r][0] |= 1 << uint(p)
+			}
+		}
+		members := func(keep []uint64) []int {
+			var ps []int
+			for p := range tc.columns {
+				if has(keep, p) {
+					ps = append(ps, p)
+				}
+			}
+			return ps
+		}
+		credits, _ := columns(dr.NumPats, dr.Credits(nil, true))
+		if got := members(credits); !reflect.DeepEqual(got, tc.credits) {
+			t.Errorf("%s: reverse credits keep %v, want %v", tc.name, got, tc.credits)
+		}
+		keep, kept := cover(dr)
+		if got := members(keep); !reflect.DeepEqual(got, tc.cover) || kept != len(tc.cover) {
+			t.Errorf("%s: cover keeps %v (size %d), want %v", tc.name, got, kept, tc.cover)
+		}
+	}
+}
+
+// Full mode on an ATPG set keeps a subset of the input's patterns, in
+// input order, with fault-by-fault identical detection and strictly
+// fewer patterns than reverse mode.
+func TestFullCoverSubset(t *testing.T) {
+	c := circuits.ArrayMultiplier(8)
+	view := atpg.PrimaryView(c)
+	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	gen := func() *atpg.GenerateResult {
+		return atpg.Generate(c, view, faults, atpg.Config{RandomSeed: 1, Workers: 1, Metrics: telemetry.NewRegistry()})
+	}
+	input := gen()
+	want, err := fault.Simulate(context.Background(), c, faults, input.Patterns, fault.Options{View: view})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[Mode]int{}
+	for _, mode := range []Mode{ModeReverse, ModeFull} {
+		res := gen()
+		if _, err := Result(context.Background(), c, view, faults, res, Options{Mode: mode, Seed: 1, Workers: 1, Metrics: telemetry.NewRegistry()}); err != nil {
+			t.Fatal(err)
+		}
+		kept[mode] = len(res.Patterns)
+		if mode != ModeFull {
+			continue
+		}
+		next := 0
+		for i, p := range res.Patterns {
+			for next < len(input.Patterns) && !reflect.DeepEqual(input.Patterns[next], p) {
+				next++
+			}
+			if next == len(input.Patterns) {
+				t.Fatalf("kept pattern %d is not an input pattern in input order", i)
+			}
+			if res.Tests[i].String() != input.Tests[next].String() {
+				t.Fatalf("kept pattern %d lost its cube", i)
+			}
+			next++
+		}
+		got, err := fault.Simulate(context.Background(), c, faults, res.Patterns, fault.Options{View: view})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Detected, want.Detected) {
+			t.Fatalf("full detects %d faults, input %d", got.NumCaught, want.NumCaught)
+		}
+	}
+	if kept[ModeFull] >= kept[ModeReverse] {
 		t.Fatalf("full kept %d patterns, reverse %d", kept[ModeFull], kept[ModeReverse])
 	}
 }

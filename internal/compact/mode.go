@@ -1,16 +1,14 @@
 // Package compact shrinks test sets. The paper's cost model makes the
 // case: tester time scales with pattern count (and test cost with the
 // N³ of Eq. 1), so a test set 4× larger than necessary wastes most of
-// what a fast generator buys. Two passes do the work — static
-// compaction (merge compatible partially-specified cubes before
-// X-fill) and reverse-order fault simulation (keep only patterns that
-// first-detect something, walking last-to-first). Replay runs on the
-// fault engine's two one-shot grading calls: one reverse-order
-// dropping grade, then alternating passes over one detail matrix of
-// the survivors. Every pipeline ends with replay, so a compacted set
-// is never larger than its input and always detects the same
-// collapsed fault set; ModeFull also never keeps more patterns than
-// ModeReverse on the same input and seed.
+// what a fast generator buys. Replay does the work: reverse-order
+// fault simulation keeps only patterns that first-detect something,
+// walking last-to-first. It runs on the fault engine's two one-shot
+// grading calls: one reverse-order dropping grade, then alternating
+// passes over one detail matrix of the survivors. ModeFull also runs
+// a set cover over that matrix. Every pipeline keeps a subset of its
+// input that detects the same collapsed fault set; ModeFull never
+// keeps more patterns than ModeReverse on the same input and seed.
 package compact
 
 import (
@@ -30,10 +28,12 @@ const (
 	// then forward and reverse passes over the survivors' detection
 	// matrix alternate until one stops shrinking.
 	ModeReverse
-	// ModeFull merges compatible test cubes before X-fill, then
-	// replays, and keeps plain replay of the unmerged input instead
-	// when that is strictly smaller. Raw pattern sets have no cubes and
-	// get replay only.
+	// ModeFull replays as ModeReverse does, building the survivors'
+	// detection matrix even when the first pass keeps every pattern,
+	// then runs a set cover over it (essential patterns, greedy
+	// most-new-faults, last-to-first redundancy removal) and keeps the
+	// cover when it is strictly smaller. Cubes, when present, ride
+	// along with their patterns.
 	ModeFull
 )
 
@@ -69,7 +69,7 @@ func ParseMode(s string) (Mode, error) {
 	case "full":
 		return ModeFull, nil
 	case "static", "dynamic":
-		return ModeOff, fmt.Errorf("compact: mode %q was removed; use \"full\" (cube merging, then replay)", s)
+		return ModeOff, fmt.Errorf("compact: mode %q was removed; use \"full\" (replay, then set cover)", s)
 	}
 	want := "want off, reverse or full"
 	if sug := suggest.Closest(s, modeNames); sug != "" {

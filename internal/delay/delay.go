@@ -92,12 +92,12 @@ func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
 	if err != nil {
 		return TwoPattern{}, fmt.Errorf("delay: no capture test for %s: %w", f.Name(c), err)
 	}
-	capture := boolsOf(cube.Filled(logic.Zero))
+	capture := cube.Bools()
 	// Launch: drive the net to initial. A PODEM test for the opposite
 	// stuck-at necessarily sets the net to initial.
 	saInit := fault.Fault{Gate: f.Net, Pin: fault.Stem, SA: logic.FromBool(!f.initial())}
 	if cube2, err := atpg.Podem(c, view, saInit, atpg.PodemConfig{}); err == nil {
-		launch := boolsOf(cube2.Filled(logic.Zero))
+		launch := cube2.Bools()
 		if evalValue(c, launch, f.Net) == f.initial() {
 			return TwoPattern{Launch: launch, Capture: capture}, nil
 		}
@@ -112,14 +112,6 @@ func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
 		}
 	}
 	return TwoPattern{}, fmt.Errorf("delay: no launch pattern for %s", f.Name(c))
-}
-
-func boolsOf(vs []logic.V) []bool {
-	out := make([]bool, len(vs))
-	for i, v := range vs {
-		out[i] = v == logic.One
-	}
-	return out
 }
 
 // GradeSequence measures transition-fault coverage of a pattern

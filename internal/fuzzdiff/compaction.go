@@ -20,12 +20,12 @@ import (
 //     independent baseline-cell grade of both sets;
 //   - worker invariance: sharded replay must keep byte-identical
 //     pattern sets at every worker count;
-//   - static merging: after X-masking a third of the bits, the merged,
-//     filled and repaired set must never lose coverage versus its own
-//     filled baseline, its reported stats must match a baseline-cell
-//     grade of the output, the whole pipeline must be a pure function
-//     of the seed, and it must keep no more patterns than reverse-only
-//     compaction of the same cubes under the same seed.
+//   - full mode on cubes: after X-masking a third of the bits, the set
+//     cover's kept set must detect, fault by fault, exactly what a
+//     baseline-cell grade of the filled cubes detects, its stats must
+//     match that grade, its patterns and cubes must be byte-identical
+//     at 1 and 4 workers, and it must keep no more patterns than
+//     reverse-only compaction of the same cubes under the same seed.
 //
 // A nil result means compaction and the simulation oracles agree.
 func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault, pats [][]bool, seed int64) (*Divergence, error) {
@@ -69,8 +69,8 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		}
 	}
 
-	// Static: degrade the patterns into cubes by forcing ~1/3 of the
-	// bits to X, then run the merge+fill+repair pipeline.
+	// Full: degrade the patterns into cubes by forcing ~1/3 of the
+	// bits to X, then run fill, replay and set cover.
 	rng := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
 	cubes := make([]atpg.Test, len(pats))
 	for i, p := range pats {
@@ -87,41 +87,54 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		}
 		cubes[i] = atpg.Test{Values: vals}
 	}
-	sopt := compact.Options{Mode: compact.ModeFull, Workers: 1, Seed: seed}
-	keptS, _, stS, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
+	// ModeOff returns the cubes filled from the seed and nothing more.
+	fopt := compact.Options{Mode: compact.ModeOff, Seed: seed}
+	filled, _, _, err := compact.Tests(ctx, c, view, faults, cubes, fopt)
 	if err != nil {
 		return nil, err
 	}
-	if stS.DetectedOut < stS.DetectedIn {
-		return compactDivergence(c, seed, keptS,
-			fmt.Sprintf("static merge lost coverage: detected %d -> %d", stS.DetectedIn, stS.DetectedOut)), nil
-	}
-	gotS, err := runConfig(ctx, c, faults, keptS, base)
+	wantF, err := runConfig(ctx, c, faults, filled, base)
 	if err != nil {
 		return nil, err
 	}
-	if gotS.NumCaught != stS.DetectedOut {
-		return compactDivergence(c, seed, keptS,
-			fmt.Sprintf("static stats claim %d detected, baseline grade of the output says %d",
-				stS.DetectedOut, gotS.NumCaught)), nil
-	}
-	sopt.Mode = compact.ModeReverse
-	keptR, _, _, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
+	fopt.Mode, fopt.Workers = compact.ModeFull, 1
+	keptF, keptCubes, stF, err := compact.Tests(ctx, c, view, faults, cubes, fopt)
 	if err != nil {
 		return nil, err
 	}
-	if len(keptS) > len(keptR) {
-		return compactDivergence(c, seed, keptS,
-			fmt.Sprintf("full compaction kept %d patterns, reverse kept %d", len(keptS), len(keptR))), nil
-	}
-	sopt.Mode = compact.ModeFull
-	keptS2, _, _, err := compact.Tests(ctx, c, view, faults, cubes, sopt)
+	gotF, err := runConfig(ctx, c, faults, keptF, base)
 	if err != nil {
 		return nil, err
 	}
-	if !reflect.DeepEqual(keptS, keptS2) {
-		return compactDivergence(c, seed, keptS,
-			"static compaction is not a pure function of the seed: two identical runs disagree"), nil
+	for i := range faults {
+		if wantF.Detected[i] != gotF.Detected[i] {
+			return compactDivergence(c, seed, keptF,
+				fmt.Sprintf("fault %s: detected=%v on the filled cubes, %v on the full-compacted set",
+					faults[i].Name(c), wantF.Detected[i], gotF.Detected[i])), nil
+		}
+	}
+	if stF.DetectedIn != wantF.NumCaught || stF.DetectedOut != gotF.NumCaught {
+		return compactDivergence(c, seed, keptF,
+			fmt.Sprintf("full stats claim %d -> %d detected, baseline grades say %d -> %d",
+				stF.DetectedIn, stF.DetectedOut, wantF.NumCaught, gotF.NumCaught)), nil
+	}
+	fopt.Workers = 4
+	keptF4, keptCubes4, _, err := compact.Tests(ctx, c, view, faults, cubes, fopt)
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(keptF, keptF4) || !reflect.DeepEqual(keptCubes, keptCubes4) {
+		return compactDivergence(c, seed, keptF,
+			fmt.Sprintf("full compaction is worker-dependent: %d patterns at workers=1, %d at workers=4", len(keptF), len(keptF4))), nil
+	}
+	fopt.Mode = compact.ModeReverse
+	keptR, _, _, err := compact.Tests(ctx, c, view, faults, cubes, fopt)
+	if err != nil {
+		return nil, err
+	}
+	if len(keptF) > len(keptR) {
+		return compactDivergence(c, seed, keptF,
+			fmt.Sprintf("full compaction kept %d patterns, reverse kept %d", len(keptF), len(keptR))), nil
 	}
 	return nil, nil
 }

@@ -187,9 +187,10 @@ func TestRoundCleanTree(t *testing.T) {
 
 // TestCheckCompactionCleanSweep is the compaction acceptance check:
 // 200 seeded rounds of the compaction cross-oracle — reverse replay
-// against an independent baseline grade, worker invariance, static
-// merge coverage repair, seed purity and full never keeping more
-// patterns than reverse — must produce zero divergences.
+// against an independent baseline grade, worker invariance, full mode
+// detecting exactly what the filled cubes detect at every worker count
+// and full never keeping more patterns than reverse — must produce
+// zero divergences.
 func TestCheckCompactionCleanSweep(t *testing.T) {
 	rounds := int64(200)
 	if testing.Short() {

@@ -92,8 +92,6 @@ func (s ATPG) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Registry
 		rep.Results["patterns_out"] = st.PatternsOut
 		rep.Results["compact_ratio"] = st.Ratio
 		rep.Results["replay_passes"] = st.ReplayPasses
-		rep.Results["merge_attempts"] = st.MergeAttempts
-		rep.Results["merge_hits"] = st.MergeHits
 	}
 	return &ATPGResult{Design: d, Tests: ts}, rep, nil
 }
