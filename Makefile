@@ -1,10 +1,11 @@
 # Standard entry points for the DFT toolkit. `make check` is the
 # pre-commit gate: gofmt, build, vet, the full test suite under the
-# race detector, and the fuzz and performance smokes.
+# race detector, the benchmark module's own vet and tests, and the
+# fuzz and performance smokes.
 
 GO ?= go
 
-.PHONY: all fmt build vet test race check fuzz fuzz-smoke perf-smoke bench loc clean
+.PHONY: all fmt build vet test race perfbench-check check fuzz fuzz-smoke perf-smoke bench loc clean
 
 all: check
 
@@ -26,7 +27,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: fmt build vet race fuzz-smoke perf-smoke
+# perfbench-check vets and tests the benchmark module, which is a
+# separate Go module that the root ./... patterns skip; its tests guard
+# the correctness checks every benchmark run relies on.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
+check: fmt build vet race perfbench-check fuzz-smoke perf-smoke
 
 # fuzz runs every coverage-guided differential fuzz target in the tree
 # (scripts/fuzz.sh finds each `func Fuzz...` in a *_test.go file): today

@@ -103,8 +103,8 @@ func cmdCompact(args []string) error {
 			"patterns_out":  st.PatternsOut,
 			"compact_ratio": st.Ratio,
 			"replay_passes": st.ReplayPasses,
-			"coverage_in":   st.CoverageIn,
-			"coverage_out":  st.CoverageOut,
+			"detected":      st.Detected,
+			"coverage":      st.Coverage,
 			"targets":       targets,
 		}
 		if err := rep.Finish(telemetry.Default()).WriteJSON(os.Stdout); err != nil {

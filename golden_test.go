@@ -290,7 +290,7 @@ func TestCompactionDigest(t *testing.T) {
 func statsLine(st *compact.Stats) string {
 	return fmt.Sprintf("in=%d out=%d ratio=%v passes=%d detected=%d/%d coverage=%v/%v",
 		st.PatternsIn, st.PatternsOut, st.Ratio, st.ReplayPasses,
-		st.DetectedIn, st.DetectedOut, st.CoverageIn, st.CoverageOut)
+		st.Detected, st.Detected, st.Coverage, st.Coverage)
 }
 
 func checkCompactionDigest(t *testing.T, key string, h hash.Hash) {

@@ -34,7 +34,7 @@ func (st *state) probe(ctx context.Context, seed uint64, opt Options, reg *telem
 		Workers: opt.Workers,
 		Metrics: reg,
 	})
-	sess := eng.NewSession(st.faults)
+	sess := eng.NewSession(st.faults, st.detected)
 
 	rng := seed
 	if rng == 0 {

@@ -81,7 +81,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 	prog.AddTotal(int64(len(targets)))
 	rng := rand.New(rand.NewSource(cfg.RandomSeed + 1))
 	res := &GenerateResult{Detected: make([]bool, len(targets))}
-	h := newHarness(c, view, targets, cfg.Workers, reg)
+	h := newHarness(c, view, targets, res.Detected, cfg.Workers, reg)
 
 	if cfg.RandomFirst > 0 {
 		rctx, randSpan := telemetry.StartSpanCtx(ctx, reg, "atpg.random")

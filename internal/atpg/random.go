@@ -40,8 +40,8 @@ func WeightedRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 	if len(weights) != len(view.Inputs) {
 		panic("atpg: weight count mismatch")
 	}
-	h := newHarness(c, view, faults, fault.WorkersAuto, nil)
 	res := &RandomResult{Detected: make([]bool, len(faults))}
+	h := newHarness(c, view, faults, res.Detected, fault.WorkersAuto, nil)
 	defer h.reg.Timer("atpg.random").Time()()
 	defer func() { h.reg.Counter("atpg.random.patterns").Add(int64(res.Applied)) }()
 	for res.Applied < maxPatterns {
@@ -75,8 +75,8 @@ func AdaptiveRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 	for i := range weights {
 		weights[i] = 0.5
 	}
-	h := newHarness(c, view, faults, fault.WorkersAuto, nil)
 	res := &RandomResult{Detected: make([]bool, len(faults))}
+	h := newHarness(c, view, faults, res.Detected, fault.WorkersAuto, nil)
 	defer h.reg.Timer("atpg.random").Time()()
 	defer func() { h.reg.Counter("atpg.random.patterns").Add(int64(res.Applied)) }()
 	const alpha = 0.15 // adaptation rate
@@ -136,14 +136,14 @@ type harness struct {
 	reg     *telemetry.Registry
 }
 
-func newHarness(c *logic.Circuit, view View, faults []fault.Fault, workers int, reg *telemetry.Registry) *harness {
+func newHarness(c *logic.Circuit, view View, faults []fault.Fault, detected []bool, workers int, reg *telemetry.Registry) *harness {
 	reg = telemetry.OrDefault(reg)
 	eng := fault.NewEngine(c, fault.Options{
 		Workers: workers,
 		View:    view,
 		Metrics: reg,
 	})
-	return &harness{session: eng.NewSession(faults), reg: reg}
+	return &harness{session: eng.NewSession(faults, detected), reg: reg}
 }
 
 // applyBlock simulates a block of up to 64 patterns against all live

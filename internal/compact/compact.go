@@ -37,12 +37,10 @@ type Stats struct {
 	PatternsOut  int     `json:"patterns_out"`
 	Ratio        float64 `json:"compact_ratio"` // PatternsIn / PatternsOut
 	ReplayPasses int     `json:"replay_passes"`
-	// DetectedIn/Out count faults detected by the original and
-	// compacted sets; compaction keeps them equal.
-	DetectedIn  int     `json:"detected_in"`
-	DetectedOut int     `json:"detected_out"`
-	CoverageIn  float64 `json:"coverage_in"`
-	CoverageOut float64 `json:"coverage_out"`
+	// Detected counts the faults the set detects, before and after
+	// compaction alike: no pass gains or loses a detection.
+	Detected int     `json:"detected"`
+	Coverage float64 `json:"coverage"`
 }
 
 func (s *Stats) finish() {
@@ -178,9 +176,8 @@ func run(ctx context.Context, c *logic.Circuit, view atpg.View, faults []fault.F
 		}
 	}
 	st.PatternsOut = len(patterns)
-	st.DetectedIn, st.DetectedOut = res.NumCaught, res.NumCaught
-	st.CoverageIn = float64(st.DetectedIn) / float64(len(faults))
-	st.CoverageOut = st.CoverageIn
+	st.Detected = res.NumCaught
+	st.Coverage = float64(st.Detected) / float64(len(faults))
 	st.finish()
 	if d := st.PatternsIn - st.PatternsOut; d > 0 {
 		reg.Counter("compact.patterns.dropped").Add(int64(d))

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"math/bits"
 
 	"dft/internal/logic"
 	"dft/internal/telemetry"
@@ -90,13 +89,16 @@ func (e *Engine) cptMask(f Fault, good []uint64) uint64 {
 	return (good[src] ^ stuck) & e.topology().sens(int32(f.Gate), int32(f.Pin), good) & e.obs[f.Gate]
 }
 
-// cptBlocks is the block loop runCPT and RunDetail share: for each
-// block in order it traces every net's observability word into e.obs
-// on up to e.workers workers, then hands worker 0's good machine to
-// grade, which reads the words through cptMask. Cancellation is
-// checked between stem chunks.
-func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, span *telemetry.Span,
-	grade func(bi int, good []uint64)) error {
+// cptBlocks is the CPT backend's block loop: for each block in order
+// it traces every net's observability word into e.obs on up to
+// e.workers workers, then grades each live fault through cptMask on
+// worker 0's good machine, hands every nonzero detect word to emit and
+// drops the fault once emit reports it done. Cancellation is checked
+// between stem chunks.
+func (e *Engine) cptBlocks(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, emit emitFunc) error {
+	if len(faults) == 0 || pats.NumPatterns() == 0 {
+		return nil
+	}
 	reg := e.reg
 	t := e.topology()
 	w := e.noteWorkers(span, min(e.workers, len(t.stems)/minStemShard))
@@ -104,6 +106,10 @@ func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, span *tele
 		e.obs = make([]uint64, e.c.NumNets())
 	}
 	obs := e.obs
+	live := make([]int, len(faults))
+	for i := range live {
+		live[i] = i
+	}
 	prog := e.progress(int64(pats.NumPatterns()))
 	var flips, chained, blocks int64
 	defer func() {
@@ -152,38 +158,16 @@ func (e *Engine) cptBlocks(ctx context.Context, pats *PackedPatterns, span *tele
 		flips += int64(len(t.stems))
 		chained += int64(len(t.chain))
 		blocks++
-		grade(bi, good)
+		next := live[:0]
+		for _, fi := range live {
+			if det := e.cptMask(faults[fi], good); det == 0 || !emit(fi, bi, det) {
+				next = append(next, fi)
+			}
+		}
+		live = next
 		if prog != nil {
 			prog.Add(int64(kb))
 		}
 	}
 	return nil
-}
-
-// runCPT is the engine's critical-path-tracing path: blocks run in
-// order, each block's observability words are traced once with the
-// stem flips sharded across workers, and every still-undetected fault
-// grades in O(1). A detected fault is skipped in either drop mode,
-// since its first detection stands.
-func (e *Engine) runCPT(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
-	res := newResult(faults, pats.NumPatterns())
-	if len(faults) == 0 || pats.NumPatterns() == 0 {
-		return res, nil
-	}
-	err := e.cptBlocks(ctx, pats, span, func(bi int, good []uint64) {
-		for fi, f := range faults {
-			if res.Detected[fi] {
-				continue
-			}
-			if det := e.cptMask(f, good); det != 0 {
-				res.Detected[fi] = true
-				res.DetectedBy[fi] = bi*64 + bits.TrailingZeros64(det)
-				res.NumCaught++
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

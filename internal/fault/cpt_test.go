@@ -115,8 +115,8 @@ func TestSessionOnCPTEngine(t *testing.T) {
 	if _, err := eng.Run(context.Background(), faults, pats[:64]); err != nil {
 		t.Fatal(err)
 	}
-	s := eng.NewSession(faults)
 	detected := make([]bool, len(faults))
+	s := eng.NewSession(faults, detected)
 	for base := 0; base < len(pats); base += 64 {
 		s.ApplyBlock(pats[base:base+64], detected)
 	}

@@ -2,10 +2,7 @@ package fault
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
-
-	"dft/internal/telemetry"
 )
 
 // DetailResult is the per-pattern grading record behind fault
@@ -84,21 +81,18 @@ func (dr *DetailResult) Result() *Result {
 
 // RunDetail is the engine's detail-grading path: exact per-pattern
 // detect rows for every fault, honoring context cancellation between
-// pattern blocks. Dropping never applies — a dictionary needs the
-// whole column, not just the first hit — so Options.Drop is ignored.
-// Two scheduler shapes cover the packed backends — the PPSFP path
-// shards the fault axis (each worker owns whole rows), while the CPT
-// path shards each block's reconvergent stems and grades the rows from
-// one goroutine — so all writes are disjoint and the rows are
-// byte-identical at every worker count. The serial backend has no
-// packed per-pattern form; it falls back to the PPSFP path, which
-// computes the same rows, and the span records the backend that
-// actually ran.
+// pattern blocks. It runs the same backend block loops as RunPacked;
+// only the consumer differs, ORing each detect word into the fault's
+// row and never reporting a fault done. Dropping therefore never
+// applies — a dictionary needs the whole column, not just the first
+// hit — so Options.Drop is ignored. Every backend writes only its own
+// faults' row words (PPSFP shards the fault axis; CPT and serial grade
+// the rows from one goroutine), so the rows are byte-identical at
+// every worker count. An explicit BackendSerial runs serially; Auto
+// resolves as RunPacked would with dropping off, except that a job
+// small enough for serial runs on PPSFP, and the span records the
+// backend that ran.
 func (e *Engine) RunDetail(ctx context.Context, faults []Fault, pats *PackedPatterns) (*DetailResult, error) {
-	if pats.NumInputs() != len(e.inputs) {
-		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
-	}
-	reg := e.reg
 	nPats := pats.NumPatterns()
 	dr := &DetailResult{Faults: faults, NumPats: nPats, Detect: make([][]uint64, len(faults))}
 	words := detailWords(nPats)
@@ -106,57 +100,12 @@ func (e *Engine) RunDetail(ctx context.Context, faults []Fault, pats *PackedPatt
 	for fi := range dr.Detect {
 		dr.Detect[fi] = backing[fi*words : (fi+1)*words : (fi+1)*words]
 	}
-	if len(faults) == 0 || nPats == 0 {
-		return dr, nil
-	}
-	// A detail grade is always a no-drop full grading, so Auto resolves
-	// as Run would with dropping off: large jobs land on CPT (one
-	// observability pass per block, O(fanin) per fault), which is what
-	// makes engine-backed dictionary builds fast.
-	be, auto := e.backend(len(faults), nPats, false)
-	if be != BackendCPT {
-		be = BackendParallel
-	}
-	ctx, span := e.startSpan(ctx, "fault.sim.detail", be, auto, len(faults), nPats)
-	defer span.End()
-	var err error
-	if be == BackendCPT {
-		err = e.cptBlocks(ctx, pats, span, func(bi int, good []uint64) {
-			for fi, f := range faults {
-				dr.Detect[fi][bi] = e.cptMask(f, good)
-			}
-		})
-	} else {
-		err = e.detailParallel(ctx, span, faults, pats, dr)
-	}
+	err := e.grade(ctx, faults, pats, true, func(fi, bi int, det uint64) bool {
+		dr.Detect[fi][bi] |= det
+		return false
+	})
 	if err != nil {
-		reg.Counter("fault.engine.cancelled").Inc()
 		return nil, err
 	}
-	reg.Counter("fault.sim.detail_runs").Inc()
-	reg.Counter("fault.sim.patterns").Add(int64(nPats))
 	return dr, nil
-}
-
-// detailParallel shards the fault axis like runParallel: each chunk
-// owns its rows outright, and per block one FaultMask call yields a
-// whole 64-pattern row word.
-func (e *Engine) detailParallel(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, dr *DetailResult) error {
-	nb := pats.NumBlocks()
-	return e.shardFaults(ctx, span, len(faults), func(ps *ParallelSim, lo, hi int) (int64, error) {
-		for bi := 0; bi < nb; bi++ {
-			if err := ctx.Err(); err != nil {
-				return int64(bi), err
-			}
-			words, kb := pats.Block(bi)
-			k := ps.LoadPackedBlock(words, kb)
-			mask := blockMask(k)
-			for fi := lo; fi < hi; fi++ {
-				if det := ps.FaultMask(faults[fi]) & mask; det != 0 {
-					dr.Detect[fi][bi] = det
-				}
-			}
-		}
-		return int64(nb), nil
-	})
 }

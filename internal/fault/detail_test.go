@@ -132,15 +132,19 @@ func TestDetailResultFold(t *testing.T) {
 	}
 }
 
-// TestRunDetailSpanNamesBackendThatRan: a tiny detail grade resolves
-// to serial under Auto (and may be asked for serial explicitly), but
-// serial has no packed per-pattern form, so the grade runs on the
-// parallel path — and the span must say so.
+// TestRunDetailSpanNamesBackendThatRan: a tiny detail grade would
+// resolve to serial under Auto, but Auto never sends a detail grade to
+// serial, so it runs on the parallel path; an explicit serial request
+// runs serially. The span must name the backend that ran.
 func TestRunDetailSpanNamesBackendThatRan(t *testing.T) {
 	c := circuits.C17()
 	faults := Universe(c)[:4]
 	pats := randomDetailPatterns(len(c.PIs), 8, 3)
-	for _, be := range []Backend{Auto, BackendSerial} {
+	for _, tc := range []struct {
+		be   Backend
+		want string
+	}{{Auto, "parallel"}, {BackendSerial, "serial"}} {
+		be, want := tc.be, tc.want
 		reg := telemetry.NewRegistry()
 		if _, err := NewEngine(c, Options{Backend: be, Metrics: reg}).
 			RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats)); err != nil {
@@ -152,8 +156,8 @@ func TestRunDetailSpanNamesBackendThatRan(t *testing.T) {
 				got = append(got, ev.Attrs["backend"])
 			}
 		}
-		if len(got) != 1 || got[0] != "parallel" {
-			t.Fatalf("%v: detail span backend attrs %q, want [parallel]", be, got)
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("%v: detail span backend attrs %q, want [%s]", be, got, want)
 		}
 	}
 }
@@ -164,7 +168,7 @@ func TestRunDetailCancellation(t *testing.T) {
 	pats := randomDetailPatterns(len(c.PIs), 256, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, be := range []Backend{BackendParallel, BackendCPT} {
+	for _, be := range []Backend{BackendParallel, BackendCPT, BackendSerial} {
 		if _, err := NewEngine(c, Options{Backend: be}).RunDetail(ctx, faults, PackPatternSet(len(c.PIs), pats)); err == nil {
 			t.Fatalf("%v: cancelled detail run returned no error", be)
 		}

@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -102,31 +103,86 @@ func (e *Engine) Run(ctx context.Context, faults []Fault, patterns [][]bool) (*R
 // the natural input of the exhaustive 2^N consumers (syndrome, Walsh,
 // autonomous testing), which synthesize blocks from periodic masks
 // without ever materializing scalar vectors. Every backend reads the
-// shared blocks read-only. Each run opens one span, named after its
-// backend's timer, recording the backend and whether Auto picked it.
+// shared blocks read-only. Its consumer of the backend's detect words
+// keeps only each fault's first detection, and reports the fault done
+// when dropping is on, so memory stays O(faults) however long the set.
 func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatterns) (*Result, error) {
+	res := newResult(faults, pats.NumPatterns())
+	drop := e.drop()
+	err := e.grade(ctx, faults, pats, false, func(fi, bi int, det uint64) bool {
+		if !res.Detected[fi] {
+			res.Detected[fi] = true
+			res.DetectedBy[fi] = bi*64 + bits.TrailingZeros64(det)
+		}
+		return drop
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range res.Detected {
+		if d {
+			res.NumCaught++
+		}
+	}
+	e.reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
+	return res, nil
+}
+
+// emitFunc consumes one fault's nonzero detect word for one 64-pattern
+// block: bit p of det is set when pattern bi*64+p detects fault fi.
+// Returning done drops the fault from the rest of the run. Calls for
+// distinct faults may run concurrently; calls for one fault arrive in
+// block order from one goroutine.
+type emitFunc func(fi, bi int, det uint64) (done bool)
+
+// grade is the preamble RunPacked and RunDetail share: it checks the
+// pattern width, resolves the backend, opens the run's span, runs the
+// backend's one block loop with emit as its consumer and records the
+// run's counters. A detail grade (detail set) never drops, always
+// names its span fault.sim.detail, and runs on PPSFP where Auto would
+// pick serial; an empty detail grade opens no span.
+func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns, detail bool, emit emitFunc) error {
 	if pats.NumInputs() != len(e.inputs) {
 		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
 	}
 	nPats := pats.NumPatterns()
-	be, auto := e.backend(len(faults), nPats, e.drop())
-	run, name := e.runParallel, "fault.sim.engine"
-	switch be {
-	case BackendSerial:
-		run, name = e.runSerial, "fault.sim.serial"
-	case BackendCPT:
-		run, name = e.runCPT, "fault.sim.cpt"
+	if detail && (len(faults) == 0 || nPats == 0) {
+		return nil
+	}
+	drop := e.drop() && !detail
+	be, auto := e.backend(len(faults), nPats, drop)
+	if detail && auto && be == BackendSerial {
+		be = BackendParallel
+	}
+	name := "fault.sim.engine"
+	switch {
+	case detail:
+		name = "fault.sim.detail"
+	case be == BackendSerial:
+		name = "fault.sim.serial"
+	case be == BackendCPT:
+		name = "fault.sim.cpt"
 	}
 	ctx, span := e.startSpan(ctx, name, be, auto, len(faults), nPats)
 	defer span.End()
-	res, err := run(ctx, span, faults, pats)
+	var err error
+	switch be {
+	case BackendSerial:
+		err = e.runSerial(ctx, span, faults, pats, emit)
+	case BackendCPT:
+		err = e.cptBlocks(ctx, span, faults, pats, emit)
+	default:
+		err = e.shardFaults(ctx, span, faults, pats, drop, emit)
+	}
 	if err != nil {
 		e.reg.Counter("fault.engine.cancelled").Inc()
-		return nil, err
+		return err
+	}
+	if detail {
+		e.reg.Counter("fault.sim.detail_runs").Inc()
 	}
 	e.reg.Counter("fault.sim.patterns").Add(int64(nPats))
-	e.reg.Counter("fault.sim.detected").Add(int64(res.NumCaught))
-	return res, nil
+	return nil
 }
 
 // backend resolves Options.Backend for one job: Auto picks by the
@@ -275,20 +331,26 @@ func chunkSize(n, workers int) int {
 	return chunk
 }
 
-// shardFaults is the fault-axis scheduler of runParallel and
-// detailParallel: it deals faults [0, n) to min(workers, n) workers in
-// dynamic chunks, and grade(ps, lo, hi) grades one chunk on the
-// worker's pooled simulator, returning the blocks it loaded. Each
-// chunk owns a disjoint range of the caller's outputs, so nothing is
-// merged under a lock. Progress, shard telemetry and work counters are
-// recorded here, once per chunk or per worker.
-func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, n int,
-	grade func(ps *ParallelSim, lo, hi int) (blocks int64, err error)) error {
+// shardFaults is the PPSFP backend's scheduler: it deals the fault
+// list to min(workers, faults) workers in dynamic chunks, and each
+// worker grades its chunks through blockLoop on its own pooled
+// simulator. Each chunk owns a disjoint range of fault indices, so
+// nothing is merged under a lock. Progress, shard telemetry and work
+// counters are recorded here, once per chunk or per worker; under
+// dropping, fault.sim.drops_per_block observes each chunk block's
+// drops.
+func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns,
+	drop bool, emit emitFunc) error {
 	reg := e.reg
+	n := len(faults)
 	w := e.noteWorkers(span, min(e.workers, n))
 	prog := e.progress(int64(n))
 	chunks := &cursor{n: n, chunk: chunkSize(n, w)}
 	shardHist := reg.Histogram("fault.engine.shard_faults")
+	var dropHist *telemetry.Histogram
+	if drop {
+		dropHist = reg.Histogram("fault.sim.drops_per_block")
+	}
 	var blocks, shards atomic.Int64
 	err := e.fanOut(w, func(wi int) (err error) {
 		ps := e.sim(wi)
@@ -304,7 +366,7 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, n int,
 			shards.Add(1)
 			shardHist.Observe(int64(hi - lo))
 			var nb int64
-			nb, err = grade(ps, lo, hi)
+			nb, err = blockLoop(ctx, ps, faults, lo, hi, pats, dropHist, emit)
 			myBlocks += nb
 			if err == nil && prog != nil {
 				prog.Add(int64(hi - lo))
@@ -319,39 +381,16 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, n int,
 	return err
 }
 
-// runParallel is the PPSFP path: the fault list is sharded across
-// workers, and every worker grades its chunks block by block on its
-// own pooled simulator.
-func (e *Engine) runParallel(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
-	var dropHist *telemetry.Histogram
-	if e.drop() {
-		dropHist = e.reg.Histogram("fault.sim.drops_per_block")
-	}
-	res := newResult(faults, pats.NumPatterns())
-	var caught atomic.Int64
-	err := e.shardFaults(ctx, span, len(faults), func(ps *ParallelSim, lo, hi int) (int64, error) {
-		n, blocks, err := blockLoop(ctx, ps, faults[lo:hi], pats, e.drop(),
-			res.Detected[lo:hi], res.DetectedBy[lo:hi], dropHist)
-		caught.Add(int64(n))
-		return blocks, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.NumCaught = int(caught.Load())
-	return res, nil
-}
-
-// runSerial is the scalar backend: one good-machine pass per pattern
-// (shared across faults), one faulty-machine pass per live fault per
-// pattern, both on the interpreted kernel, with pattern bits read
-// straight from the packed blocks. Detection semantics mirror the
-// PPSFP engine exactly, including its view conventions (unlisted
-// sources held at 0) and its treatment of faults on source elements.
-func (e *Engine) runSerial(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns) (*Result, error) {
+// runSerial is the scalar backend's block loop: one good-machine
+// pass per pattern (shared across faults), one faulty-machine pass per
+// live fault per pattern, both on the interpreted kernel, with pattern
+// bits read straight from the packed blocks. Each detection reaches
+// emit as a one-bit word in its pattern's block. Detection semantics
+// mirror the PPSFP engine exactly, including its view conventions
+// (unlisted sources held at 0) and its treatment of faults on source
+// elements.
+func (e *Engine) runSerial(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, emit emitFunc) error {
 	e.noteWorkers(span, 1)
-	nPats := pats.NumPatterns()
-	res := newResult(faults, nPats)
 	n := e.c.NumNets()
 	good := make([]bool, n)
 	bad := make([]bool, n)
@@ -360,46 +399,24 @@ func (e *Engine) runSerial(ctx context.Context, span *telemetry.Span, faults []F
 	for i := range live {
 		live[i] = i
 	}
-	drop := e.drop()
 	passes := int64(0)
-	for pi := 0; pi < nPats; pi++ {
+	defer func() { cSerialEvals.Add(passes) }()
+	for pi := 0; pi < pats.NumPatterns() && len(live) > 0; pi++ {
 		if err := ctx.Err(); err != nil {
-			cSerialEvals.Add(passes)
-			return nil, err
-		}
-		if len(live) == 0 && drop {
-			break
+			return err
 		}
 		words, _ := pats.Block(pi / 64)
 		e.loadSerial(words, pi%64, good, scratch)
-		passes++
+		passes += 1 + int64(len(live))
 		next := live[:0]
 		for _, fi := range live {
-			f := faults[fi]
-			if res.Detected[fi] {
-				// No-drop mode keeps detected faults in the loop for the
-				// ablation's work accounting, but first detections stand.
-				passes++
-				e.serialDetects(f, good, bad, scratch)
+			if !e.serialDetects(faults[fi], good, bad, scratch) || !emit(fi, pi/64, 1<<uint(pi%64)) {
 				next = append(next, fi)
-				continue
 			}
-			passes++
-			if e.serialDetects(f, good, bad, scratch) {
-				res.Detected[fi] = true
-				res.DetectedBy[fi] = pi
-				res.NumCaught++
-				if !drop {
-					next = append(next, fi)
-				}
-				continue
-			}
-			next = append(next, fi)
 		}
 		live = next
 	}
-	cSerialEvals.Add(passes)
-	return res, nil
+	return nil
 }
 
 // loadSerial computes the good machine for pattern bit of a packed
@@ -476,18 +493,23 @@ type sessionShard struct {
 	useful       uint64
 }
 
-// NewSession starts a grading session over faults. The session shares
-// the engine's pooled simulators; like the engine it is not safe for
-// concurrent use.
-func (e *Engine) NewSession(faults []Fault) *Session {
-	live := make([]int, len(faults))
-	for i := range live {
-		live[i] = i
+// NewSession starts a grading session over faults. detected, indexed
+// like faults, marks faults already caught elsewhere: they start out
+// of the live list and count as caught. The session
+// shares the engine's pooled simulators; like the engine it is not
+// safe for concurrent use.
+func (e *Engine) NewSession(faults []Fault, detected []bool) *Session {
+	live := make([]int, 0, len(faults))
+	for i := range faults {
+		if !detected[i] {
+			live = append(live, i)
+		}
 	}
 	return &Session{
 		e:      e,
 		faults: faults,
 		live:   live,
+		caught: len(faults) - len(live),
 		shards: make([]sessionShard, e.workers),
 		packed: make([]uint64, len(e.inputs)),
 	}

@@ -132,8 +132,8 @@ func TestEngineSessionMatchesRun(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		eng := NewEngine(c, Options{Workers: w, Metrics: telemetry.NewRegistry()})
-		s := eng.NewSession(faults)
 		detected := make([]bool, len(faults))
+		s := eng.NewSession(faults, detected)
 		var useful uint64
 		for base := 0; base < len(pats); base += 64 {
 			useful |= s.ApplyBlock(pats[base:base+64], detected)

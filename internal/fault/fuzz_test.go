@@ -89,8 +89,9 @@ func TestBackendSeedsShardSession(t *testing.T) {
 		faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
 		pats := fuzzdiff.RandomPatterns(len(c.PIs), 32, seed^0x6A09E667)
 		reg := telemetry.NewRegistry()
-		s := fault.NewEngine(c, fault.Options{Workers: 4, Metrics: reg}).NewSession(faults)
-		s.ApplyBlock(pats, make([]bool, len(faults)))
+		detected := make([]bool, len(faults))
+		s := fault.NewEngine(c, fault.Options{Workers: 4, Metrics: reg}).NewSession(faults, detected)
+		s.ApplyBlock(pats, detected)
 		if reg.Gauge("fault.sim.workers").Value() > 1 {
 			return
 		}

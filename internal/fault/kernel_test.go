@@ -134,8 +134,8 @@ func TestSessionKernelInvariance(t *testing.T) {
 			wantUseful[p/64] |= 1 << uint(p%64)
 		}
 	}
-	s := NewEngine(c, Options{Workers: 4, Drop: DropOn}).NewSession(faults)
 	detected := make([]bool, len(faults))
+	s := NewEngine(c, Options{Workers: 4, Drop: DropOn}).NewSession(faults, detected)
 	for base := 0; base < len(pats); base += 64 {
 		if got := s.ApplyBlock(pats[base:base+64], detected); got != wantUseful[base/64] {
 			t.Fatalf("block %d useful mask: %#x, serial %#x", base/64, got, wantUseful[base/64])

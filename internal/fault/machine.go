@@ -70,7 +70,8 @@ func (m *Machine) Apply(pi []bool) []bool {
 }
 
 // Clock latches the D inputs into the flip-flops, respecting faults on
-// the storage elements themselves.
+// the storage elements themselves. The post-edge network is evaluated
+// lazily, by the next Apply or Peek, so a Step costs one faulty pass.
 func (m *Machine) Clock() {
 	if m.dirty {
 		evalFaultyInto(m.c, m.lastPI, m.state, m.f, m.vals, m.scratch)
@@ -79,8 +80,7 @@ func (m *Machine) Clock() {
 		m.state[k] = m.vals[m.c.Gates[id].Fanin[0]]
 	}
 	pinFaultyState(m.c, m.f, m.state, true)
-	evalFaultyInto(m.c, m.lastPI, m.state, m.f, m.vals, m.scratch)
-	m.dirty = false
+	m.dirty = true
 }
 
 // Step is Apply followed by Clock.

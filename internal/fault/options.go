@@ -74,11 +74,13 @@ type DropMode int
 
 const (
 	// DropOn removes a fault from further simulation after its first
-	// detection. Detection outcomes (Detected, DetectedBy) are
-	// identical either way; dropping only saves work.
+	// detection: Run's consumer reports the fault done, and the
+	// backend's block loop drops it from its live list. Detection
+	// outcomes (Detected, DetectedBy) are identical either way;
+	// dropping only saves work.
 	DropOn DropMode = iota
-	// DropOff grades every fault against every pattern — the ablation
-	// setting measuring what dropping buys.
+	// DropOff grades every fault against every pattern on every
+	// backend — the ablation setting measuring what dropping buys.
 	DropOff
 )
 
@@ -135,7 +137,9 @@ type Options struct {
 	// means runtime.GOMAXPROCS(0), n ≥ 1 is explicit. Every worker
 	// count produces bit-identical Results.
 	Workers int
-	// Drop controls fault dropping; the zero value drops.
+	// Drop controls fault dropping in Run and RunPacked; the zero
+	// value drops. RunDetail ignores it: a detail grade needs every
+	// detect bit.
 	Drop DropMode
 	// View selects controllable/observable nets; zero is the primary
 	// view.

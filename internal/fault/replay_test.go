@@ -167,7 +167,8 @@ func TestSessionResetReplay(t *testing.T) {
 	forward := dr.Credits(keep, false)
 	// Grade a forward block through a session on the same engine: the
 	// pooled simulators are shared, the matrix must not be.
-	eng.NewSession(faults).ApplyBlock(pats[:64], make([]bool, len(faults)))
+	detected := make([]bool, len(faults))
+	eng.NewSession(faults, detected).ApplyBlock(pats[:64], detected)
 	if again := dr.Credits(nil, true); !reflect.DeepEqual(first, again) {
 		t.Fatal("reverse credits changed between calls")
 	}

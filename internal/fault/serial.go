@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"slices"
+
 	"dft/internal/logic"
 	"dft/internal/sim"
 	"dft/internal/telemetry"
@@ -112,11 +114,12 @@ func (r *SequentialResult) Coverage() float64 {
 }
 
 // SimulateSequence performs serial fault simulation of a sequential
-// circuit over an input sequence: for every fault, the faulty machine
-// is simulated cycle-by-cycle alongside the good machine (both starting
-// from the all-zero state), and the fault is detected on the first
-// cycle where a primary output differs. This is the paper's "3001 good
-// machine simulations" model of fault simulation cost, run serially.
+// circuit over an input sequence: for every fault, a faulty Machine is
+// stepped cycle-by-cycle against the good machine's output trajectory
+// (both starting from the all-zero state), and the fault is detected
+// on the first cycle where a primary output differs. This is the
+// paper's "3001 good machine simulations" model of fault simulation
+// cost, run serially.
 func SimulateSequence(c *logic.Circuit, faults []Fault, seq [][]bool) *SequentialResult {
 	defer telemetry.Default().Timer("fault.sim.serial").Time()()
 	machineEvals := int64(len(seq)) // the shared good-machine trajectory
@@ -128,57 +131,18 @@ func SimulateSequence(c *logic.Circuit, faults []Fault, seq [][]bool) *Sequentia
 		NumCycles: len(seq),
 		NumFaults: len(faults),
 	}
-	for i := range res.DetectCyc {
-		res.DetectCyc[i] = -1
-	}
-	nd := len(c.DFFs)
-	goodVals := make([]bool, len(c.Gates))
-	badVals := make([]bool, len(c.Gates))
-	scratch := make([]bool, c.MaxFanin())
-
-	// Good machine trajectory (states per cycle) computed once.
-	goodStates := make([][]bool, len(seq)+1)
-	goodStates[0] = make([]bool, nd)
-	goodOuts := make([][]bool, len(seq))
-	for t, pat := range seq {
-		sim.EvalInto(c, pat, goodStates[t], goodVals)
-		out := make([]bool, len(c.POs))
-		for k, po := range c.POs {
-			out[k] = goodVals[po]
-		}
-		goodOuts[t] = out
-		next := make([]bool, nd)
-		for k, id := range c.DFFs {
-			next[k] = goodVals[c.Gates[id].Fanin[0]]
-		}
-		goodStates[t+1] = next
-	}
-
-	badState := make([]bool, nd)
+	goodOuts := sim.NewMachine(c).Run(seq)
 	for fi, f := range faults {
-		for k := range badState {
-			badState[k] = false
-		}
+		res.DetectCyc[fi] = -1
+		m := NewMachine(c, f)
 		for t, pat := range seq {
-			evalFaultyInto(c, pat, badState, f, badVals, scratch)
 			machineEvals++
-			for k, po := range c.POs {
-				if badVals[po] != goodOuts[t][k] {
-					res.Detected[fi] = true
-					res.DetectCyc[fi] = t
-					break
-				}
-			}
-			if res.Detected[fi] {
+			if !slices.Equal(m.Step(pat), goodOuts[t]) {
+				res.Detected[fi] = true
+				res.DetectCyc[fi] = t
+				res.NumCaught++
 				break
 			}
-			for k, id := range c.DFFs {
-				badState[k] = badVals[c.Gates[id].Fanin[0]]
-			}
-			pinFaultyState(c, f, badState, true)
-		}
-		if res.Detected[fi] {
-			res.NumCaught++
 		}
 	}
 	return res

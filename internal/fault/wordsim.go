@@ -2,7 +2,6 @@ package fault
 
 import (
 	"context"
-	"math/bits"
 
 	"dft/internal/logic"
 	"dft/internal/sim"
@@ -409,55 +408,39 @@ func (ps *ParallelSim) liveFor(n int) []int {
 	return ps.liveBuf[:n]
 }
 
-// blockLoop grades faults against the packed pattern set block by
-// block on ps, writing outcomes into detected and detectedBy (indexed
-// like faults; recorded pattern indices are absolute within the set).
-// It is the shared inner loop of every parallel-pattern path: the
-// engine calls it once per shard with subslices of the full result
-// arrays, so all writes stay inside the caller's range. The pattern
-// blocks are packed once by the caller and shared read-only across
-// every shard and worker. Work counters accumulate on ps for the
-// caller to drain, the live list reuses ps scratch (no allocation
-// after warmup), and cancellation is checked between blocks.
-func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, pats *PackedPatterns, drop bool,
-	detected []bool, detectedBy []int, dropHist *telemetry.Histogram) (caught int, blocks int64, err error) {
-	live := ps.liveFor(len(faults))
+// blockLoop is the PPSFP backend's block loop: it grades faults[lo:hi]
+// against the packed pattern set block by block on ps, hands every
+// nonzero detect word to emit, and drops a fault from the chunk's live
+// list once emit reports it done. The engine calls it once per shard,
+// so each call touches only its own fault range. The pattern blocks
+// are packed once by the caller and shared read-only across every
+// shard and worker. Work counters accumulate on ps for the caller to
+// drain, the live list reuses ps scratch (no allocation after
+// warmup), cancellation is checked between blocks, and dropHist, when
+// set, observes how many faults each block dropped.
+func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, lo, hi int, pats *PackedPatterns,
+	dropHist *telemetry.Histogram, emit emitFunc) (blocks int64, err error) {
+	live := ps.liveFor(hi - lo)
 	for i := range live {
-		live[i] = i
+		live[i] = lo + i
 	}
-	for bi := 0; bi < pats.NumBlocks(); bi++ {
+	for bi := 0; bi < pats.NumBlocks() && len(live) > 0; bi++ {
 		if err := ctx.Err(); err != nil {
-			return caught, blocks, err
+			return blocks, err
 		}
-		base := bi * 64
 		words, kb := pats.Block(bi)
-		k := ps.LoadPackedBlock(words, kb)
+		mask := blockMask(ps.LoadPackedBlock(words, kb))
 		blocks++
-		caughtBefore := caught
-		mask := blockMask(k)
 		next := live[:0]
 		for _, fi := range live {
-			det := ps.FaultMask(faults[fi]) & mask
-			if det == 0 {
-				next = append(next, fi)
-				continue
-			}
-			if !detected[fi] {
-				detected[fi] = true
-				detectedBy[fi] = base + bits.TrailingZeros64(det)
-				caught++
-			}
-			if !drop {
+			if det := ps.FaultMask(faults[fi]) & mask; det == 0 || !emit(fi, bi, det) {
 				next = append(next, fi)
 			}
 		}
-		if drop && dropHist != nil {
-			dropHist.Observe(int64(caught - caughtBefore))
+		if dropHist != nil {
+			dropHist.Observe(int64(len(live) - len(next)))
 		}
 		live = next
-		if len(live) == 0 {
-			break
-		}
 	}
-	return caught, blocks, nil
+	return blocks, nil
 }

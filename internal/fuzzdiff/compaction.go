@@ -113,10 +113,10 @@ func CheckCompaction(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 					faults[i].Name(c), wantF.Detected[i], gotF.Detected[i])), nil
 		}
 	}
-	if stF.DetectedIn != wantF.NumCaught || stF.DetectedOut != gotF.NumCaught {
+	if stF.Detected != wantF.NumCaught || stF.Detected != gotF.NumCaught {
 		return compactDivergence(c, seed, keptF,
-			fmt.Sprintf("full stats claim %d -> %d detected, baseline grades say %d -> %d",
-				stF.DetectedIn, stF.DetectedOut, wantF.NumCaught, gotF.NumCaught)), nil
+			fmt.Sprintf("full stats claim %d detected, baseline grades say %d -> %d",
+				stF.Detected, wantF.NumCaught, gotF.NumCaught)), nil
 	}
 	fopt.Workers = 4
 	keptF4, keptCubes4, _, err := compact.Tests(ctx, c, view, faults, cubes, fopt)

@@ -3,6 +3,7 @@ package fuzzdiff
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"dft/internal/diagnose"
 	"dft/internal/fault"
@@ -17,9 +18,10 @@ import (
 //     row's first set bit must be the baseline's first-detecting
 //     pattern (first detection is drop-invariant, so the two engines
 //     must agree bit-for-bit on it);
-//   - worker/backend invariance: the parallel and CPT detail
-//     schedulers at several worker counts must reproduce the
-//     single-worker parallel rows byte-identically;
+//   - row agreement: a serial build, whose rows come from the
+//     interpreted kernel one pattern at a time, is the reference for
+//     every row word of the parallel and CPT builds at one and four
+//     workers;
 //   - closed-loop diagnosis: observing a detected fault's machine
 //     through the dictionary must put that fault in its own exact
 //     lookup class and rank it at Hamming distance 0.
@@ -33,8 +35,8 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 	if err != nil {
 		return nil, err
 	}
-	dict, err := diagnose.Build(ctx, c, faults, pats, diagnose.Options{
-		Backend: fault.BackendParallel, Workers: 1,
+	ref, err := diagnose.Build(ctx, c, faults, pats, diagnose.Options{
+		Backend: fault.BackendSerial, Workers: 1,
 	})
 	if err != nil {
 		return nil, err
@@ -43,17 +45,13 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 	firstBit := func(row []uint64) int {
 		for w, word := range row {
 			if word != 0 {
-				for b := 0; b < 64; b++ {
-					if word>>uint(b)&1 == 1 {
-						return w*64 + b
-					}
-				}
+				return w*64 + bits.TrailingZeros64(word)
 			}
 		}
 		return -1
 	}
 	for i := range faults {
-		first := firstBit(dict.Row(i))
+		first := firstBit(ref.Row(i))
 		if (first >= 0) != want.Detected[i] {
 			return dictDivergence(c, seed, pats,
 				fmt.Sprintf("fault %s: dictionary row nonzero=%v, baseline detected=%v",
@@ -66,10 +64,12 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 		}
 	}
 
+	var dict *diagnose.Dictionary
 	for _, cfg := range []struct {
 		be fault.Backend
 		w  int
 	}{
+		{fault.BackendParallel, 1},
 		{fault.BackendParallel, 4},
 		{fault.BackendCPT, 4},
 	} {
@@ -78,14 +78,17 @@ func CheckDictionary(ctx context.Context, c *logic.Circuit, faults []fault.Fault
 			return nil, err
 		}
 		for i := range faults {
-			a, b := dict.Row(i), other.Row(i)
+			a, b := ref.Row(i), other.Row(i)
 			for w := range a {
 				if a[w] != b[w] {
 					return dictDivergence(c, seed, pats,
-						fmt.Sprintf("fault %s word %d: %v workers=%d row %016x, reference %016x",
+						fmt.Sprintf("fault %s word %d: %v workers=%d row %016x, serial reference %016x",
 							faults[i].Name(c), w, cfg.be, cfg.w, b[w], a[w])), nil
 				}
 			}
+		}
+		if dict == nil {
+			dict = other
 		}
 	}
 

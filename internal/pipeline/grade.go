@@ -98,7 +98,7 @@ func (s FaultSim) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 		if err != nil {
 			return nil, nil, err
 		}
-		out.Coverage, out.Detected, out.Kept = cst.CoverageIn, cst.DetectedIn, cst.PatternsOut
+		out.Coverage, out.Detected, out.Kept = cst.Coverage, cst.Detected, cst.PatternsOut
 		out.Compaction, out.KeptPatterns = cst, kept
 	} else {
 		res, err := fault.Simulate(ctx, d.Circuit, faults, pats, fault.Options{

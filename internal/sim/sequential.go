@@ -57,8 +57,9 @@ func (m *Machine) Apply(pi []bool) []bool {
 }
 
 // Clock latches the DFF D inputs into the flip-flops. The inputs last
-// passed to Apply remain in effect; Clock re-evaluates so that Peek and
-// subsequent Clocks see the post-edge network.
+// passed to Apply remain in effect; the post-edge network is evaluated
+// lazily, so Peek, Values and subsequent Clocks see it while a Step
+// costs one pass.
 func (m *Machine) Clock() {
 	if m.dirty {
 		EvalInto(m.c, m.lastPI, m.state, m.vals)
@@ -66,8 +67,7 @@ func (m *Machine) Clock() {
 	for i, id := range m.c.DFFs {
 		m.state[i] = m.vals[m.c.Gates[id].Fanin[0]]
 	}
-	EvalInto(m.c, m.lastPI, m.state, m.vals)
-	m.dirty = false
+	m.dirty = true
 }
 
 // Step is Apply followed by Clock, returning the outputs observed

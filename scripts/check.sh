@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-commit gate: gofmt, build, vet, and the full test suite under the
-# race detector. Mirrors `make check` for environments without make.
+# Pre-commit gate: gofmt, build, vet, the full test suite under the
+# race detector, the benchmark module's vet and tests, and the fuzz and
+# performance smokes. Mirrors `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 # gofmt gate (mirrors `make fmt`): no Go file outside hidden
@@ -14,6 +15,11 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark is a separate Go module that ./... skips (mirrors
+# `make perfbench-check`): vet it and run its tests, which guard the
+# correctness checks every benchmark run relies on.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 # Differential-fuzz smoke (mirrors `make fuzz-smoke`): 10s of
 # coverage-guided search per fuzz target in the tree (today: kernel,
 # backend and PODEM-kernel divergences) on top of the checked-in seed
