@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -130,9 +131,11 @@ func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatt
 
 // emitFunc consumes one fault's nonzero detect word for one 64-pattern
 // block: bit p of det is set when pattern bi*64+p detects fault fi.
-// Returning done drops the fault from the rest of the run. Calls for
-// distinct faults may run concurrently; calls for one fault arrive in
-// block order from one goroutine.
+// Returning done drops the fault from the rest of the run. Under
+// dropping, where RunPacked's consumer reports every detection done,
+// the PPSFP loop hands it only the one-bit word of the block's first
+// detecting pattern. Calls for distinct faults may run concurrently;
+// calls for one fault arrive in block order from one goroutine.
 type emitFunc func(fi, bi int, det uint64) (done bool)
 
 // grade is the preamble RunPacked and RunDetail share: it checks the
@@ -337,8 +340,9 @@ func chunkSize(n, workers int) int {
 // simulator. Each chunk owns a disjoint range of fault indices, so
 // nothing is merged under a lock. Progress, shard telemetry and work
 // counters are recorded here, once per chunk or per worker; under
-// dropping, fault.sim.drops_per_block observes each chunk block's
-// drops.
+// dropping, each worker tallies its chunks' drops by block index, and
+// after the fan-out fault.sim.drops_per_block observes every block the
+// run graded once, so the histogram is the same at any worker count.
 func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns,
 	drop bool, emit emitFunc) error {
 	reg := e.reg
@@ -347,13 +351,19 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults [
 	prog := e.progress(int64(n))
 	chunks := &cursor{n: n, chunk: chunkSize(n, w)}
 	shardHist := reg.Histogram("fault.engine.shard_faults")
-	var dropHist *telemetry.Histogram
+	nb := pats.NumBlocks()
+	var tally []int64 // drops per block, one nb-long row per worker
 	if drop {
-		dropHist = reg.Histogram("fault.sim.drops_per_block")
+		tally = make([]int64, w*nb)
 	}
+	graded := make([]int64, w) // most blocks any of a worker's chunks graded
 	var blocks, shards atomic.Int64
 	err := e.fanOut(w, func(wi int) (err error) {
 		ps := e.sim(wi)
+		var drops []int64
+		if drop {
+			drops = tally[wi*nb : (wi+1)*nb]
+		}
 		var myBlocks int64
 		for err == nil {
 			lo, hi, ok := chunks.claim()
@@ -365,9 +375,10 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults [
 			}
 			shards.Add(1)
 			shardHist.Observe(int64(hi - lo))
-			var nb int64
-			nb, err = blockLoop(ctx, ps, faults, lo, hi, pats, dropHist, emit)
-			myBlocks += nb
+			var cb int64
+			cb, err = blockLoop(ctx, ps, faults, lo, hi, pats, drop, drops, emit)
+			myBlocks += cb
+			graded[wi] = max(graded[wi], cb)
 			if err == nil && prog != nil {
 				prog.Add(int64(hi - lo))
 			}
@@ -378,6 +389,16 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults [
 	})
 	reg.Counter("fault.engine.shards").Add(shards.Load())
 	reg.Counter("fault.sim.blocks").Add(blocks.Load())
+	if drop && err == nil {
+		dropHist := reg.Histogram("fault.sim.drops_per_block")
+		for bi := range int(slices.Max(graded)) {
+			var d int64
+			for wi := range w {
+				d += tally[wi*nb+bi]
+			}
+			dropHist.Observe(d)
+		}
+	}
 	return err
 }
 
@@ -519,7 +540,9 @@ func (e *Engine) NewSession(faults []Fault, detected []bool) *Session {
 // still-live faults, with dropping. Newly caught faults are marked in
 // detected (indexed like the session's fault list), and the returned
 // mask has bit p set when block pattern p was the first detector of
-// some fault — the block's "useful" patterns. The live list is sharded
+// some fault — the block's "useful" patterns. Each live fault is
+// graded by FirstDetect, which propagates it only over the patterns
+// below its first detection found so far. The live list is sharded
 // across the engine's workers, at most one per minSessionShard live
 // faults since each pays its own good-machine pass; each worker
 // compacts its survivors in place and the masks are ORed afterwards,
@@ -544,7 +567,7 @@ func (s *Session) ApplyBlock(block [][]bool, detected []bool) uint64 {
 		wr := lo
 		var sh sessionShard
 		for _, fi := range s.live[lo:hi] {
-			det := ps.FaultMask(s.faults[fi]) & mask
+			det := ps.FirstDetect(s.faults[fi], mask)
 			if det == 0 {
 				s.live[wr] = fi
 				wr++
@@ -552,7 +575,7 @@ func (s *Session) ApplyBlock(block [][]bool, detected []bool) uint64 {
 			}
 			detected[fi] = true
 			sh.caught++
-			sh.useful |= det & -det
+			sh.useful |= det
 		}
 		sh.kept = wr - lo
 		s.shards[wi] = sh

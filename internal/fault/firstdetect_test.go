@@ -1,0 +1,105 @@
+package fault
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"dft/internal/circuits"
+	"dft/internal/telemetry"
+)
+
+// gradeDigests pins a grade-shaped dropping run: a 2,000-gate random
+// netlist with 64 inputs graded by 384 patterns (six blocks) on the
+// Auto backend, once through Simulate and once block by block through a
+// Session. The digests were recorded on the kernel that propagated all
+// 64 pattern lanes of every fault, so any change to which pattern first
+// detects a fault, or to a block's useful mask, moves them.
+var gradeDigests = map[string]string{
+	"simulate": "4f4f239b6227f9a41af53f7269828e41673e4ddb0b7d0670ce2018ca56060bab",
+	"session":  "c16606429cb1641de7c6b2fb0b9a2c3cc4838172869024240b4325ffb8bc9f93",
+}
+
+// TestGradeDropDigest pins Detected, DetectedBy and NumCaught of an
+// Auto DropOn 384-pattern grade, and the useful masks of a six-block
+// Session over the same patterns, at 1 and 4 workers.
+func TestGradeDropDigest(t *testing.T) {
+	c := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 2000, 32, 4)
+	faults := CollapseEquiv(c, Universe(c)).Reps
+	pats := enginePatterns(len(c.PIs), 384, 101)
+	for _, w := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		res, err := Simulate(context.Background(), c, faults, pats, Options{Workers: w, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Timer("fault.sim.engine").Stats().Count; got != 1 {
+			t.Fatalf("workers=%d: Auto ran %d parallel grades, want 1", w, got)
+		}
+		h := sha256.New()
+		for i, d := range res.Detected {
+			fmt.Fprintf(h, "%v %d\n", d, res.DetectedBy[i])
+		}
+		fmt.Fprintln(h, res.NumCaught)
+		checkGradeDigest(t, "simulate", w, hex.EncodeToString(h.Sum(nil)))
+
+		s := NewEngine(c, Options{Workers: w, Metrics: reg}).NewSession(faults, make([]bool, len(faults)))
+		detected := make([]bool, len(faults))
+		h = sha256.New()
+		for b := 0; b < 6; b++ {
+			fmt.Fprintf(h, "%016x\n", s.ApplyBlock(pats[b*64:(b+1)*64], detected))
+		}
+		fmt.Fprintln(h, s.Caught(), s.Remaining())
+		checkGradeDigest(t, "session", w, hex.EncodeToString(h.Sum(nil)))
+		if s.Caught() != res.NumCaught || !reflect.DeepEqual(detected, res.Detected) {
+			t.Fatalf("workers=%d: session caught %d, Simulate %d", w, s.Caught(), res.NumCaught)
+		}
+	}
+}
+
+func checkGradeDigest(t *testing.T, key string, workers int, got string) {
+	t.Helper()
+	if want := gradeDigests[key]; got != want {
+		t.Errorf("%s workers=%d: digest %s, want %s", key, workers, got, want)
+	}
+}
+
+// TestDropsPerBlockWorkerInvariant requires fault.sim.drops_per_block
+// to observe each graded block once, with the faults it dropped, so its
+// count, sum and buckets are the same at every worker count. The
+// first-detect kernel's faulty-machine work is worker-invariant too:
+// fault.sim.events less one good-machine pass per chunk block
+// (fault.sim.blocks) does not move with the worker count.
+func TestDropsPerBlockWorkerInvariant(t *testing.T) {
+	c := circuits.ArrayMultiplier(8)
+	faults := CollapseEquiv(c, Universe(c)).Reps
+	pats := enginePatterns(len(c.PIs), 384, 7)
+	var want telemetry.HistStat
+	var wantFaulty int64
+	for _, w := range []int{1, 2, 4} {
+		reg := telemetry.NewRegistry()
+		if _, err := Simulate(context.Background(), c, faults, pats,
+			Options{Backend: BackendParallel, Workers: w, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Histogram("fault.sim.drops_per_block").Stats()
+		faulty := reg.Counter("fault.sim.events").Value() - reg.Counter("fault.sim.blocks").Value()*int64(len(c.Order))
+		if w == 1 {
+			want, wantFaulty = got, faulty
+			if got.Count != int64((len(pats)+63)/64) {
+				t.Fatalf("workers=1: %d samples for %d blocks", got.Count, (len(pats)+63)/64)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: drops_per_block %+v, want %+v (workers=1)", w, got, want)
+		}
+		if faulty != wantFaulty {
+			t.Errorf("workers=%d: %d faulty-machine evaluations, want %d (workers=1)", w, faulty, wantFaulty)
+		}
+	}
+}

@@ -4,6 +4,7 @@ package fault_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dft/internal/fault"
@@ -97,4 +98,145 @@ func TestBackendSeedsShardSession(t *testing.T) {
 		}
 	}
 	t.Fatal("no seed-corpus circuit shards a session block")
+}
+
+// firstDetectPatterns is FuzzFirstDetect's pattern set for seed: one
+// full block and one partial block of 1 to 63 patterns.
+func firstDetectPatterns(width int, seed int64) *fault.PackedPatterns {
+	n := 65 + int(uint64(seed)%63)
+	return fault.PackPatternSet(width, fuzzdiff.RandomPatterns(width, n, seed^0x3C6EF372))
+}
+
+// firstDetectViews returns the generated circuit's primary view and its
+// full-scan view: every flip-flop controllable and its D input
+// observable.
+func firstDetectViews(c *logic.Circuit) []fault.View {
+	scan := fault.View{
+		Inputs:  append(append([]int(nil), c.PIs...), c.DFFs...),
+		Outputs: append([]int(nil), c.POs...),
+	}
+	for _, d := range c.DFFs {
+		scan.Outputs = append(scan.Outputs, c.Gates[d].Fanin[0])
+	}
+	return []fault.View{{}, scan}
+}
+
+// FuzzFirstDetect checks the first-detect kernel against the full-word
+// one on a seed-generated circuit, under the primary and the full-scan
+// view, for every fault of the universe (stems, branches and the
+// flip-flop D pins that collapsing folds away), over one full and one
+// partial block. On one simulator it interleaves
+// FirstDetect with FlipMask and FaultMask calls and requires:
+//
+//   - FirstDetect's word is the lowest bit of FaultMask(f) & mask;
+//   - the propagation stopped at that detection: exactly one view
+//     output differs from the good machine in the detecting lane;
+//   - every FlipMask and FaultMask after an early stop returns the same
+//     word, and leaves the same FaultyWord on every net, as a reference
+//     simulator that never runs FirstDetect, so a stop leaves nothing
+//     queued behind it.
+//
+// Run: go test -fuzz=FuzzFirstDetect -fuzztime=10s ./internal/fault
+func FuzzFirstDetect(f *testing.F) {
+	for _, seed := range backendSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := fuzzdiff.Generate(fuzzdiff.ShapeConfig(seed), seed)
+		faults := fault.Universe(c)
+		for vi, v := range firstDetectViews(c) {
+			in, out := v.Resolve(c)
+			pats := firstDetectPatterns(len(in), seed)
+			ps := fault.NewParallelSimView(c, in, out)
+			ref := fault.NewParallelSimView(c, in, out)
+			for bi := 0; bi < pats.NumBlocks(); bi++ {
+				words, k := pats.Block(bi)
+				ps.LoadPackedBlock(words, k)
+				ref.LoadPackedBlock(words, k)
+				mask := ^uint64(0) >> uint(64-k)
+				for i, fl := range faults {
+					where := func() string {
+						return fmt.Sprintf("seed %d view %d block %d (%d patterns) fault %v", seed, vi, bi, k, fl)
+					}
+					got := ps.FirstDetect(fl, mask)
+					if got != 0 {
+						hit := map[int]bool{}
+						for _, o := range out {
+							if (ps.FaultyWord(o)^ps.GoodWord(o))&got != 0 {
+								hit[o] = true
+							}
+						}
+						if len(hit) != 1 {
+							t.Fatalf("%s: %d view outputs differ in detecting lane %016x, want 1", where(), len(hit), got)
+						}
+					}
+					if i%2 == 1 {
+						if a, b := ps.FlipMask(fl.Gate), ref.FlipMask(fl.Gate); a != b {
+							t.Fatalf("%s: FlipMask(%d) %016x after FirstDetect, reference %016x", where(), fl.Gate, a, b)
+						}
+						sameFaultyWords(t, c, ps, ref, where)
+					}
+					full, want := ps.FaultMask(fl), ref.FaultMask(fl)
+					if full != want {
+						t.Fatalf("%s: FaultMask %016x after FirstDetect, reference %016x", where(), full, want)
+					}
+					sameFaultyWords(t, c, ps, ref, where)
+					if want &= mask; got != want&-want {
+						t.Fatalf("%s: FirstDetect %016x, FaultMask&mask %016x", where(), got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameFaultyWords requires two simulators to hold the same faulty
+// machine on every net.
+func sameFaultyWords(t *testing.T, c *logic.Circuit, ps, ref *fault.ParallelSim, where func() string) {
+	t.Helper()
+	for n := 0; n < c.NumNets(); n++ {
+		if a, b := ps.FaultyWord(n), ref.FaultyWord(n); a != b {
+			t.Fatalf("%s: FaultyWord(%s) %016x, reference %016x", where(), c.NameOf(n), a, b)
+		}
+	}
+}
+
+// The FuzzFirstDetect seed corpus must reach every fault kind the
+// kernel injects (stem, gate branch, flip-flop D pin) with a first
+// detection in a full and in a partial block.
+func TestFirstDetectSeedsReachEveryKind(t *testing.T) {
+	reached := map[string]bool{}
+	for _, seed := range backendSeeds {
+		c := fuzzdiff.Generate(fuzzdiff.ShapeConfig(seed), seed)
+		faults := fault.Universe(c)
+		for _, v := range firstDetectViews(c) {
+			in, out := v.Resolve(c)
+			pats := firstDetectPatterns(len(in), seed)
+			ps := fault.NewParallelSimView(c, in, out)
+			for bi := 0; bi < pats.NumBlocks(); bi++ {
+				words, k := pats.Block(bi)
+				ps.LoadPackedBlock(words, k)
+				for _, fl := range faults {
+					if ps.FirstDetect(fl, ^uint64(0)>>uint(64-k)) == 0 {
+						continue
+					}
+					kind := "branch"
+					switch {
+					case fl.Pin == fault.Stem:
+						kind = "stem"
+					case c.Gates[fl.Gate].Type == logic.DFF:
+						kind = "dff-d"
+					}
+					reached[fmt.Sprintf("%s/%v", kind, k == 64)] = true
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"stem", "branch", "dff-d"} {
+		for _, full := range []bool{true, false} {
+			if key := fmt.Sprintf("%s/%v", kind, full); !reached[key] {
+				t.Errorf("no seed detects a %s fault in a %s block", kind, map[bool]string{true: "full", false: "partial"}[full])
+			}
+		}
+	}
 }

@@ -75,9 +75,12 @@ type DropMode int
 const (
 	// DropOn removes a fault from further simulation after its first
 	// detection: Run's consumer reports the fault done, and the
-	// backend's block loop drops it from its live list. Detection
-	// outcomes (Detected, DetectedBy) are identical either way;
-	// dropping only saves work.
+	// backend's block loop drops it from its live list. Within a block
+	// the PPSFP backend propagates a fault only over the patterns
+	// below its first detection found so far (FirstDetect), so
+	// fault.sim.events counts just the evaluations that takes.
+	// Detection outcomes (Detected, DetectedBy) are identical either
+	// way; dropping only saves work.
 	DropOn DropMode = iota
 	// DropOff grades every fault against every pattern on every
 	// backend — the ablation setting measuring what dropping buys.

@@ -5,7 +5,6 @@ import (
 
 	"dft/internal/logic"
 	"dft/internal/sim"
-	"dft/internal/telemetry"
 )
 
 // Result accumulates combinational fault-simulation outcomes across
@@ -230,6 +229,8 @@ type ParallelSim struct {
 	byLevel [][]int32 // worklist buckets indexed by level
 	pending int       // queued gates not yet evaluated
 	det     uint64    // detections of the propagation in progress
+	care    uint64    // pattern lanes the propagation in progress still grades
+	first   bool      // propagation stops at its lowest detecting lane
 	liveBuf []int     // blockLoop's live list, reused across calls
 
 	// Work counters, accumulated as plain ints (the simulator is owned
@@ -321,18 +322,33 @@ func blockMask(k int) uint64 {
 // the captured operand, which the element passes through — mirroring
 // the serial backend.
 func (ps *ParallelSim) FaultMask(f Fault) uint64 {
+	return ps.inject(f, ^uint64(0), false)
+}
+
+// FirstDetect is FaultMask for a grade that keeps only a fault's first
+// detection: it returns the one-bit word of the lowest pattern in mask
+// that detects f, or 0. The propagation carries only the lanes below
+// the lowest detection found so far and stops once none is left, so
+// FaultyWord afterwards is exact on those lanes only.
+func (ps *ParallelSim) FirstDetect(f Fault, mask uint64) uint64 {
+	return ps.inject(f, mask, true)
+}
+
+// inject puts fault f on the loaded block and propagates it over the
+// care lanes.
+func (ps *ParallelSim) inject(f Fault, care uint64, first bool) uint64 {
 	stuck := uint64(0)
 	if f.SA == logic.One {
 		stuck = ^uint64(0)
 	}
 	if f.Pin == Stem || !ps.c.Gates[f.Gate].Type.IsCombinational() {
-		return ps.propagate(int32(f.Gate), stuck)
+		return ps.propagate(int32(f.Gate), stuck, care, first)
 	}
 	// Branch fault: only gate f.Gate sees the corrupt operand. Its
 	// fanins are upstream of every fault effect, so their good words
 	// are current.
 	ps.nEvals++
-	return ps.propagate(int32(f.Gate), ps.t.evalPinned(f.Gate, f.Pin, ps.good, stuck))
+	return ps.propagate(int32(f.Gate), ps.t.evalPinned(f.Gate, f.Pin, ps.good, stuck), care, first)
 }
 
 // FlipMask event-propagates the complement of net n's good value
@@ -340,48 +356,82 @@ func (ps *ParallelSim) FaultMask(f Fault) uint64 {
 // which the flip reaches a view output — the exact observability of n
 // for the loaded block.
 func (ps *ParallelSim) FlipMask(n int) uint64 {
-	return ps.propagate(int32(n), ^ps.good[n])
+	return ps.propagate(int32(n), ^ps.good[n], ^uint64(0), false)
 }
 
-// propagate is the kernel behind FaultMask and FlipMask: net n takes
-// word w, and the change is event-propagated level by level through
-// n's combinational fanout cone until nothing is pending. It returns
-// the patterns on which some view output differs from the good machine.
-func (ps *ParallelSim) propagate(n int32, w uint64) uint64 {
+// propagate is the kernel behind FaultMask, FirstDetect and FlipMask:
+// net n takes word w, and the change is event-propagated level by
+// level through n's combinational fanout cone until nothing is
+// pending. A gate is re-evaluated, written and its readers queued only
+// when its word differs from the good machine's in a care lane; lanes
+// outside care are left unexact. It returns the care lanes on which
+// some view output differs from the good machine. Under first, each
+// detection shrinks care to the lanes below the lowest detecting one,
+// so the result is that lane's one-bit word, and the propagation stops
+// as soon as care is empty, unqueueing whatever it leaves behind.
+func (ps *ParallelSim) propagate(n int32, w, care uint64, first bool) uint64 {
 	ps.nMasks++
 	cur, t := ps.cur, ps.t
 	for _, d := range ps.dirty {
 		cur[d] = ps.good[d]
 	}
 	ps.dirty = ps.dirty[:0]
-	ps.det = 0
-	if w == cur[n] {
+	ps.det, ps.care, ps.first = 0, care, first
+	if (w^cur[n])&care == 0 {
 		return 0
 	}
 	ps.set(n, w)
 	for lv := t.level[n] + 1; ps.pending > 0; lv++ {
 		bucket := ps.byLevel[lv]
-		for _, id := range bucket {
+		ps.byLevel[lv] = bucket[:0]
+		ps.pending -= len(bucket)
+		for i, id := range bucket {
+			if ps.care == 0 {
+				ps.nEvals += int64(i)
+				ps.drain(bucket[i:], lv)
+				return ps.det
+			}
 			ps.queued[id] = false
-			if nw := t.eval(id, cur); nw != cur[id] {
+			if nw := t.eval(id, cur); (nw^cur[id])&ps.care != 0 {
 				ps.set(id, nw)
 			}
 		}
-		ps.pending -= len(bucket)
 		ps.nEvals += int64(len(bucket))
-		ps.byLevel[lv] = bucket[:0]
 	}
 	return ps.det
 }
 
-// set writes faulty word w to net n, records any detection and queues
-// n's combinational readers.
+// drain unqueues the gates an early stop leaves behind: rest, the
+// unevaluated tail of level lv's bucket, and every bucket above it.
+func (ps *ParallelSim) drain(rest []int32, lv int32) {
+	for _, id := range rest {
+		ps.queued[id] = false
+	}
+	for lv++; ps.pending > 0; lv++ {
+		bucket := ps.byLevel[lv]
+		for _, id := range bucket {
+			ps.queued[id] = false
+		}
+		ps.pending -= len(bucket)
+		ps.byLevel[lv] = bucket[:0]
+	}
+}
+
+// set writes faulty word w to net n, records any detection in a care
+// lane and queues n's combinational readers.
 func (ps *ParallelSim) set(n int32, w uint64) {
 	t := ps.t
 	ps.cur[n] = w
 	ps.dirty = append(ps.dirty, n)
 	if t.isObs[n] {
-		ps.det |= w ^ ps.good[n]
+		if d := (w ^ ps.good[n]) & ps.care; d != 0 {
+			if ps.first {
+				d &= -d
+				ps.det, ps.care = d, d-1
+			} else {
+				ps.det |= d
+			}
+		}
 	}
 	for _, r := range t.readers[t.rdStart[n]:t.rdStart[n+1]] {
 		if !ps.queued[r] {
@@ -411,15 +461,19 @@ func (ps *ParallelSim) liveFor(n int) []int {
 // blockLoop is the PPSFP backend's block loop: it grades faults[lo:hi]
 // against the packed pattern set block by block on ps, hands every
 // nonzero detect word to emit, and drops a fault from the chunk's live
-// list once emit reports it done. The engine calls it once per shard,
-// so each call touches only its own fault range. The pattern blocks
-// are packed once by the caller and shared read-only across every
-// shard and worker. Work counters accumulate on ps for the caller to
-// drain, the live list reuses ps scratch (no allocation after
-// warmup), cancellation is checked between blocks, and dropHist, when
-// set, observes how many faults each block dropped.
+// list once emit reports it done. Under drop, a fault's word is
+// FirstDetect's one-bit word of its first detecting pattern in the
+// block, so the kernel carries only the lanes below a detection; drop
+// is set only when emit reports every detection done. Otherwise it is
+// the full FaultMask word. The engine calls it once per shard, so each
+// call touches only its own fault range. The pattern blocks are packed
+// once by the caller and shared read-only across every shard and
+// worker. Work counters accumulate on ps for the caller to drain, the
+// live list reuses ps scratch (no allocation after warmup),
+// cancellation is checked between blocks, and drops, when set, tallies
+// by block index how many faults each block dropped.
 func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, lo, hi int, pats *PackedPatterns,
-	dropHist *telemetry.Histogram, emit emitFunc) (blocks int64, err error) {
+	drop bool, drops []int64, emit emitFunc) (blocks int64, err error) {
 	live := ps.liveFor(hi - lo)
 	for i := range live {
 		live[i] = lo + i
@@ -433,12 +487,18 @@ func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, lo, hi int,
 		blocks++
 		next := live[:0]
 		for _, fi := range live {
-			if det := ps.FaultMask(faults[fi]) & mask; det == 0 || !emit(fi, bi, det) {
+			var det uint64
+			if drop {
+				det = ps.FirstDetect(faults[fi], mask)
+			} else {
+				det = ps.FaultMask(faults[fi]) & mask
+			}
+			if det == 0 || !emit(fi, bi, det) {
 				next = append(next, fi)
 			}
 		}
-		if dropHist != nil {
-			dropHist.Observe(int64(len(live) - len(next)))
+		if drops != nil {
+			drops[bi] += int64(len(live) - len(next))
 		}
 		live = next
 	}
