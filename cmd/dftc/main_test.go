@@ -249,9 +249,8 @@ func TestInfoPrintsLintWarnings(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsInvalidBench: the Load path shares the linter, so a
-// structurally broken netlist (2-input NOT) is rejected with a
-// structured diagnostic even though the parser accepts it.
+// TestLoadRejectsInvalidBench: a structurally broken netlist (2-input
+// NOT) is rejected by the parser, with its file and line.
 func TestLoadRejectsInvalidBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.bench")
 	src := "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n"
@@ -259,7 +258,7 @@ func TestLoadRejectsInvalidBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := run([]string{"info", path})
-	if err == nil || !strings.Contains(err.Error(), "width-mismatch") {
-		t.Fatalf("err = %v, want width-mismatch rejection", err)
+	if err == nil || !strings.Contains(err.Error(), `bad.bench:4: NOT "y" has 2 inputs, want exactly one`) {
+		t.Fatalf("err = %v, want fanin-width rejection", err)
 	}
 }

@@ -1,10 +1,13 @@
 package atpg_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"dft/internal/atpg"
@@ -131,4 +134,91 @@ func TestGeneratedTestsDigest(t *testing.T) {
 	det, depths := seqatpg.CoverageWithinFrames(c, cl.Reps, cfg)
 	fmt.Fprintln(h, det, depths)
 	checkDigest(t, "hardcore16/seqatpg", h)
+}
+
+// randomDigestCircuits are the designs whose random-pattern phases are
+// pinned by digest.
+var randomDigestCircuits = []struct {
+	name string
+	c    func() *logic.Circuit
+}{
+	{"alu74181", circuits.ALU74181},
+	{"mult8", func() *logic.Circuit { return circuits.ArrayMultiplier(8) }},
+}
+
+// wantRandomDigests holds the SHA-256 of each random-pattern run's
+// serialized output; every run must give the same bytes at 1 and 2
+// workers.
+var wantRandomDigests = map[string]string{
+	"alu74181/generate-random-first": "02a9e2d4309ceff841c7b707a55b4aa80ffec32e5f75e0b459b74dff3f770b69",
+	"alu74181/random":                "634224d5416647b35c755eef19c0e048295e2660195d7089b0dbe7d57dc0bfad",
+	"alu74181/weighted":              "2167a088cdf2b4cab7d411cf23ed79696c01b4bd0328631c1daf81b3ed1ad7f7",
+	"alu74181/adaptive":              "5c2f531c2226f252a6f55ce876c4fb66dce8bb606a7b9fc7aa84b64b21c99f24",
+	"mult8/generate-random-first":    "a2e7c062a4da35686b1d599c96e92490c827cf0e6daa3bbf668a8fc05e4cd606",
+	"mult8/random":                   "04e7fafb16b8ae9dc25f0e9243ad606460fa11294fe10e26329f1d230d42395b",
+	"mult8/weighted":                 "c1af025b6bd3c9a905ad7dcfc9bbe86f34b118b842483041d43d6da3f0e8806e",
+	"mult8/adaptive":                 "d130a74bd2ee22002b8cbfd6ee4089f93ca6686198df31844b56bb8dc94feda2",
+}
+
+func writeRandom(h hash.Hash, res *atpg.RandomResult) {
+	for _, p := range res.Patterns {
+		fmt.Fprintln(h, p)
+	}
+	fmt.Fprintln(h, res.Applied, res.Coverage, res.Detected)
+}
+
+// TestRandomPhaseDigest pins the random-pattern phases: the patterns
+// and tests GenerateContext keeps from a RandomFirst phase of 200
+// patterns (three full blocks and a partial one) before its PODEM
+// top-up, and the kept patterns, applied count, coverage and detections
+// of RandomGenerate, WeightedRandomGenerate and AdaptiveRandomGenerate
+// over the same budget. The three generators size their engines from
+// GOMAXPROCS, so the test sets it to the worker count.
+func TestRandomPhaseDigest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const budget = 200
+	for _, dc := range randomDigestCircuits {
+		d := digestDesign(t, dc.c, false)
+		view, targets := d.View(), d.Faults()
+		weights := make([]float64, len(view.Inputs))
+		for i := range weights {
+			weights[i] = 0.2 + 0.6*float64(i%3)/2
+		}
+		for _, w := range []int{1, 2} {
+			runtime.GOMAXPROCS(w)
+			check := func(key string, h hash.Hash) {
+				t.Helper()
+				got := hex.EncodeToString(h.Sum(nil))
+				if want := wantRandomDigests[dc.name+"/"+key]; got != want {
+					t.Errorf("%s/%s workers=%d: digest %s, want %s", dc.name, key, w, got, want)
+				}
+			}
+
+			res, err := atpg.GenerateContext(context.Background(), d.Circuit, view, targets, atpg.Config{
+				MaxBacktracks: 20, RandomSeed: 1, RandomFirst: budget, Workers: w, Metrics: telemetry.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			writeTests(h, res.Tests)
+			for _, p := range res.Patterns {
+				fmt.Fprintln(h, p)
+			}
+			fmt.Fprintln(h, res.Detected)
+			writeFaults(h, "untestable", res.Untestable)
+			writeFaults(h, "aborted", res.Aborted)
+			check("generate-random-first", h)
+
+			h = sha256.New()
+			writeRandom(h, atpg.RandomGenerate(d.Circuit, view, targets, 1, budget, rand.New(rand.NewSource(3))))
+			check("random", h)
+			h = sha256.New()
+			writeRandom(h, atpg.WeightedRandomGenerate(d.Circuit, view, targets, 1, budget, weights, rand.New(rand.NewSource(5))))
+			check("weighted", h)
+			h = sha256.New()
+			writeRandom(h, atpg.AdaptiveRandomGenerate(d.Circuit, view, targets, 1, budget, rand.New(rand.NewSource(7))))
+			check("adaptive", h)
+		}
+	}
 }

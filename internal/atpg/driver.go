@@ -81,26 +81,19 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 	prog.AddTotal(int64(len(targets)))
 	rng := rand.New(rand.NewSource(cfg.RandomSeed + 1))
 	res := &GenerateResult{Detected: make([]bool, len(targets))}
-	h := newHarness(c, view, targets, res.Detected, cfg.Workers, reg)
+	s := fault.NewEngine(c, fault.Options{Workers: cfg.Workers, View: view, Metrics: reg}).NewSession(targets, res.Detected)
 
 	if cfg.RandomFirst > 0 {
 		rctx, randSpan := telemetry.StartSpanCtx(ctx, reg, "atpg.random")
 		applied := 0
-		for applied < cfg.RandomFirst && h.remaining() > 0 {
+		for applied < cfg.RandomFirst && s.Remaining() > 0 {
 			if err := rctx.Err(); err != nil {
 				reg.Counter("atpg.cancelled").Inc()
 				randSpan.End()
 				return nil, err
 			}
-			block := make([][]bool, 0, 64)
-			for k := 0; k < 64 && applied+len(block) < cfg.RandomFirst; k++ {
-				p := make([]bool, len(view.Inputs))
-				for i := range p {
-					p[i] = rng.Intn(2) == 1
-				}
-				block = append(block, p)
-			}
-			for _, p := range h.applyBlock(block, res.Detected) {
+			block := randomBlock(min(64, cfg.RandomFirst-applied), len(view.Inputs), func(int) bool { return rng.Intn(2) == 1 })
+			for _, p := range usefulPatterns(block, s.ApplyBlock(block, res.Detected)) {
 				res.Patterns = append(res.Patterns, p)
 				tv := make([]logic.V, len(p))
 				for i, b := range p {
@@ -157,7 +150,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, view View, targets [
 		full := t.Fill(func() bool { return rng.Intn(2) == 1 })
 		res.Tests = append(res.Tests, t)
 		res.Patterns = append(res.Patterns, full)
-		h.applyBlock([][]bool{full}, res.Detected)
+		s.ApplyBlock([][]bool{full}, res.Detected)
 		if !res.Detected[fi] {
 			// The filled vector must detect its target; a miss means the
 			// generator and simulator disagree — fail loudly in tests.

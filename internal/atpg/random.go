@@ -40,28 +40,7 @@ func WeightedRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 	if len(weights) != len(view.Inputs) {
 		panic("atpg: weight count mismatch")
 	}
-	res := &RandomResult{Detected: make([]bool, len(faults))}
-	h := newHarness(c, view, faults, res.Detected, fault.WorkersAuto, nil)
-	defer h.reg.Timer("atpg.random").Time()()
-	defer func() { h.reg.Counter("atpg.random.patterns").Add(int64(res.Applied)) }()
-	for res.Applied < maxPatterns {
-		block := make([][]bool, 0, 64)
-		for k := 0; k < 64 && res.Applied+len(block) < maxPatterns; k++ {
-			p := make([]bool, len(view.Inputs))
-			for i := range p {
-				p[i] = rng.Float64() < weights[i]
-			}
-			block = append(block, p)
-		}
-		useful := h.applyBlock(block, res.Detected)
-		res.Patterns = append(res.Patterns, useful...)
-		res.Applied += len(block)
-		res.Coverage = h.coverage()
-		if res.Coverage >= target {
-			break
-		}
-	}
-	return res
+	return weightedRandom(c, view, faults, target, maxPatterns, weights, rng, nil)
 }
 
 // AdaptiveRandomGenerate implements adaptive random test generation in
@@ -70,29 +49,12 @@ func WeightedRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 // generator drifts into the useful corners of the input space.
 func AdaptiveRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 	target float64, maxPatterns int, rng *rand.Rand) *RandomResult {
-	n := len(view.Inputs)
-	weights := make([]float64, n)
+	weights := make([]float64, len(view.Inputs))
 	for i := range weights {
 		weights[i] = 0.5
 	}
-	res := &RandomResult{Detected: make([]bool, len(faults))}
-	h := newHarness(c, view, faults, res.Detected, fault.WorkersAuto, nil)
-	defer h.reg.Timer("atpg.random").Time()()
-	defer func() { h.reg.Counter("atpg.random.patterns").Add(int64(res.Applied)) }()
 	const alpha = 0.15 // adaptation rate
-	for res.Applied < maxPatterns {
-		block := make([][]bool, 0, 64)
-		for k := 0; k < 64 && res.Applied+len(block) < maxPatterns; k++ {
-			p := make([]bool, n)
-			for i := range p {
-				p[i] = rng.Float64() < weights[i]
-			}
-			block = append(block, p)
-		}
-		useful := h.applyBlock(block, res.Detected)
-		res.Patterns = append(res.Patterns, useful...)
-		res.Applied += len(block)
-		res.Coverage = h.coverage()
+	return weightedRandom(c, view, faults, target, maxPatterns, weights, rng, func(useful [][]bool) {
 		// Adapt toward detecting patterns; relax toward 0.5 when a
 		// block was useless (escape dead regions).
 		if len(useful) > 0 {
@@ -112,55 +74,64 @@ func AdaptiveRandomGenerate(c *logic.Circuit, view View, faults []fault.Fault,
 		}
 		// Clamp away from degenerate 0/1 weights.
 		for i := range weights {
-			if weights[i] < 0.05 {
-				weights[i] = 0.05
-			}
-			if weights[i] > 0.95 {
-				weights[i] = 0.95
-			}
+			weights[i] = min(max(weights[i], 0.05), 0.95)
 		}
+	})
+}
+
+// weightedRandom is the random-pattern loop behind the three
+// generators: 64-pattern blocks, bit i of every pattern set with
+// probability weights[i], graded through a dropping fault.Session on
+// the process-wide registry until target coverage is reached or
+// maxPatterns have been applied. After every block that falls short of
+// target, adapt (when non-nil) sees the block's useful patterns and
+// may move the weights.
+func weightedRandom(c *logic.Circuit, view View, faults []fault.Fault, target float64, maxPatterns int,
+	weights []float64, rng *rand.Rand, adapt func(useful [][]bool)) *RandomResult {
+	res := &RandomResult{Detected: make([]bool, len(faults))}
+	reg := telemetry.Default()
+	s := fault.NewEngine(c, fault.Options{View: view, Metrics: reg}).NewSession(faults, res.Detected)
+	defer reg.Timer("atpg.random").Time()()
+	defer func() { reg.Counter("atpg.random.patterns").Add(int64(res.Applied)) }()
+	for res.Applied < maxPatterns {
+		block := randomBlock(min(64, maxPatterns-res.Applied), len(weights), func(i int) bool {
+			return rng.Float64() < weights[i]
+		})
+		useful := usefulPatterns(block, s.ApplyBlock(block, res.Detected))
+		res.Patterns = append(res.Patterns, useful...)
+		res.Applied += len(block)
+		res.Coverage = s.Coverage()
 		if res.Coverage >= target {
 			break
+		}
+		if adapt != nil {
+			adapt(useful)
 		}
 	}
 	return res
 }
 
-// harness runs view-level fault simulation with dropping over an
-// explicit fault list, backed by a fault.Session on the sharded engine
-// so the same fast path serves scan views and plain combinational
-// circuits — multicore when the live list is large enough to pay for
-// it.
-type harness struct {
-	session *fault.Session
-	reg     *telemetry.Registry
+// randomBlock draws n patterns of width bits, bit i of each from
+// bit(i), pattern by pattern and bit by bit, so a seeded draw function
+// yields the same block every run.
+func randomBlock(n, width int, bit func(i int) bool) [][]bool {
+	block := make([][]bool, n)
+	for k := range block {
+		p := make([]bool, width)
+		for i := range p {
+			p[i] = bit(i)
+		}
+		block[k] = p
+	}
+	return block
 }
 
-func newHarness(c *logic.Circuit, view View, faults []fault.Fault, detected []bool, workers int, reg *telemetry.Registry) *harness {
-	reg = telemetry.OrDefault(reg)
-	eng := fault.NewEngine(c, fault.Options{
-		Workers: workers,
-		View:    view,
-		Metrics: reg,
-	})
-	return &harness{session: eng.NewSession(faults, detected), reg: reg}
-}
-
-// applyBlock simulates a block of up to 64 patterns against all live
-// faults (with dropping), marks detections, and returns the subset of
-// patterns that were the first detector of some fault.
-func (h *harness) applyBlock(block [][]bool, detected []bool) [][]bool {
-	usefulMask := h.session.ApplyBlock(block, detected)
+// usefulPatterns returns the patterns of block whose bits are set in
+// a Session.ApplyBlock useful mask, in block order.
+func usefulPatterns(block [][]bool, mask uint64) [][]bool {
 	var useful [][]bool
-	for usefulMask != 0 {
-		i := bits.TrailingZeros64(usefulMask)
-		usefulMask &= usefulMask - 1
-		useful = append(useful, block[i])
+	for ; mask != 0; mask &= mask - 1 {
+		useful = append(useful, block[bits.TrailingZeros64(mask)])
 	}
 	return useful
 }
-
-// remaining reports the number of still-undetected faults.
-func (h *harness) remaining() int { return h.session.Remaining() }
-
-func (h *harness) coverage() float64 { return h.session.Coverage() }

@@ -54,25 +54,22 @@ type Design struct {
 	scan *lssd.Design // non-nil once a scan style is applied
 }
 
-// Load parses a .bench document into a Design. The netlist is vetted
-// by fuzzdiff.Lint on the way in: structural errors (fanin-width
-// violations the parser alone accepts, out-of-range nets) reject the
-// file, while warnings such as dangling nets are tolerated — callers
-// wanting them use Diagnostics.
+// Load parses a .bench document into a Design. The parser rejects
+// every structure fuzzdiff.Lint reports as an error (fanin-width
+// violations, nets with two drivers, combinational cycles), so a
+// loaded design lints clean of errors; warnings such as dangling nets
+// are tolerated — callers wanting them use Diagnostics.
 func Load(name string, r io.Reader) (*Design, error) {
 	c, err := logic.ParseBench(name, r)
 	if err != nil {
 		return nil, err
 	}
-	if errs := fuzzdiff.Errors(fuzzdiff.Lint(c)); len(errs) != 0 {
-		return nil, fmt.Errorf("core: %s: invalid netlist: %s", name, errs[0])
-	}
 	return &Design{Circuit: c}, nil
 }
 
-// Diagnostics re-lints the design's current circuit, returning every
-// structural finding (the Load path has already rejected errors for
-// parsed files, so these are typically warnings).
+// Diagnostics lints the design's current circuit, returning every
+// structural finding (the parser has already rejected errors for
+// loaded files, so these are typically warnings).
 func (d *Design) Diagnostics() []fuzzdiff.Diagnostic {
 	return fuzzdiff.Lint(d.Circuit)
 }

@@ -154,8 +154,9 @@ type Options struct {
 // Dictionary, including a freshly decoded one. ObserveMachine and
 // Diagnose simulate a defective device and need a circuit: Build
 // attaches it, Decode leaves it detached until Attach. Those two are
-// safe for concurrent use — the pooled simulator is mutex-guarded —
-// so one cached dictionary can serve many service jobs at once.
+// safe for concurrent use, and the dictionary keeps no registry of the
+// job that built or attached it, so one cached dictionary can serve
+// many service jobs at once, each counting its own observations.
 type Dictionary struct {
 	Faults  []fault.Fault
 	NumPats int
@@ -171,11 +172,10 @@ type Dictionary struct {
 	byHash map[uint64][]int
 
 	packed *fault.PackedPatterns
-	c      *logic.Circuit
-	opts   Options
 
-	mu  sync.Mutex    // guards eng (engines are single-goroutine)
-	eng *fault.Engine // pooled observer/build engine, built on Attach
+	mu   sync.Mutex     // guards c and opts against Attach
+	c    *logic.Circuit // attached circuit, nil when detached
+	opts Options        // grading options, Metrics always nil
 }
 
 // Build grades every fault against every pattern on the fault
@@ -202,8 +202,8 @@ func Build(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns
 		c:       c,
 		opts:    opt,
 	}
-	d.eng = fault.NewEngine(c, d.engineOptions(reg))
-	detail, err := d.eng.RunDetail(ctx, faults, d.packed)
+	d.opts.Metrics = nil
+	detail, err := fault.NewEngine(c, engineOptions(d.opts, reg)).RunDetail(ctx, faults, d.packed)
 	if err != nil {
 		return nil, err
 	}
@@ -221,15 +221,16 @@ func Build(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns
 	return d, nil
 }
 
-// engineOptions is the grading configuration shared by Build and the
-// pooled observer: always drop-off (rows need every bit) and quiet
-// (no progress instrument churn on per-device observations).
-func (d *Dictionary) engineOptions(reg *telemetry.Registry) fault.Options {
+// engineOptions is the grading configuration shared by Build and
+// ObserveMachine: always drop-off (rows need every bit) and quiet (no
+// progress instrument churn on per-device observations), counting
+// into reg.
+func engineOptions(opt Options, reg *telemetry.Registry) fault.Options {
 	return fault.Options{
-		Backend:    d.opts.Backend,
-		Workers:    d.opts.Workers,
+		Backend:    opt.Backend,
+		Workers:    opt.Workers,
 		Drop:       fault.DropOff,
-		View:       d.opts.View,
+		View:       opt.View,
 		Metrics:    reg,
 		NoProgress: true,
 	}
@@ -294,11 +295,11 @@ func (d *Dictionary) Attach(c *logic.Circuit, opt Options) error {
 	if len(inputs) != d.nInputs {
 		return fmt.Errorf("diagnose: dictionary patterns are %d wide, view has %d inputs", d.nInputs, len(inputs))
 	}
+	opt.Metrics = nil
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.c = c
 	d.opts = opt
-	d.eng = nil // rebuilt lazily under the new options
 	return nil
 }
 
@@ -413,19 +414,24 @@ func (d *Dictionary) Rank(sig Signature, k int) []Candidate {
 }
 
 // ObserveMachine runs the test set against a defective device (the
-// faulty machine for f) and returns its signature. The pooled engine
-// is reused across calls — one simulator, one packing — and guarded
-// by a mutex so concurrent service jobs can share the dictionary.
-func (d *Dictionary) ObserveMachine(f fault.Fault) (Signature, error) {
+// faulty machine for f) and returns its signature. The grade counts
+// its fault.sim.* instruments into reg, the calling job's registry,
+// or into telemetry.Default() when none is given. Each call grades on
+// its own engine over the shared packed patterns, so concurrent
+// service jobs can share the dictionary.
+func (d *Dictionary) ObserveMachine(f fault.Fault, reg ...*telemetry.Registry) (Signature, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.c == nil {
+	c, opts := d.c, d.opts
+	d.mu.Unlock()
+	if c == nil {
 		return Signature{}, fmt.Errorf("diagnose: dictionary is detached; Attach a circuit first")
 	}
-	if d.eng == nil {
-		d.eng = fault.NewEngine(d.c, d.engineOptions(telemetry.OrDefault(d.opts.Metrics)))
+	var r *telemetry.Registry
+	if len(reg) > 0 {
+		r = reg[0]
 	}
-	detail, err := d.eng.RunDetail(context.Background(), []fault.Fault{f}, d.packed)
+	eng := fault.NewEngine(c, engineOptions(opts, telemetry.OrDefault(r)))
+	detail, err := eng.RunDetail(context.Background(), []fault.Fault{f}, d.packed)
 	if err != nil {
 		return Signature{}, err
 	}

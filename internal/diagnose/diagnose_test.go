@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dft/internal/circuits"
 	"dft/internal/fault"
+	"dft/internal/telemetry"
 )
 
 func exhaustive(n int) [][]bool {
@@ -328,4 +330,42 @@ func TestBuildCancellation(t *testing.T) {
 	if _, err := Build(ctx, c, u, randomPatterns(len(c.PIs), 256, 1), Options{}); err == nil {
 		t.Fatal("cancelled build returned no error")
 	}
+}
+
+// One dictionary serves concurrent device observations: each returns
+// the fault's stored row and counts its grade in its own caller's
+// registry only.
+func TestObserveMachineConcurrentRegistries(t *testing.T) {
+	c := circuits.ArrayMultiplier(4)
+	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	d, err := Build(context.Background(), c, faults, randomPatterns(len(c.PIs), 96, 5), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg := telemetry.NewRegistry()
+			var n int64
+			for fi := g; fi < len(faults); fi += callers {
+				sig, err := d.ObserveMachine(faults[fi], reg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !equalRow(sig.Bits, d.Row(fi)) {
+					t.Errorf("caller %d fault %d: observed row differs from the dictionary", g, fi)
+					return
+				}
+				n++
+			}
+			if got := reg.Counter("fault.sim.detail_runs").Value(); got != n {
+				t.Errorf("caller %d: fault.sim.detail_runs = %d for its %d observations", g, got, n)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -175,7 +175,8 @@ func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns
 	case BackendCPT:
 		err = e.cptBlocks(ctx, span, faults, pats, emit)
 	default:
-		err = e.shardFaults(ctx, span, faults, pats, drop, emit)
+		w := e.noteWorkers(span, e.shardWorkers(len(faults)))
+		err = e.shardFaults(ctx, faults, pats, w, e.progress(int64(len(faults))), drop, emit)
 	}
 	if err != nil {
 		e.reg.Counter("fault.engine.cancelled").Inc()
@@ -318,40 +319,55 @@ func (c *cursor) claim() (lo, hi int, ok bool) {
 	return lo, min(lo+c.chunk, c.n), true
 }
 
-// chunkSize picks the dynamic-queue chunk: ~4 chunks per worker
-// amortizes the per-chunk good-machine passes while still letting the
-// queue rebalance dropped-out shards, with a floor so a chunk is worth
-// its dispatch. A single worker takes the whole list as one chunk, so
-// it pays one good-machine pass per block.
-func chunkSize(n, workers int) int {
+// minShard is the fewest faults worth a PPSFP worker: every worker
+// pays its own good-machine pass per block, so a grade takes at most
+// one worker per minShard faults, and no dynamic chunk is smaller.
+const minShard = 64
+
+// shardWorkers is the PPSFP worker rule for n faults: at most one
+// worker per minShard faults, and at least one.
+func (e *Engine) shardWorkers(n int) int { return max(1, min(e.workers, n/minShard)) }
+
+// chunkSize picks the chunk the PPSFP cursor deals over n faults and
+// blocks pattern blocks. A multi-block grade takes ~4 chunks per
+// worker, at least minShard faults each, so the dynamic queue can
+// rebalance the skew fault dropping creates across blocks while every
+// chunk still amortizes its good-machine passes. A one-block grade has
+// no cross-block skew to rebalance, so it deals one contiguous chunk
+// per worker. A single worker takes the whole list as one chunk: one
+// good-machine pass per block.
+func chunkSize(n, workers, blocks int) int {
 	if workers <= 1 {
 		return n
 	}
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	if chunk < 64 {
-		chunk = 64
+	if blocks == 1 {
+		return (n + workers - 1) / workers
 	}
-	return chunk
+	return max(minShard, (n+workers*4-1)/(workers*4))
 }
 
-// shardFaults is the PPSFP backend's scheduler: it deals the fault
-// list to min(workers, faults) workers in dynamic chunks, and each
-// worker grades its chunks through blockLoop on its own pooled
-// simulator. Each chunk owns a disjoint range of fault indices, so
-// nothing is merged under a lock. Progress, shard telemetry and work
-// counters are recorded here, once per chunk or per worker; under
-// dropping, each worker tallies its chunks' drops by block index, and
-// after the fan-out fault.sim.drops_per_block observes every block the
-// run graded once, so the histogram is the same at any worker count.
-func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns,
-	drop bool, emit emitFunc) error {
+// shardFaults is the engine's one PPSFP scheduler, behind RunPacked,
+// RunDetail and Session.ApplyBlock: it deals the fault list to w
+// workers in chunks of chunkSize, and each worker grades its chunks
+// through blockLoop on its own pooled simulator. Worker wi's first
+// chunk is chunk wi, so a worker whose goroutine starts late still
+// grades its own share instead of worker 0 taking it; the chunks past
+// the first w are claimed from the cursor. Each chunk owns a
+// disjoint range of fault indices, so nothing is merged under a lock.
+// Progress (when prog is non-nil), shard telemetry and work counters
+// are recorded here, once per chunk or per worker; under dropping,
+// each worker tallies its chunks' drops by block index, and after the
+// fan-out fault.sim.drops_per_block observes every block the grade
+// reached once, so the histogram is the same at any worker count.
+func (e *Engine) shardFaults(ctx context.Context, faults []Fault, pats *PackedPatterns, w int,
+	prog *telemetry.Progress, drop bool, emit emitFunc) error {
 	reg := e.reg
 	n := len(faults)
-	w := e.noteWorkers(span, min(e.workers, n))
-	prog := e.progress(int64(n))
-	chunks := &cursor{n: n, chunk: chunkSize(n, w)}
-	shardHist := reg.Histogram("fault.engine.shard_faults")
 	nb := pats.NumBlocks()
+	chunk := chunkSize(n, w, nb)
+	chunks := &cursor{n: n, chunk: chunk}
+	chunks.next.Store(int64(w * chunk))
+	shardHist := reg.Histogram("fault.engine.shard_faults")
 	var tally []int64 // drops per block, one nb-long row per worker
 	if drop {
 		tally = make([]int64, w*nb)
@@ -365,11 +381,8 @@ func (e *Engine) shardFaults(ctx context.Context, span *telemetry.Span, faults [
 			drops = tally[wi*nb : (wi+1)*nb]
 		}
 		var myBlocks int64
-		for err == nil {
-			lo, hi, ok := chunks.claim()
-			if !ok {
-				break
-			}
+		lo, hi, ok := wi*chunk, min((wi+1)*chunk, n), wi*chunk < n
+		for ; ok && err == nil; lo, hi, ok = chunks.claim() {
 			if err = ctx.Err(); err != nil {
 				break
 			}
@@ -483,10 +496,6 @@ func (e *Engine) serialDetects(f Fault, good, bad, scratch []bool) bool {
 	return false
 }
 
-// minSessionShard is the smallest live-fault shard worth a session
-// worker: below it the block's fan-out cost exceeds the fault work.
-const minSessionShard = 64
-
 // Session is an incremental fault-dropping grader over a fixed fault
 // list — the engine's interface for generator loops (random-pattern
 // ATPG, advise's probe) that produce patterns block by block and need
@@ -495,23 +504,19 @@ const minSessionShard = 64
 type Session struct {
 	e      *Engine
 	faults []Fault
-	live   []int
 	caught int
 
-	// per-worker tallies, rewritten every block
-	shards []sessionShard
+	// live holds the indices into faults of the still-undetected
+	// faults, liveFaults the faults themselves (the list each block
+	// grades), and dets each live fault's first-detect word in the
+	// current block.
+	live       []int
+	liveFaults []Fault
+	dets       []uint64
 
-	// packed holds the current block, packed once and shared read-only
-	// by every worker's LoadPackedBlock.
-	packed []uint64
-}
-
-// sessionShard is one worker's share of a block: how many of its live
-// faults survive, how many it caught, and which block patterns first
-// detected them.
-type sessionShard struct {
-	kept, caught int
-	useful       uint64
+	// block holds the current block, packed once and shared read-only
+	// by every worker.
+	block *PackedPatterns
 }
 
 // NewSession starts a grading session over faults. detected, indexed
@@ -520,79 +525,61 @@ type sessionShard struct {
 // shares the engine's pooled simulators; like the engine it is not
 // safe for concurrent use.
 func (e *Engine) NewSession(faults []Fault, detected []bool) *Session {
-	live := make([]int, 0, len(faults))
-	for i := range faults {
+	s := &Session{
+		e:          e,
+		faults:     faults,
+		live:       make([]int, 0, len(faults)),
+		liveFaults: make([]Fault, 0, len(faults)),
+		block:      &PackedPatterns{nInputs: len(e.inputs), blocks: [][]uint64{make([]uint64, len(e.inputs))}},
+	}
+	for i, f := range faults {
 		if !detected[i] {
-			live = append(live, i)
+			s.live = append(s.live, i)
+			s.liveFaults = append(s.liveFaults, f)
 		}
 	}
-	return &Session{
-		e:      e,
-		faults: faults,
-		live:   live,
-		caught: len(faults) - len(live),
-		shards: make([]sessionShard, e.workers),
-		packed: make([]uint64, len(e.inputs)),
-	}
+	s.caught = len(faults) - len(s.live)
+	s.dets = make([]uint64, len(s.live))
+	return s
 }
 
 // ApplyBlock grades one block of up to 64 patterns against the
 // still-live faults, with dropping. Newly caught faults are marked in
 // detected (indexed like the session's fault list), and the returned
 // mask has bit p set when block pattern p was the first detector of
-// some fault — the block's "useful" patterns. Each live fault is
-// graded by FirstDetect, which propagates it only over the patterns
-// below its first detection found so far. The live list is sharded
-// across the engine's workers, at most one per minSessionShard live
-// faults since each pays its own good-machine pass; each worker
-// compacts its survivors in place and the masks are ORed afterwards,
-// so outcomes are bit-identical for every worker count.
+// some fault — the block's "useful" patterns. The block is packed once
+// and its live list graded by the PPSFP scheduler RunPacked uses
+// (shardFaults, under the same worker rule), so each live fault is
+// graded by FirstDetect. The consumer only records each fault's
+// first-detect word; the live list is then compacted in order, so
+// outcomes are bit-identical for every worker count.
 func (s *Session) ApplyBlock(block [][]bool, detected []bool) uint64 {
 	if len(block) > 64 {
 		block = block[:64]
 	}
-	k := sim.PackPatternsInto(block, s.packed)
 	e := s.e
-	mask := blockMask(k)
-	nLive := len(s.live)
-	w := max(1, min(e.workers, nLive/minSessionShard))
-	// Contiguous live ranges per worker; each worker compacts its
-	// survivors in place (write index trails read index), then the
-	// segments are stitched left. Order is preserved and writes are
-	// disjoint.
-	e.fanOut(w, func(wi int) error {
-		lo, hi := wi*nLive/w, (wi+1)*nLive/w
-		ps := e.sim(wi)
-		ps.LoadPackedBlock(s.packed, k)
-		wr := lo
-		var sh sessionShard
-		for _, fi := range s.live[lo:hi] {
-			det := ps.FirstDetect(s.faults[fi], mask)
-			if det == 0 {
-				s.live[wr] = fi
-				wr++
-				continue
-			}
-			detected[fi] = true
-			sh.caught++
-			sh.useful |= det
-		}
-		sh.kept = wr - lo
-		s.shards[wi] = sh
-		return nil
-	})
+	k := sim.PackPatternsInto(block, s.block.blocks[0])
+	s.block.n = k
+	dets := s.dets[:len(s.live)]
+	clear(dets)
+	e.shardFaults(context.TODO(), s.liveFaults, s.block, e.shardWorkers(len(s.live)), nil, true,
+		func(i, _ int, det uint64) bool {
+			dets[i] = det
+			return true
+		})
 	kept := 0
 	var useful uint64
-	for wi, sh := range s.shards[:w] {
-		lo := wi * nLive / w
-		copy(s.live[kept:], s.live[lo:lo+sh.kept])
-		kept += sh.kept
-		s.caught += sh.caught
-		useful |= sh.useful
-		e.flushCounts(e.sims[wi])
+	for i, fi := range s.live {
+		if dets[i] != 0 {
+			detected[fi] = true
+			useful |= dets[i]
+			continue
+		}
+		s.live[kept], s.liveFaults[kept] = fi, s.liveFaults[i]
+		kept++
 	}
-	s.live = s.live[:kept]
-	e.reg.Counter("fault.sim.blocks").Inc()
+	s.caught += len(s.live) - kept
+	s.live, s.liveFaults = s.live[:kept], s.liveFaults[:kept]
 	e.reg.Counter("fault.sim.patterns").Add(int64(k))
 	return useful
 }

@@ -151,9 +151,11 @@ type Options struct {
 	// telemetry.Default().
 	Metrics *telemetry.Registry
 	// NoProgress disables the engine's fault.sim.progress tracker (one
-	// atomic add per chunk). It exists for the
-	// BenchmarkServiceProgressOverhead ablation that measures the
-	// instrumentation's cost; production callers leave it false.
+	// atomic add per chunk). The BenchmarkServiceProgressOverhead
+	// ablation sets it to measure the instrumentation's cost, and the
+	// diagnose dictionary sets it so per-device observations add no
+	// progress churn to a job's report. Session blocks never report
+	// progress.
 	NoProgress bool
 }
 

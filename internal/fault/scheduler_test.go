@@ -18,7 +18,7 @@ func TestFanOutClaimsEveryIndexOnce(t *testing.T) {
 	e := NewEngine(circuits.C17(), Options{Workers: 8, Metrics: telemetry.NewRegistry()})
 	for _, w := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-			for _, chunk := range []int{chunkSize(n, w), stemChunk} {
+			for _, chunk := range []int{chunkSize(n, w, 2), stemChunk} {
 				label := fmt.Sprintf("w=%d n=%d chunk=%d", w, n, chunk)
 				claims := make([]atomic.Int32, n)
 				cur := &cursor{n: n, chunk: chunk}

@@ -7,8 +7,9 @@
 // good-machine/faulty-machine equivalence the paper's fault-simulation
 // cost model rests on. This package makes that invariant standing
 // infrastructure: a seeded random netlist generator (Generate), a
-// structural validator shared by the generator, the Load path and the
-// CLI (Lint), and a differential checker (Round, CheckKernels,
+// structural validator shared by the generator and the CLI's dftc info
+// (Lint), whose error findings the .bench parser already rejects, and a
+// differential checker (Round, CheckKernels,
 // CheckBackends) that sweeps the configuration matrix and reports the
 // first divergence as a minimized, replayable repro.
 package fuzzdiff
@@ -20,8 +21,8 @@ import (
 )
 
 // Severity grades a Diagnostic. Errors make a circuit unfit for
-// simulation (the Load path rejects them); warnings flag structure
-// that is legal but usually unintended.
+// simulation (logic.ParseBench rejects every one of them); warnings
+// flag structure that is legal but usually unintended.
 type Severity uint8
 
 const (
@@ -44,8 +45,8 @@ const (
 	// CodeFaninRange: a gate reads a net ID outside [0, NumNets).
 	CodeFaninRange = "fanin-range"
 	// CodeWidthMismatch: a gate's fanin count violates its type's
-	// MinFanin/MaxFanin contract (e.g. a 2-input NOT from a hand-edited
-	// .bench file, which ParseBench alone does not reject).
+	// MinFanin/MaxFanin contract (e.g. a 2-input NOT built through a
+	// Circuit's exported fields).
 	CodeWidthMismatch = "width-mismatch"
 	// CodeCombLoop: a combinational cycle (no DFF on the path).
 	CodeCombLoop = "comb-loop"
@@ -96,7 +97,7 @@ func Errors(ds []Diagnostic) []Diagnostic {
 // Lint validates a circuit's structure and returns every finding. It
 // works on finalized and non-finalized circuits alike (it builds its
 // own fanout map and runs its own cycle check), so the generator can
-// vet a netlist before Finalize and the Load path can vet one after.
+// vet a netlist before Finalize and dftc info can vet one after.
 // A nil or empty result means the circuit is clean.
 func Lint(c *logic.Circuit) []Diagnostic {
 	var ds []Diagnostic

@@ -17,15 +17,18 @@ import (
 //
 // Supported functions: BUF/BUFF, NOT, AND, NAND, OR, NOR, XOR, XNOR, DFF,
 // CONST0/GND, CONST1/VDD. Nets may be used before their defining line.
-// The returned circuit is finalized.
+// Every net has one driver — an INPUT declaration or one gate — and
+// every gate's input count keeps its type's MinFanin/MaxFanin contract;
+// a file breaking either is rejected with its file and line. The
+// returned circuit is finalized.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	type protoGate struct {
 		typ   GateType
 		fanin []string
-		line  int
 	}
 	var (
 		inputs  []string
+		inLine  = map[string]int{} // declaring line of each input
 		outputs []string
 		defs    = map[string]protoGate{}
 		order   []string
@@ -50,6 +53,13 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench %s:%d: %v", name, lineNo, err)
 			}
+			if _, dup := inLine[arg]; dup {
+				return nil, fmt.Errorf("bench %s:%d: input %q declared twice", name, lineNo, arg)
+			}
+			if _, dup := defs[arg]; dup {
+				return nil, fmt.Errorf("bench %s:%d: input %q is also driven by a gate", name, lineNo, arg)
+			}
+			inLine[arg] = lineNo
 			inputs = append(inputs, arg)
 			continue
 		case strings.HasPrefix(upper, "OUTPUT"):
@@ -85,7 +95,13 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		if _, dup := defs[lhs]; dup {
 			return nil, fmt.Errorf("bench %s:%d: net %q defined twice", name, lineNo, lhs)
 		}
-		defs[lhs] = protoGate{typ: typ, fanin: fanin, line: lineNo}
+		if _, dup := inLine[lhs]; dup {
+			return nil, fmt.Errorf("bench %s:%d: input %q is also driven by a gate", name, lineNo, lhs)
+		}
+		if n := len(fanin); n < typ.MinFanin() || typ.MaxFanin() >= 0 && n > typ.MaxFanin() {
+			return nil, fmt.Errorf("bench %s:%d: %s %q has %d inputs, want %s", name, lineNo, fn, lhs, n, faninWant(typ))
+		}
+		defs[lhs] = protoGate{typ: typ, fanin: fanin}
 		order = append(order, lhs)
 	}
 	if err := sc.Err(); err != nil {
@@ -95,9 +111,6 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	c := New(name)
 	ids := map[string]int{}
 	for _, in := range inputs {
-		if _, dup := ids[in]; dup {
-			return nil, fmt.Errorf("bench %s: input %q declared twice", name, in)
-		}
 		ids[in] = c.AddInput(in)
 	}
 	// Define gates in dependency order: DFF outputs first (they may be
@@ -148,9 +161,6 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		if pg.typ != DFF {
 			continue
 		}
-		if len(pg.fanin) != 1 {
-			return nil, fmt.Errorf("bench %s:%d: DFF %q needs exactly one input", name, pg.line, lhs)
-		}
 		did, err := emit(pg.fanin[0])
 		if err != nil {
 			return nil, err
@@ -186,6 +196,18 @@ func parenArg(line string) (string, error) {
 		return "", fmt.Errorf("empty name in %q", line)
 	}
 	return arg, nil
+}
+
+// faninWant names the input counts a gate type accepts under its
+// MinFanin/MaxFanin contract, for parse errors.
+func faninWant(t GateType) string {
+	switch t.MaxFanin() {
+	case 0:
+		return "none"
+	case 1:
+		return "exactly one"
+	}
+	return "at least one"
 }
 
 func benchType(fn string) (GateType, bool) {

@@ -76,6 +76,13 @@ func TestParseBenchErrors(t *testing.T) {
 		{"cycle", "INPUT(a)\np = AND(a, q)\nq = AND(a, p)\nOUTPUT(q)", "cycle"},
 		{"noassign", "INPUT(a)\ngarbage line\n", "assignment"},
 		{"dffarity", "INPUT(a)\nINPUT(b)\nq = DFF(a, b)\nOUTPUT(q)", "exactly one"},
+		{"dupinput", "INPUT(a)\nINPUT(a)\nOUTPUT(a)", "dupinput:2: input \"a\" declared twice"},
+		{"inputdff", "INPUT(a)\na = DFF(a)\nOUTPUT(a)", "inputdff:2: input \"a\" is also driven by a gate"},
+		{"inputgate", "INPUT(a)\nINPUT(b)\na = NOT(b)\nOUTPUT(a)", "inputgate:3: input \"a\" is also driven by a gate"},
+		{"gateinput", "a = NOT(b)\nINPUT(a)\nINPUT(b)\nOUTPUT(a)", "gateinput:2: input \"a\" is also driven by a gate"},
+		{"notarity", "INPUT(a)\nINPUT(b)\ny = NOT(a, b)\nOUTPUT(y)", "notarity:3: NOT \"y\" has 2 inputs, want exactly one"},
+		{"andempty", "INPUT(a)\ny = AND()\nOUTPUT(y)", "andempty:2: AND \"y\" has 0 inputs, want at least one"},
+		{"constarity", "INPUT(a)\ny = VDD(a)\nOUTPUT(y)", "constarity:2: VDD \"y\" has 1 inputs, want none"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

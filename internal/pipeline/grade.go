@@ -314,7 +314,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 		if err := f.Validate(d.Circuit); err != nil {
 			return nil, nil, err
 		}
-		if out.Observed, err = dict.ObserveMachine(f); err != nil {
+		if out.Observed, err = dict.ObserveMachine(f, reg); err != nil {
 			return nil, nil, err
 		}
 		out.Injected = f

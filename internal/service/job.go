@@ -113,20 +113,21 @@ func (s State) terminal() bool {
 }
 
 // parsedRequest is a validated request: its pipeline spec, the
-// instantiated circuit (nil for fuzz), its display name, and the dedup
-// key.
+// instantiated circuit (nil for fuzz), its display name, the hash of
+// its canonical netlist, and the dedup key.
 type parsedRequest struct {
 	req     JobRequest
 	spec    interface{ Validate() error }
 	circuit *logic.Circuit
 	input   string // report Input field: builtin name or "inline"
+	netSHA  string // hex sha256 of logic.CanonicalBench(circuit); "" for fuzz
 	key     string
 }
 
 // parseRequest turns a request into its pipeline spec, validates it,
-// and resolves its circuit. Inline .bench payloads go through
-// core.LoadString so they get the same structural linting as CLI file
-// loads.
+// resolves its circuit and hashes its canonical netlist once, outside
+// the server lock. Inline .bench payloads go through core.LoadString so
+// they get the same structural checks as CLI file loads.
 func parseRequest(req JobRequest) (*parsedRequest, error) {
 	o := req.Options
 	p := &parsedRequest{req: req}
@@ -196,24 +197,25 @@ func parseRequest(req JobRequest) (*parsedRequest, error) {
 	default:
 		return nil, fmt.Errorf("%s jobs need a circuit: bench or builtin", req.Kind)
 	}
-	p.key = requestKey(req.Kind, p.circuit, req.Options)
+	if p.circuit != nil {
+		sum := sha256.Sum256([]byte(logic.CanonicalBench(p.circuit)))
+		p.netSHA = hex.EncodeToString(sum[:])
+	}
+	p.key = requestKey(req.Kind, p.netSHA, req.Options)
 	return p, nil
 }
 
-// requestKey builds the coalescing/cache key: kind, the canonical
-// .bench rendering of the circuit (so equivalent inline and builtin
-// submissions of the same netlist collide, and the collapsed fault
-// list — a pure function of the netlist — is covered), and the
+// requestKey builds the coalescing/cache key: kind, the hash of the
+// circuit's canonical .bench rendering (so equivalent inline and
+// builtin submissions of the same netlist collide, and the collapsed
+// fault list — a pure function of the netlist — is covered), and the
 // canonical JSON of the options. TimeoutMs is excluded: the deadline
 // bounds the work, it does not change the answer, and letting it
 // split the key would defeat coalescing between impatient and
 // patient clients.
-func requestKey(kind Kind, c *logic.Circuit, opts Options) string {
+func requestKey(kind Kind, netSHA string, opts Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "kind=%s\n", kind)
-	if c != nil {
-		h.Write([]byte(logic.CanonicalBench(c)))
-	}
+	fmt.Fprintf(h, "kind=%s\nnet=%s\n", kind, netSHA)
 	opts.TimeoutMs = 0
 	enc, _ := json.Marshal(opts)
 	h.Write(enc)

@@ -2,8 +2,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/http"
@@ -260,18 +258,17 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 // internCircuit replaces the parsed circuit with the canonical
 // instance for its netlist, so every job over the same netlist shares
 // one *logic.Circuit — and therefore one compiled program in
-// sim.CompiledFor's cache — across the whole server lifetime.
+// sim.CompiledFor's cache — across the whole server lifetime. It keys
+// on the netlist hash parseRequest computed outside the lock.
 func (s *Server) internCircuit(p *parsedRequest) {
 	if p.circuit == nil {
 		return
 	}
-	sum := sha256.Sum256([]byte(logic.CanonicalBench(p.circuit)))
-	h := hex.EncodeToString(sum[:])
-	if c, ok := s.interned.get(h); ok {
+	if c, ok := s.interned.get(p.netSHA); ok {
 		p.circuit = c.(*logic.Circuit)
 		return
 	}
-	s.interned.add(h, p.circuit)
+	s.interned.add(p.netSHA, p.circuit)
 }
 
 // nextID mints a job ID; callers hold mu.
