@@ -19,86 +19,44 @@ import (
 // Module is the reconfigurable 3-bit LFSR module of Figs. 26–29.
 // Controls: N=1 selects normal register operation; N=0 selects test
 // modes — S=1 signature analyzer (MISR), S=0 input generator (PRPG).
+// Its latches are one lfsr.MISR word: bit i is latch Q(i+1).
 type Module struct {
-	n       int
-	taps    []int
-	latches []bool
+	reg *lfsr.MISR
 }
 
 // NewModule builds a width-bit module (the figures use 3).
 func NewModule(width int) *Module {
-	taps, err := lfsr.MaximalTaps(width)
-	if err != nil {
-		panic(err)
-	}
-	return &Module{n: width, taps: taps, latches: make([]bool, width)}
+	return &Module{reg: lfsr.NewMISR(width, width)}
 }
 
 // Q returns the latch outputs.
-func (m *Module) Q() []bool { return append([]bool(nil), m.latches...) }
+func (m *Module) Q() []bool { return lfsr.UnpackBits(m.reg.State(), m.reg.Width()) }
 
 // QWord packs the outputs.
-func (m *Module) QWord() uint64 {
-	var w uint64
-	for i, b := range m.latches {
-		if b {
-			w |= 1 << uint(i)
-		}
-	}
-	return w
-}
+func (m *Module) QWord() uint64 { return m.reg.State() }
 
 // SetQ loads the latches.
 func (m *Module) SetQ(vals []bool) {
-	if len(vals) != m.n {
-		panic(fmt.Sprintf("autonomous: SetQ with %d values for width %d", len(vals), m.n))
+	if len(vals) != m.reg.Width() {
+		panic(fmt.Sprintf("autonomous: SetQ with %d values for width %d", len(vals), m.reg.Width()))
 	}
-	copy(m.latches, vals)
-}
-
-func (m *Module) feedback() bool {
-	fb := false
-	for _, t := range m.taps {
-		fb = fb != m.latches[t-1]
-	}
-	return fb
+	m.reg.SetState(lfsr.PackBits(vals))
 }
 
 // Clock advances the module: n=true is normal operation (load data);
 // n=false, s=true is signature analysis (MISR of data); n=false,
 // s=false is input generation (pure LFSR, data ignored).
 func (m *Module) Clock(n, s bool, data []bool) {
-	if data != nil && len(data) != m.n {
-		panic(fmt.Sprintf("autonomous: %d data values for width %d", len(data), m.n))
-	}
-	di := func(i int) bool {
-		if data == nil {
-			return false
-		}
-		return data[i]
+	if data != nil && len(data) != m.reg.Width() {
+		panic(fmt.Sprintf("autonomous: %d data values for width %d", len(data), m.reg.Width()))
 	}
 	switch {
 	case n:
-		for i := range m.latches {
-			m.latches[i] = di(i)
-		}
+		m.reg.SetState(lfsr.PackBits(data))
 	case s:
-		fb := m.feedback()
-		prev := m.latches[0]
-		m.latches[0] = di(0) != fb
-		for i := 1; i < m.n; i++ {
-			cur := m.latches[i]
-			m.latches[i] = di(i) != prev
-			prev = cur
-		}
+		m.reg.Clock(lfsr.PackBits(data))
 	default:
-		fb := m.feedback()
-		prev := fb
-		for i := 0; i < m.n; i++ {
-			cur := m.latches[i]
-			m.latches[i] = prev
-			prev = cur
-		}
+		m.reg.Clock(0)
 	}
 }
 
@@ -108,8 +66,8 @@ func (m *Module) Clock(n, s bool, data []bool) {
 func (m *Module) Generate(k int) []uint64 {
 	out := make([]uint64, k)
 	for i := range out {
-		m.Clock(false, false, nil)
-		out[i] = m.QWord()
+		m.reg.Clock(0)
+		out[i] = m.reg.State()
 	}
 	return out
 }

@@ -26,54 +26,32 @@ const (
 )
 
 // Register is an n-bit BILBO register with the maximal-length feedback
-// of its width.
+// of its width. Its latches are one lfsr.MISR word: bit i is latch
+// Q(i+1).
 type Register struct {
-	n       int
-	taps    []int
-	latches []bool
+	reg *lfsr.MISR
 }
 
 // NewRegister builds an n-bit BILBO register.
 func NewRegister(n int) *Register {
-	taps, err := lfsr.MaximalTaps(n)
-	if err != nil {
-		panic(err)
-	}
-	return &Register{n: n, taps: taps, latches: make([]bool, n)}
+	return &Register{reg: lfsr.NewMISR(n, n)}
 }
 
 // Width returns the register width.
-func (r *Register) Width() int { return r.n }
+func (r *Register) Width() int { return r.reg.Width() }
 
 // Q returns the latch outputs (Q1..Qn as Q[0..n-1]).
-func (r *Register) Q() []bool { return append([]bool(nil), r.latches...) }
+func (r *Register) Q() []bool { return lfsr.UnpackBits(r.reg.State(), r.Width()) }
 
 // QWord packs the outputs into a word (bit i = latch i).
-func (r *Register) QWord() uint64 {
-	var w uint64
-	for i, b := range r.latches {
-		if b {
-			w |= 1 << uint(i)
-		}
-	}
-	return w
-}
+func (r *Register) QWord() uint64 { return r.reg.State() }
 
 // SetQ loads the latches directly (test setup helper).
 func (r *Register) SetQ(vals []bool) {
-	if len(vals) != r.n {
-		panic(fmt.Sprintf("bilbo: SetQ with %d values for width %d", len(vals), r.n))
+	if len(vals) != r.Width() {
+		panic(fmt.Sprintf("bilbo: SetQ with %d values for width %d", len(vals), r.Width()))
 	}
-	copy(r.latches, vals)
-}
-
-// feedback XORs the tap outputs.
-func (r *Register) feedback() bool {
-	fb := false
-	for _, t := range r.taps {
-		fb = fb != r.latches[t-1]
-	}
-	return fb
+	r.reg.SetState(lfsr.PackBits(vals))
 }
 
 // Clock advances the register one clock in the given mode. z supplies
@@ -82,44 +60,28 @@ func (r *Register) feedback() bool {
 // configuration). scanIn feeds the serial input in ModeShift. The
 // return value is the scan output Qn.
 func (r *Register) Clock(mode Mode, z []bool, scanIn bool) bool {
-	if z != nil && len(z) != r.n {
-		panic(fmt.Sprintf("bilbo: %d Z values for width %d", len(z), r.n))
-	}
-	zi := func(i int) bool {
-		if z == nil {
-			return false
-		}
-		return z[i]
+	n := r.Width()
+	if z != nil && len(z) != n {
+		panic(fmt.Sprintf("bilbo: %d Z values for width %d", len(z), n))
 	}
 	switch mode {
 	case ModeSystem:
-		for i := range r.latches {
-			r.latches[i] = zi(i)
-		}
+		r.reg.SetState(lfsr.PackBits(z))
 	case ModeShift:
-		// Fig. 19(c): the scan path runs through inverters.
-		prev := !scanIn
-		for i := 0; i < r.n; i++ {
-			next := !r.latches[i]
-			r.latches[i] = prev
-			prev = next
+		// Fig. 19(c): the scan path runs through inverters, so L1 takes
+		// the complemented scan input and Li the complemented L(i-1).
+		var in uint64
+		if scanIn {
+			in = 1
 		}
+		r.reg.SetState(^(r.reg.State()<<1 | in))
 	case ModeSignature:
 		// Fig. 19(d): L1 <- Z1 ⊕ feedback; Li <- Zi ⊕ L(i-1).
-		fb := r.feedback()
-		prev := r.latches[0]
-		r.latches[0] = zi(0) != fb
-		for i := 1; i < r.n; i++ {
-			cur := r.latches[i]
-			r.latches[i] = zi(i) != prev
-			prev = cur
-		}
+		r.reg.Clock(lfsr.PackBits(z))
 	case ModeReset:
-		for i := range r.latches {
-			r.latches[i] = false
-		}
+		r.reg.SetState(0)
 	}
-	return r.latches[r.n-1]
+	return r.reg.State()>>uint(n-1)&1 == 1
 }
 
 // Signature returns the register contents as a word — the residue read
@@ -128,21 +90,12 @@ func (r *Register) Signature() uint64 { return r.QWord() }
 
 // ScanOutAll switches to shift mode and unloads the register serially,
 // returning the pre-shift contents in latch order (compensating the
-// scan-path inverters).
+// scan-path inverters). The value strobed at Qn after k shifts started
+// at latch n-k and was complemented k times on its way, so the
+// compensated stream is exactly the pre-shift contents.
 func (r *Register) ScanOutAll() []bool {
-	out := make([]bool, r.n)
-	// After k shifts, Qn carries the original latch n-1-k value
-	// complemented (n-1-k) times... read pre-shift instead: strobe Qn,
-	// then shift. Each shift complements as values move, so compensate
-	// by tracking the inversion count per emitted bit.
-	for k := 0; k < r.n; k++ {
-		raw := r.latches[r.n-1]
-		// The value now at Qn started at position n-1-k and was
-		// complemented k times on its way.
-		if k%2 == 1 {
-			raw = !raw
-		}
-		out[r.n-1-k] = raw
+	out := r.Q()
+	for range out {
 		r.Clock(ModeShift, nil, false)
 	}
 	return out
@@ -153,9 +106,9 @@ func (r *Register) ScanOutAll() []bool {
 // — the "Pseudo Random Patterns (PN)" of the paper.
 func (r *Register) PNSequence(k int) []uint64 {
 	out := make([]uint64, k)
-	for i := 0; i < k; i++ {
-		r.Clock(ModeSignature, nil, false)
-		out[i] = r.QWord()
+	for i := range out {
+		r.reg.Clock(0)
+		out[i] = r.reg.State()
 	}
 	return out
 }
@@ -200,42 +153,41 @@ func sessionLen(requested, genWidth int) int {
 	return requested
 }
 
-// netEval drives a combinational network from generator outputs once
-// per clock; its buffers are reused across the whole session so the
-// per-cycle loop allocates nothing (the MISR consumes the returned
-// slice before the next call).
-type netEval struct {
-	in, vals, scratch, out []bool
-}
-
-func newNetEval(c *logic.Circuit, misrWidth int) *netEval {
-	return &netEval{
-		in:      make([]bool, len(c.PIs)),
-		vals:    make([]bool, c.NumNets()),
-		scratch: make([]bool, c.MaxFanin()),
-		out:     make([]bool, misrWidth),
+// session runs one self-test phase: gen, loaded with the seed, drives
+// network c as a PN generator while misr, cleared, compresses c's
+// outputs; it returns misr's signature. A non-nil fault is injected
+// into c. The evaluation buffers live for the whole session, so the
+// per-clock loop allocates nothing.
+func (s *SelfTest) session(c *logic.Circuit, gen, misr *Register, f *fault.Fault) uint64 {
+	seed := s.Seed
+	if seed == 0 {
+		seed = 1
 	}
-}
-
-// eval returns the network's output bits (padded with zeros to the
-// MISR width). A non-nil fault is injected.
-func (ne *netEval) eval(c *logic.Circuit, gen *Register, f *fault.Fault) []bool {
-	q := gen.Q()
-	for i := range ne.in {
-		ne.in[i] = q[i]
+	gen.reg.SetState(seed)
+	misr.reg.SetState(0)
+	in := make([]bool, len(c.PIs))
+	vals := make([]bool, c.NumNets())
+	scratch := make([]bool, c.MaxFanin())
+	for p := 0; p < sessionLen(s.Patterns, gen.Width()); p++ {
+		q := gen.reg.State()
+		for i := range in {
+			in[i] = q>>uint(i)&1 == 1
+		}
+		if f == nil {
+			sim.EvalInto(c, in, nil, vals)
+		} else {
+			fault.EvalFaultyInto(c, in, nil, *f, vals, scratch)
+		}
+		var z uint64
+		for i, po := range c.POs {
+			if vals[po] {
+				z |= 1 << uint(i)
+			}
+		}
+		misr.reg.Clock(z)
+		gen.reg.Clock(0) // PN step
 	}
-	if f == nil {
-		sim.EvalInto(c, ne.in, nil, ne.vals)
-	} else {
-		fault.EvalFaultyInto(c, ne.in, nil, *f, ne.vals, ne.scratch)
-	}
-	for i := range ne.out {
-		ne.out[i] = false
-	}
-	for i, po := range c.POs {
-		ne.out[i] = ne.vals[po]
-	}
-	return ne.out
+	return misr.reg.State()
 }
 
 // SessionSignatures runs the two-phase self-test and returns the two
@@ -243,47 +195,13 @@ func (ne *netEval) eval(c *logic.Circuit, gen *Register, f *fault.Fault) []bool 
 // over C1; phase 2 (Fig. 21) swaps roles over C2. A non-nil fault is
 // injected into the named network.
 func (s *SelfTest) SessionSignatures(faultIn int, f *fault.Fault) (sig1, sig2 uint64) {
-	// Phase 1.
-	s.R1.SetQ(seedBits(s.Seed, s.R1.n))
-	s.R2.Clock(ModeReset, nil, false)
 	var f1, f2 *fault.Fault
-	if f != nil {
-		if faultIn == 1 {
-			f1 = f
-		} else {
-			f2 = f
-		}
+	if faultIn == 1 {
+		f1 = f
+	} else {
+		f2 = f
 	}
-	ne1 := newNetEval(s.C1, s.R2.n)
-	for p := 0; p < sessionLen(s.Patterns, s.R1.n); p++ {
-		z := ne1.eval(s.C1, s.R1, f1)
-		s.R2.Clock(ModeSignature, z, false)
-		s.R1.Clock(ModeSignature, nil, false) // PN step
-	}
-	sig1 = s.R2.Signature()
-	// Phase 2: roles reversed.
-	s.R2.SetQ(seedBits(s.Seed, s.R2.n))
-	s.R1.Clock(ModeReset, nil, false)
-	ne2 := newNetEval(s.C2, s.R1.n)
-	for p := 0; p < sessionLen(s.Patterns, s.R2.n); p++ {
-		z := ne2.eval(s.C2, s.R2, f2)
-		s.R1.Clock(ModeSignature, z, false)
-		s.R2.Clock(ModeSignature, nil, false)
-	}
-	sig2 = s.R1.Signature()
-	return sig1, sig2
-}
-
-// seedBits expands a word seed into latch values.
-func seedBits(seed uint64, n int) []bool {
-	out := make([]bool, n)
-	if seed == 0 {
-		seed = 1
-	}
-	for i := 0; i < n; i++ {
-		out[i] = seed>>uint(i%64)&1 == 1
-	}
-	return out
+	return s.session(s.C1, s.R1, s.R2, f1), s.session(s.C2, s.R2, s.R1, f2)
 }
 
 // GoodSignatures computes the golden pair.

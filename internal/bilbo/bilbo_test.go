@@ -6,6 +6,7 @@ import (
 
 	"dft/internal/circuits"
 	"dft/internal/fault"
+	"dft/internal/lfsr"
 	"dft/internal/logic"
 )
 
@@ -87,16 +88,19 @@ func TestSignatureModeMatchesMISR(t *testing.T) {
 	// the package lfsr's plain LFSR of the same taps.
 	r := NewRegister(8)
 	r.SetQ(seedBits(1, 8))
-	a := r.PNSequence(50)
-	r2 := NewRegister(8)
-	r2.SetQ(seedBits(1, 8))
-	b := r2.PNSequence(50)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("PN sequences diverge between identical registers")
+	pn := r.PNSequence(50)
+	l := lfsr.NewMaximal(8)
+	l.SetState(1)
+	for i, w := range pn {
+		l.Clock()
+		if w != l.State() {
+			t.Fatalf("clock %d: BILBO PN state %02x, LFSR state %02x", i+1, w, l.State())
 		}
 	}
 }
+
+// seedBits expands a word seed into latch values.
+func seedBits(seed uint64, n int) []bool { return lfsr.UnpackBits(seed, n) }
 
 func newAdderPair() (*logic.Circuit, *logic.Circuit) {
 	return circuits.RippleAdder(3), circuits.ParityTree(8)

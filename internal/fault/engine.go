@@ -434,7 +434,7 @@ func (e *Engine) runSerial(ctx context.Context, span *telemetry.Span, faults []F
 		live[i] = i
 	}
 	passes := int64(0)
-	defer func() { cSerialEvals.Add(passes) }()
+	defer func() { e.reg.Counter("fault.serial.evals").Add(passes) }()
 	for pi := 0; pi < pats.NumPatterns() && len(live) > 0; pi++ {
 		if err := ctx.Err(); err != nil {
 			return err

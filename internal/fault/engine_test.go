@@ -215,6 +215,26 @@ func TestEngineShardTelemetry(t *testing.T) {
 	}
 }
 
+// The serial backend counts its machine passes on the engine's own
+// registry, not the process-wide one, so a run with its own registry
+// reports its work and leaks none of it.
+func TestSerialEvalsCountedOnEngineRegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := circuits.C17()
+	evals := telemetry.Default().Counter("fault.serial.evals")
+	before := evals.Value()
+	if _, err := Simulate(context.Background(), c, Universe(c), enginePatterns(len(c.PIs), 2, 1),
+		Options{Backend: BackendSerial, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["fault.serial.evals"]; got == 0 {
+		t.Fatal("fault.serial.evals = 0 on the run's registry")
+	}
+	if d := evals.Value() - before; d != 0 {
+		t.Fatalf("Default registry's fault.serial.evals moved by %d", d)
+	}
+}
+
 func TestParseBackendRoundTrip(t *testing.T) {
 	for _, be := range []Backend{Auto, BackendParallel, BackendSerial, BackendCPT} {
 		got, err := ParseBackend(be.String())

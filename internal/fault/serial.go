@@ -76,7 +76,9 @@ func DetectsCombinational(c *logic.Circuit, pi []bool, f Fault) bool {
 }
 
 // cSerialEvals counts full-circuit machine passes, the paper's serial
-// simulation unit of work ("3001 good machine simulations").
+// simulation unit of work ("3001 good machine simulations"), for the
+// callers that take no registry. The engine's serial backend counts the
+// same name on its own run's registry.
 var cSerialEvals = telemetry.Default().Counter("fault.serial.evals")
 
 func detectsWithState(c *logic.Circuit, pi, state []bool, f Fault) bool {

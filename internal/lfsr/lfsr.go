@@ -1,8 +1,10 @@
 // Package lfsr implements linear feedback shift registers — the
 // machinery behind Signature Analysis, BILBO and autonomous testing:
-// Fibonacci and Galois forms, the maximal-length tap tables of Peterson
-// & Weldon [8] the paper points to, multiple-input signature registers
-// (MISRs), period measurement, and aliasing analysis.
+// the Fibonacci LFSR and the multiple-input signature register (MISR)
+// built on it, the maximal-length tap tables of Peterson & Weldon [8]
+// the paper points to, period measurement, and aliasing analysis. It is
+// the only place taps are evaluated: the BILBO register and the
+// autonomous-test module each run on one MISR.
 package lfsr
 
 import (
@@ -207,7 +209,9 @@ func (l *LFSR) SignatureBits(stream []bool) uint64 {
 
 // MISR is a multiple-input signature register: an LFSR whose stages
 // each XOR in one input line per clock. It is the compression mode of
-// the BILBO register (Fig. 19(d)).
+// the BILBO register (Fig. 19(d)) and the autonomous-test module's S
+// mode; clocked with a zero word it is their pseudo-random pattern
+// generator.
 type MISR struct {
 	l      *LFSR
 	inputs int
@@ -253,6 +257,28 @@ func (m *MISR) Compress(words []uint64) uint64 {
 	cMISRWords.Add(int64(len(words)))
 	cSignatures.Inc()
 	return m.l.State()
+}
+
+// PackBits packs a latch vector into a state word: bits[i] becomes bit
+// i, stage Q(i+1). A nil vector packs to 0.
+func PackBits(bits []bool) uint64 {
+	var w uint64
+	for i, b := range bits {
+		if b {
+			w |= 1 << uint(i)
+		}
+	}
+	return w
+}
+
+// UnpackBits is the inverse of PackBits: the low n bits of w as a
+// latch vector.
+func UnpackBits(w uint64, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = w>>uint(i)&1 == 1
+	}
+	return out
 }
 
 // AliasingProbability returns the asymptotic probability that a random

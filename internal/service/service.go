@@ -30,9 +30,10 @@ type Config struct {
 	// CacheSize bounds the LRU result cache (finished run reports),
 	// and the circuit interner is sized to match; 0 selects 256.
 	CacheSize int
-	// MaxJobs bounds the retained job table; once exceeded, the
-	// oldest finished jobs are forgotten (their results may still be
-	// served from the cache under a new job ID). 0 selects 4096.
+	// MaxJobs bounds the retained job table; once exceeded, finished
+	// jobs are evicted in finish order, oldest first (their results
+	// may still be served from the cache under a new job ID). Queued
+	// and running jobs are never evicted. 0 selects 4096.
 	MaxJobs int
 	// Metrics receives the service.* telemetry and backs /metrics;
 	// nil selects telemetry.Default().
@@ -105,7 +106,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	jobs     map[string]*Job
-	order    []string        // job IDs in admission order, for pruning
+	finished []string        // terminal job IDs in finish order, for pruning
 	inflight map[string]*Job // request key → queued/running job
 	results  *lruCache       // request key → report bytes
 	interned *lruCache       // netlist hash → *logic.Circuit
@@ -277,24 +278,18 @@ func (s *Server) nextID() string {
 	return fmt.Sprintf("job-%06d", s.seq)
 }
 
-// remember records a job and prunes the oldest finished jobs past the
-// retention cap; callers hold mu.
+// remember records a job and evicts the earliest-finished jobs past
+// the retention cap; callers hold mu. Every job enters and leaves the
+// finish-order FIFO once, so pruning is amortised O(1) per submission.
 func (s *Server) remember(j *Job) {
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	if len(s.jobs) <= s.cfg.MaxJobs {
-		return
+	if j.state.terminal() { // a cache hit is born finished
+		s.finished = append(s.finished, j.ID)
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		old := s.jobs[id]
-		if len(s.jobs) > s.cfg.MaxJobs && old != nil && old.state.terminal() {
-			delete(s.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
+	for len(s.jobs) > s.cfg.MaxJobs && len(s.finished) > 0 {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
-	s.order = kept
 }
 
 // Job returns the retained job record for id.
@@ -359,6 +354,7 @@ func (s *Server) finishLocked(j *Job, st State, errMsg string, report []byte) {
 		j.started = j.finished
 	}
 	delete(s.inflight, j.Key)
+	s.finished = append(s.finished, j.ID)
 	switch st {
 	case StateDone:
 		s.cCompleted.Inc()
@@ -491,11 +487,12 @@ func (s *Server) QueueDepth() int { return len(s.queue) }
 // updateQueueAge refreshes the service.queue.age_ms gauge: the age of
 // the oldest still-queued job, 0 for an empty queue. Computed at
 // scrape time (handleMetrics) instead of continuously — an age gauge
-// only means anything at the moment it is read.
+// only means anything at the moment it is read. Every queued job is
+// in inflight, so the scan skips the retained finished jobs.
 func (s *Server) updateQueueAge() {
 	s.mu.Lock()
 	var oldest time.Time
-	for _, j := range s.jobs {
+	for _, j := range s.inflight {
 		if j.state == StateQueued && (oldest.IsZero() || j.created.Before(oldest)) {
 			oldest = j.created
 		}

@@ -725,6 +725,94 @@ func TestServiceHealthz(t *testing.T) {
 	}
 }
 
+// TestServiceRetention: past MaxJobs the table evicts finished jobs in
+// finish order (a cache hit is born finished), never a queued or
+// running one, and healthz reports the table held at the cap.
+func TestServiceRetention(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{Workers: 1, QueueDepth: 16, MaxJobs: 6})
+	defer func() {
+		// Hard-stop the slow jobs still queued or running.
+		ctx, stop := context.WithCancel(context.Background())
+		stop()
+		srv.Shutdown(ctx) //nolint:errcheck // a hard stop reports ctx.Err()
+	}()
+	cancel := func(id string) {
+		t.Helper()
+		resp, err := newRequest(t, http.MethodDelete, ts.URL+"/v1/jobs/"+id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		waitState(t, ts.URL, id, StateCancelled)
+	}
+	retained := func(want bool, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if _, err := srv.View(id); (err == nil) != want {
+				t.Fatalf("job %s retained = %v, want %v", id, err == nil, want)
+			}
+		}
+	}
+	jobsInTable := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h healthBody
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Jobs
+	}
+	post := func(req JobRequest) string {
+		t.Helper()
+		v, code, _ := postJob(t, ts.URL, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("status %d", code)
+		}
+		return v.ID
+	}
+
+	x := post(mixedJob(0))
+	waitTerminal(t, ts.URL, x)
+	blocker := post(slowJob(0))
+	waitState(t, ts.URL, blocker, StateRunning)
+	queued := post(slowJob(1))
+	a, b, c := post(mixedJob(1)), post(mixedJob(2)), post(mixedJob(3))
+	// Finish order X, C, A, B differs from admission order X, A, B, C.
+	cancel(c)
+	cancel(a)
+	cancel(b)
+	if n := jobsInTable(); n != 6 {
+		t.Fatalf("healthz jobs = %d, want 6", n)
+	}
+
+	hit := post(mixedJob(0)) // served from the cache, born finished
+	retained(false, x)
+	retained(true, hit, a, b, c)
+	post(slowJob(2))
+	retained(false, c)
+	retained(true, a, b, hit)
+	post(slowJob(3))
+	retained(false, a)
+	post(slowJob(4))
+	post(slowJob(5))
+	retained(false, b, hit)
+	retained(true, blocker, queued)
+	if n := jobsInTable(); n != 6 {
+		t.Fatalf("healthz jobs = %d, want the cap 6", n)
+	}
+	// With nothing finished left, queued and running jobs outgrow the
+	// cap rather than being forgotten.
+	last := post(slowJob(6))
+	retained(true, blocker, queued, last)
+	if n := jobsInTable(); n != 7 {
+		t.Fatalf("healthz jobs = %d, want 7", n)
+	}
+}
+
 // TestServiceATPGAndTimeout: an atpg job completes with plausible
 // coverage, and a microscopic per-job budget cancels rather than
 // fails.
