@@ -5,6 +5,7 @@ package dft
 // with: go test -bench=. -benchmem .
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -19,6 +20,7 @@ import (
 	"dft/internal/circuits"
 	"dft/internal/cmos"
 	"dft/internal/compact"
+	"dft/internal/core"
 	"dft/internal/diagnose"
 	"dft/internal/experiments"
 	"dft/internal/fault"
@@ -124,6 +126,32 @@ func BenchmarkCollapse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fault.CollapseEquiv(c, u)
 	}
+}
+
+// BenchmarkSetup times the per-job setup every grade job pays before
+// the engine starts, on a grade-sized netlist (3,200 gates, fanin up to
+// 4): core.Load of the .bench bytes, then Design.Faults' collapse.
+func BenchmarkSetup(b *testing.B) {
+	c := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 3200, 32, 4)
+	src := []byte(logic.BenchString(c))
+	d, err := core.Load(c.Name, bytes.NewReader(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Load(c.Name, bytes.NewReader(src)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("faults", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.Faults()
+		}
+	})
 }
 
 func BenchmarkFig2Degating(b *testing.B) {

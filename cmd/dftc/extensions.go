@@ -87,7 +87,7 @@ func cmdSeqTest(args []string) error {
 	if !d.Circuit.IsSequential() {
 		return fmt.Errorf("seqtest needs a sequential circuit; use atpg for combinational ones")
 	}
-	cl := fault.CollapseEquiv(d.Circuit, fault.Universe(d.Circuit))
+	cl := fault.Collapse(d.Circuit)
 	det, depths := seqatpg.CoverageWithinFrames(d.Circuit, cl.Reps, seqatpg.Config{MaxFrames: *frames})
 	fmt.Printf("faults testable within %d frames: %d/%d\n", *frames, det, len(cl.Reps))
 	for depth := 1; depth <= *frames; depth++ {
@@ -167,7 +167,7 @@ func cmdDiagnose(args []string) error {
 	}
 
 	fmt.Printf("faults: %d collapsed of %d total, patterns: %d\n",
-		len(out.Classes.Reps), len(out.Classes.ClassOf), dict.NumPats)
+		len(out.Classes.Reps), out.Classes.UniverseSize(), dict.NumPats)
 	if cst := out.Compaction; cst != nil {
 		fmt.Printf("compact   : patterns %d -> %d (%.1fx)\n", cst.PatternsIn, cst.PatternsOut, cst.Ratio)
 	}

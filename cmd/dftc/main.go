@@ -463,7 +463,7 @@ func cmdSyndrome(args []string) error {
 	for j := range counts {
 		fmt.Printf("output %-16s K=%-8d S=%.4f\n", d.Circuit.NameOf(d.Circuit.POs[j]), counts[j], syn[j])
 	}
-	cl := fault.CollapseEquiv(d.Circuit, fault.Universe(d.Circuit))
+	cl := fault.Collapse(d.Circuit)
 	un := syndrome.Untestable(syndrome.Classify(d.Circuit, cl.Reps))
 	fmt.Printf("syndrome-untestable fault classes: %d of %d\n", len(un), len(cl.Reps))
 	return nil

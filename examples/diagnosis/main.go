@@ -22,7 +22,7 @@ func main() {
 	u := fault.Universe(c)
 
 	// A compacted deterministic test set.
-	cl := fault.CollapseEquiv(c, u)
+	cl := fault.Collapse(c)
 	gen := atpg.Generate(c, atpg.PrimaryView(c), cl.Reps,
 		atpg.Config{Engine: atpg.EnginePodem, RandomFirst: 64, RandomSeed: 2})
 	patterns, _, err := compact.Patterns(context.Background(), c, atpg.PrimaryView(c), cl.Reps,

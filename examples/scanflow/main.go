@@ -23,7 +23,7 @@ func main() {
 	// A 12-bit counter: bit 11 toggles once per 2^11 cycles, so a
 	// 100-cycle pin-level test can never see it move.
 	c := circuits.Counter(12)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	fmt.Printf("design %s: %d gates, %d flip-flops, %d fault classes\n\n",
 		c.Name, c.NumGates(), c.NumDFFs(), len(cl.Reps))
 

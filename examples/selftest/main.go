@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("self-test verdict : detected=%v\n\n", b1 != g1 || b2 != g2)
 
 	// Coverage as a function of session length.
-	cl := fault.CollapseEquiv(adder, fault.Universe(adder))
+	cl := fault.Collapse(adder)
 	fmt.Println("random-pattern coverage of the adder (paper: \"combinational")
 	fmt.Println("logic is highly susceptible to random patterns\"):")
 	for _, n := range []int{8, 32, 128, 255} {
@@ -43,7 +43,7 @@ func main() {
 	// Fig. 22: the PLA counterexample.
 	rng := rand.New(rand.NewSource(7))
 	pla := circuits.RandomPLA(rng, 16, 6, 4, 16)
-	plaCl := fault.CollapseEquiv(pla, fault.Universe(pla))
+	plaCl := fault.Collapse(pla)
 	plaSt := bilbo.NewSelfTest(pla, parity, 16, 8, 255)
 	cs := plaSt.MeasureCoverage(plaCl.Reps)
 	fmt.Printf("\nsame budget on a 16-literal-product PLA -> %.1f%% (Fig. 22's point)\n",

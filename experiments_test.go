@@ -205,6 +205,21 @@ func TestExpFig12LSSD(t *testing.T) {
 	}
 }
 
+// TestExpFig12LSSDRenderReproducible: two runs of Figs. 9–12 render
+// byte-identical text, and the wall-clock ATPG time is not part of it.
+func TestExpFig12LSSDRenderReproducible(t *testing.T) {
+	a := experiments.Fig9to12LSSD().(experiments.LSSDResult)
+	b := experiments.Fig9to12LSSD().(experiments.LSSDResult)
+	if a.Render() != b.Render() {
+		t.Fatalf("two runs render differently:\n%s\n%s", a.Render(), b.Render())
+	}
+	slow := a
+	slow.ScanSecs += 1.5
+	if slow.Render() != a.Render() {
+		t.Fatal("the rendering depends on the wall-clock ScanSecs")
+	}
+}
+
 func TestExpFig13Scanpath(t *testing.T) {
 	r := experiments.Fig13Scanpath().(experiments.ScanPathResult)
 	if !r.RaceSafe || r.RaceUnsafe {

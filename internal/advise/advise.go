@@ -328,7 +328,7 @@ type state struct {
 }
 
 func newState(c *logic.Circuit, opt Options) *state {
-	reps := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	reps := fault.Collapse(c).Reps
 	return &state{
 		orig:     c,
 		work:     c.Clone().MustFinalize(),

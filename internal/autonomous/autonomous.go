@@ -361,7 +361,7 @@ func (mp *MuxPartition) PackedTestPatterns(orig *logic.Circuit) *fault.PackedPat
 // circuit and fault-grades the faults on the ORIGINAL logic (net IDs
 // are preserved by the insertion).
 func (mp *MuxPartition) RunAutonomousTest(orig *logic.Circuit) (coverage float64, patterns int) {
-	cl := fault.CollapseEquiv(orig, fault.Universe(orig))
+	cl := fault.Collapse(orig)
 	var targets []fault.Fault
 	for _, f := range cl.Reps {
 		if f.Gate < orig.NumNets() {
@@ -486,7 +486,7 @@ func SensitizedPatterns() [][]bool {
 // RunSensitized74181 applies the sensitized pattern set to the
 // gate-level 74181 and fault-grades it.
 func RunSensitized74181(c *logic.Circuit) SensitizedReport {
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	pats := SensitizedPatterns()
 	res, _ := fault.Simulate(context.Background(), c, cl.Reps, pats, fault.Options{})
 	rep := SensitizedReport{

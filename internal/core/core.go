@@ -120,8 +120,7 @@ func (d *Design) View() atpg.View {
 
 // Faults returns the collapsed fault list for the design.
 func (d *Design) Faults() []fault.Fault {
-	cl := fault.CollapseEquiv(d.Circuit, fault.Universe(d.Circuit))
-	return cl.Reps
+	return fault.Collapse(d.Circuit).Reps
 }
 
 // TestSet is the outcome of test generation.
@@ -302,6 +301,6 @@ func SelfTestPlan(c1, c2 *logic.Circuit, patterns int) (bilbo.CoverageSummary, e
 		w2 = 2
 	}
 	st := bilbo.NewSelfTest(c1, c2, w1, w2, patterns)
-	cl := fault.CollapseEquiv(c1, fault.Universe(c1))
+	cl := fault.Collapse(c1)
 	return st.MeasureCoverage(cl.Reps), nil
 }

@@ -181,7 +181,7 @@ type Dictionary struct {
 // Build grades every fault against every pattern on the fault
 // engine's detail path and stores the packed rows. The fault list is
 // the caller's — production flows pass the collapsed representatives
-// (fault.CollapseEquiv) so the dictionary is not inflated with
+// (fault.Collapse) so the dictionary is not inflated with
 // equivalence duplicates. Cancellable between pattern blocks.
 func Build(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns [][]bool, opt Options) (*Dictionary, error) {
 	reg := telemetry.OrDefault(opt.Metrics)

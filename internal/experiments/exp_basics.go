@@ -90,7 +90,7 @@ func FaultUniverse() Result {
 			continue
 		}
 	}
-	cl := fault.CollapseEquiv(c, u)
+	cl := fault.Collapse(c)
 	return UniverseResult{
 		Nets:             100,
 		MultipleFaults:   cost.FaultCombinations(100),
@@ -145,7 +145,7 @@ func Eq1Scaling(sizes []int) Result {
 	var classicalT, modernT []float64
 	for _, n := range sizes {
 		c := circuits.ArrayMultiplier(n)
-		cl := fault.CollapseEquiv(c, fault.Universe(c))
+		cl := fault.Collapse(c)
 		view := atpg.PrimaryView(c)
 
 		// Classical 1982 flow: a test set whose length grows with the

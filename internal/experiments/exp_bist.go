@@ -69,7 +69,7 @@ func Fig19to21BILBO() Result {
 	s0, _ := c1.NetByName("S0")
 	r.FaultCaught = st.Detects(1, fault.Fault{Gate: s0, Pin: fault.Stem, SA: logic.One})
 
-	cl := fault.CollapseEquiv(c1, fault.Universe(c1))
+	cl := fault.Collapse(c1)
 	for _, n := range []int{8, 32, 128, 512} {
 		stN := bilbo.NewSelfTest(c1, c2, 8, 8, n)
 		cs := stN.MeasureCoverage(cl.Reps)
@@ -110,8 +110,8 @@ func Fig22PLA() Result {
 	rng := rand.New(rand.NewSource(7))
 	pla := circuits.RandomPLA(rng, 20, 8, 4, 20)
 	nice := circuits.RandomCircuit(rng, 20, 120, 4, 4)
-	plaF := fault.CollapseEquiv(pla, fault.Universe(pla)).Reps
-	niceF := fault.CollapseEquiv(nice, fault.Universe(nice)).Reps
+	plaF := fault.Collapse(pla).Reps
+	niceF := fault.Collapse(nice).Reps
 	r := PLAResult{ProductWidth: 20}
 	for _, n := range []int{64, 256, 1024, 4096} {
 		pats := randomPatterns(20, n, int64(n))
@@ -157,7 +157,7 @@ func Fig23Syndrome() Result {
 		fmt.Sprintf("adder1 S0=%.2f", syn[0]), fmt.Sprintf("adder1 COUT=%.2f", syn[1]))
 
 	mux := circuits.Mux(1)
-	cl := fault.CollapseEquiv(mux, fault.Universe(mux))
+	cl := fault.Collapse(mux)
 	un := syndrome.Untestable(syndrome.Classify(mux, cl.Reps))
 	r.MuxUntestable = len(un)
 	_, added, remaining := syndrome.MakeTestable(mux, 2)
@@ -200,7 +200,7 @@ func (r WalshResult) Render() string {
 func TableIWalsh() Result {
 	c := circuits.Majority(3)
 	checked, detected, _ := walsh.InputFaultTheorem(c, 0)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	return WalshResult{
 		Rows:          walsh.TableI(),
 		CAll:          walsh.CAll(c, 0, nil),

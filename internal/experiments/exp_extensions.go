@@ -36,7 +36,7 @@ func (r BridgeResult) Render() string {
 // Bridging runs the experiment.
 func Bridging() Result {
 	c := circuits.RippleAdder(6)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	gen := atpg.Generate(c, atpg.PrimaryView(c), cl.Reps,
 		atpg.Config{Engine: atpg.EnginePodem, RandomFirst: 128})
 	rng := rand.New(rand.NewSource(9))
@@ -71,7 +71,7 @@ func (r CMOSResult) Render() string {
 // CMOSStuckOpen runs the experiment.
 func CMOSStuckOpen() Result {
 	c := circuits.C17()
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	gen := atpg.Generate(c, atpg.PrimaryView(c), cl.Reps, atpg.Config{Engine: atpg.EnginePodem})
 	u := cmos.Universe(c)
 	rng := rand.New(rand.NewSource(5))
@@ -120,7 +120,7 @@ func (r SeqATPGResult) Render() string {
 // SequentialATPG runs the experiment.
 func SequentialATPG() Result {
 	c := circuits.Counter(4)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	det, depths := seqatpg.CoverageWithinFrames(c, cl.Reps, seqatpg.Config{MaxFrames: 10, MaxBacktracks: 2000})
 
 	deep := circuits.Counter(6)
@@ -163,8 +163,8 @@ func Probability() Result {
 	pla := circuits.PLA("andpla", 20, []circuits.Cube{cube}, [][]int{{0}})
 	add := circuits.RippleAdder(6)
 	r := ProbResult{
-		PLAExpected:   testability.ExpectedPatterns(pla, fault.CollapseEquiv(pla, fault.Universe(pla)).Reps, nil),
-		AdderExpected: testability.ExpectedPatterns(add, fault.CollapseEquiv(add, fault.Universe(add)).Reps, nil),
+		PLAExpected:   testability.ExpectedPatterns(pla, fault.Collapse(pla).Reps, nil),
+		AdderExpected: testability.ExpectedPatterns(add, fault.Collapse(add).Reps, nil),
 	}
 	// Derived weights on an AND tree.
 	tree := andTree(16)
@@ -175,7 +175,7 @@ func Probability() Result {
 			r.WeightsHigh = false
 		}
 	}
-	cl := fault.CollapseEquiv(tree, fault.Universe(tree))
+	cl := fault.Collapse(tree)
 	uni := atpg.RandomGenerate(tree, atpg.PrimaryView(tree), cl.Reps, 1.0, 2000, rand.New(rand.NewSource(1)))
 	wres := atpg.WeightedRandomGenerate(tree, atpg.PrimaryView(tree), cl.Reps, 1.0, 2000, w, rand.New(rand.NewSource(1)))
 	r.WeightedWins = wres.Coverage > uni.Coverage

@@ -93,7 +93,7 @@ func CheckAdvise(ctx context.Context, c *logic.Circuit, seed int64) (*Divergence
 	if len(scanned) > 0 {
 		view = atpg.PartialScanView(mod, scanned)
 	}
-	faults := fault.CollapseEquiv(mod, fault.Universe(mod)).Reps
+	faults := fault.Collapse(mod).Reps
 	if len(faults) == 0 {
 		return nil, nil
 	}

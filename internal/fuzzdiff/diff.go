@@ -406,7 +406,7 @@ func Round(cfg Config, seed int64, opt RoundOptions) *Divergence {
 		d.Seed = seed
 		return d
 	}
-	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	faults := fault.Collapse(c).Reps
 	pats := RandomPatterns(len(c.PIs), opt.Patterns, seed^0x6A09E667)
 	d, err := CheckBackends(context.Background(), c, faults, pats, seed)
 	if err != nil {

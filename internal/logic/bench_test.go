@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -139,4 +140,108 @@ q2 = DFF(q1)
 	if back.NumDFFs() != 2 {
 		t.Fatalf("dffs = %d, want 2", back.NumDFFs())
 	}
+}
+
+// TestParseBenchErrorText pins the exact error text of every rejection
+// branch: malformed or empty declarations, duplicate and gate-driven
+// inputs, a missing "=", malformed expressions, unknown functions
+// (upper-cased with Unicode case mapping), nets defined twice, the
+// fanin contract, empty gate names, undefined nets and combinational
+// cycles. Line numbers count blank and comment lines; errors found
+// while emitting gates carry no line.
+func TestParseBenchErrorText(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"declparen", "INPUT a\n",
+			"bench declparen:1: malformed declaration \"INPUT a\""},
+		{"declclose", "INPUT(a\n",
+			"bench declclose:1: malformed declaration \"INPUT(a\""},
+		{"declorder", "INPUT)a(\n",
+			"bench declorder:1: malformed declaration \"INPUT)a(\""},
+		{"declempty", "INPUT( )\n",
+			"bench declempty:1: empty name in \"INPUT( )\""},
+		{"outparen", "INPUT(a)\nOUTPUT a\n",
+			"bench outparen:2: malformed declaration \"OUTPUT a\""},
+		{"outempty", "INPUT(a)\n  output()  # none\n",
+			"bench outempty:2: empty name in \"output()\""},
+		{"dupinput", "INPUT(a)\n# c\nINPUT(a)\n",
+			"bench dupinput:3: input \"a\" declared twice"},
+		{"inputgate", "INPUT(a)\nINPUT(b)\na = NOT(b)\nOUTPUT(a)\n",
+			"bench inputgate:3: input \"a\" is also driven by a gate"},
+		{"gateinput", "INPUT(b)\na = NOT(b)\nINPUT(a)\nOUTPUT(a)\n",
+			"bench gateinput:3: input \"a\" is also driven by a gate"},
+		{"inputdff", "INPUT(a)\na = DFF(a)\nOUTPUT(a)\n",
+			"bench inputdff:2: input \"a\" is also driven by a gate"},
+		{"noassign", "INPUT(a)\n\n  garbage line # trailing\n",
+			"bench noassign:3: expected assignment, got \"garbage line\""},
+		{"noparen", "INPUT(a)\ny = AND a, b\n",
+			"bench noparen:2: malformed gate expression \"AND a, b\""},
+		{"parenorder", "INPUT(a)\ny = AND)a(\n",
+			"bench parenorder:2: malformed gate expression \"AND)a(\""},
+		{"unknownfn", "INPUT(a)\ny = frob(a)\nOUTPUT(y)\n",
+			"bench unknownfn:2: unknown function \"FROB\""},
+		{"unknownfold", "INPUT(a)\ny = ſtuff (a)\nOUTPUT(y)\n",
+			"bench unknownfold:2: unknown function \"STUFF\""},
+		{"unknownfirst", "INPUT(a)\ny = NOT(a)\ny = FROB(a)\n",
+			"bench unknownfirst:3: unknown function \"FROB\""},
+		{"redef", "INPUT(a)\ny = NOT(a)\ny = BUF(a)\nOUTPUT(y)\n",
+			"bench redef:3: net \"y\" defined twice"},
+		{"notarity", "INPUT(a)\nINPUT(b)\ny = not(a, b)\nOUTPUT(y)\n",
+			"bench notarity:3: NOT \"y\" has 2 inputs, want exactly one"},
+		{"dffarity", "INPUT(a)\nq = DFF()\nOUTPUT(q)\n",
+			"bench dffarity:2: DFF \"q\" has 0 inputs, want exactly one"},
+		{"andempty", "INPUT(a)\ny = AND( )\nOUTPUT(y)\n",
+			"bench andempty:2: AND \"y\" has 0 inputs, want at least one"},
+		{"constarity", "INPUT(a)\ny = VDD(a)\nOUTPUT(y)\n",
+			"bench constarity:2: VDD \"y\" has 1 inputs, want none"},
+		{"undefout", "INPUT(a)\nOUTPUT(y)\n",
+			"bench undefout: net \"y\" used but never defined"},
+		{"undeffanin", "INPUT(a)\nOUTPUT(y)\ny = AND(a, m)\n",
+			"bench undeffanin: net \"m\" used but never defined"},
+		{"undefempty", "INPUT(a)\nOUTPUT(y)\ny = AND(a, )\n",
+			"bench undefempty: net \"\" used but never defined"},
+		{"undefdff", "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\n",
+			"bench undefdff: net \"d\" used but never defined"},
+		{"selfloop", "INPUT(a)\ny = AND(a, y)\nOUTPUT(y)\n",
+			"bench selfloop: combinational cycle through \"y\""},
+		{"cycle", "INPUT(a)\np = AND(a, q)\nq = AND(a, p)\nOUTPUT(q)\n",
+			"bench cycle: combinational cycle through \"p\""},
+		{"cycledeep", "INPUT(a)\nOUTPUT(z)\nz = OR(a, p)\np = AND(a, r)\nq = NOT(p)\nr = BUF(q)\n",
+			"bench cycledeep: combinational cycle through \"p\""},
+		{"emptyname", "INPUT(a)\nOUTPUT(n1)\n = NOT(a)\nn1 = BUF(a)\n",
+			"bench emptyname:3: empty name in \"= NOT(a)\""},
+		{"cyclefirst", "INPUT(a)\nOUTPUT(y)\ny = AND(x, m)\nx = AND(a, x)\n",
+			"bench cyclefirst: combinational cycle through \"x\""},
+	}
+	for _, c := range cases {
+		_, err := ParseBenchString(c.name, c.src)
+		if err == nil {
+			t.Errorf("%s: parsed, want error %q", c.name, c.want)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestParseBenchKeepsNoSourceText: a parsed circuit holds its net names
+// in a string of their own, not as slices of the document, so a
+// retained circuit (the service's interner keeps them) does not pin a
+// document padded with comments.
+func TestParseBenchKeepsNoSourceText(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	src := "INPUT(a)\nOUTPUT(y)\n" + strings.Repeat("# padding the document\n", 1<<18) + "y = NOT(a)\n"
+	c, err := ParseBench("padded", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = ""
+	if grown := heap() - before; grown > 1<<20 {
+		t.Fatalf("a 2-net circuit parsed from %d bytes holds %d bytes of heap", 23<<18, grown)
+	}
+	runtime.KeepAlive(c)
 }

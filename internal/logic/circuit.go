@@ -172,10 +172,13 @@ func (c *Circuit) Finalize() error {
 		return nil
 	}
 	n := len(c.Gates)
-	c.Fanout = make([][]int, n)
 	c.DFFs = c.DFFs[:0]
 	c.maxFan = 0
 	c.numComb = 0
+	// Count each net's readers, then carve every fanout list out of
+	// one backing array (nil for a net nobody reads).
+	readers := make([]int, n)
+	edges := 0
 	for id, g := range c.Gates {
 		if len(g.Fanin) > c.maxFan {
 			c.maxFan = len(g.Fanin)
@@ -191,6 +194,19 @@ func (c *Circuit) Finalize() error {
 			if f < 0 || f >= n {
 				return fmt.Errorf("logic: %s: gate %d (%s) fanin %d out of range", c.Name, id, g.Name, f)
 			}
+			readers[f]++
+		}
+		edges += len(g.Fanin)
+	}
+	c.Fanout = make([][]int, n)
+	backing := make([]int, edges)
+	for net, k := range readers {
+		if k > 0 {
+			c.Fanout[net], backing = backing[:0:k], backing[k:]
+		}
+	}
+	for id, g := range c.Gates {
+		for _, f := range g.Fanin {
 			c.Fanout[f] = append(c.Fanout[f], id)
 		}
 	}

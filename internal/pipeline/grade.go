@@ -236,7 +236,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 	// Diagnose over the collapsed representatives: structurally
 	// equivalent faults can never be told apart at the pins, so the
 	// raw universe would only pad every row and class with duplicates.
-	cl := fault.CollapseEquiv(d.Circuit, fault.Universe(d.Circuit))
+	cl := fault.Collapse(d.Circuit)
 	dopt := diagnose.Options{
 		Backend: backend,
 		Workers: s.Workers,
@@ -291,7 +291,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 	}))
 	res := dict.Resolution()
 	rep.Results = map[string]any{
-		"universe":        len(cl.ClassOf),
+		"universe":        cl.UniverseSize(),
 		"collapsed":       len(cl.Reps),
 		"dict_faults":     len(dict.Faults),
 		"dict_patterns":   dict.NumPats,
@@ -320,7 +320,7 @@ func (s Diagnose) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 		out.Injected = f
 		rep.Config["inject"] = f.String()
 		rep.Results["injected"] = f.Name(d.Circuit)
-		if classID, ok := cl.ClassOf[f]; ok {
+		if classID, ok := cl.Class(f); ok {
 			rep.Results["injected_rep"] = cl.Reps[classID].String()
 		}
 	case s.Signature != "":

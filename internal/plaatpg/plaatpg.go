@@ -126,7 +126,7 @@ func Generate(s Spec) [][]bool {
 // patterns and the coverage.
 func BuildAndTest(name string, s Spec) (*logic.Circuit, [][]bool, float64) {
 	c := circuits.PLA(name, s.NIn, s.Cubes, s.Outputs)
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	pats := Generate(s)
 	res, _ := fault.Simulate(context.Background(), c, cl.Reps, pats, fault.Options{})
 	return c, pats, res.Coverage()
@@ -137,7 +137,7 @@ func BuildAndTest(name string, s Spec) (*logic.Circuit, [][]bool, float64) {
 // per input even when unused, and unused inverters are untestable by
 // construction). Returns coverage over the reachable-fault subset.
 func TestableCoverage(c *logic.Circuit, pats [][]bool) (float64, int, int) {
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	reachable := reachableFromOutputs(c)
 	var targets []fault.Fault
 	for _, f := range cl.Reps {

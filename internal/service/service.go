@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -113,7 +114,12 @@ type Server struct {
 	dicts    *lruCache       // dictionary key → pipeline.DictBuild
 	seq      int64
 
-	queue chan *Job
+	// queue holds the live queued jobs in admission order: Cancel
+	// takes a job out of it, so admission and positions count only
+	// jobs still waiting. ready wakes a worker when a job arrives or
+	// draining starts.
+	queue []*Job
+	ready sync.Cond
 	wg    sync.WaitGroup
 
 	// cached instrument handles
@@ -148,7 +154,6 @@ func New(cfg Config) *Server {
 		results:    newLRU(cfg.CacheSize),
 		interned:   newLRU(cfg.CacheSize),
 		dicts:      newLRU(cfg.CacheSize),
-		queue:      make(chan *Job, cfg.QueueDepth),
 
 		cAccepted:   reg.Counter("service.jobs.accepted"),
 		cRejected:   reg.Counter("service.jobs.rejected"),
@@ -165,6 +170,7 @@ func New(cfg Config) *Server {
 		gQueueAge:   reg.Gauge("service.queue.age_ms"),
 		gWorkers:    reg.Gauge("service.workers"),
 	}
+	s.ready.L = &s.mu
 	s.gWorkers.Set(int64(cfg.Workers))
 	s.routes()
 	s.wg.Add(cfg.Workers)
@@ -238,21 +244,19 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		events:  newEventLog(),
 		done:    make(chan struct{}),
 	}
-	// Position is read before the enqueue: once the job is in the
-	// channel a worker may dequeue it instantly, so counting afterwards
-	// could report an empty queue for a job that did wait in line.
-	position := len(s.queue) + 1
-	select {
-	case s.queue <- j:
-	default:
+	if len(s.queue) >= s.cfg.QueueDepth {
 		s.cRejected.Inc()
 		return nil, &ErrQueueFull{Depth: len(s.queue), Capacity: s.cfg.QueueDepth}
 	}
+	s.queue = append(s.queue, j)
+	s.ready.Signal()
 	s.remember(j)
 	s.inflight[p.key] = j
 	s.cAccepted.Inc()
 	s.gQueueDepth.Set(int64(len(s.queue)))
-	j.events.publish(JobEvent{Type: EventQueued, State: StateQueued, Position: position})
+	// Workers dequeue under mu too, so the position is the job's place
+	// in line at admission.
+	j.events.publish(JobEvent{Type: EventQueued, State: StateQueued, Position: len(s.queue)})
 	return j, nil
 }
 
@@ -314,8 +318,8 @@ func (s *Server) View(id string) (JobView, error) {
 	return j.view(), nil
 }
 
-// Cancel aborts a job: a queued job is marked cancelled on the spot
-// (the worker skips it on dequeue), a running job has its context
+// Cancel aborts a job: a queued job leaves the queue and is marked
+// cancelled on the spot, a running job has its context
 // cancelled and reaches the cancelled state when the engine unwinds.
 // Cancelling a terminal job is a no-op. Note a coalesced job is
 // shared — cancelling it cancels every submission attached to it.
@@ -328,6 +332,7 @@ func (s *Server) Cancel(id string) (JobView, error) {
 	}
 	switch j.state {
 	case StateQueued:
+		s.unqueue(j)
 		j.cancelReason = CancelClient
 		s.finishLocked(j, StateCancelled, context.Canceled.Error(), nil)
 	case StateRunning:
@@ -394,24 +399,40 @@ func (s *Server) Wait(ctx context.Context, id string) (JobView, error) {
 	}
 }
 
-// worker drains the queue until Shutdown closes it.
+// unqueue takes a queued job out of the queue; callers hold mu.
+func (s *Server) unqueue(j *Job) {
+	if i := slices.Index(s.queue, j); i >= 0 {
+		s.queue = slices.Delete(s.queue, i, i+1)
+		s.gQueueDepth.Set(int64(len(s.queue)))
+	}
+}
+
+// worker runs queued jobs until Shutdown has started and the queue
+// is empty.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.runJob(j)
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.draining {
+			s.ready.Wait()
+		}
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		j := s.queue[0]
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		s.gQueueDepth.Set(int64(len(s.queue)))
+		s.runJob(j) // unlocks mu
 	}
 }
 
 // runJob executes one dequeued job under its deadline, with the
 // monitor goroutine streaming its phase/progress onto the event log
-// for as long as it runs.
+// for as long as it runs. The caller holds mu; runJob releases it
+// while the job runs.
 func (s *Server) runJob(j *Job) {
-	s.mu.Lock()
-	s.gQueueDepth.Set(int64(len(s.queue)))
-	if j.state != StateQueued { // cancelled while waiting
-		s.mu.Unlock()
-		return
-	}
 	kind := string(j.parsed.req.Kind)
 	j.state = StateRunning
 	j.started = time.Now()
@@ -481,21 +502,24 @@ func (s *Server) jobContext(j *Job) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(s.baseCtx, d)
 }
 
-// QueueDepth reports the current admission-queue occupancy.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// QueueDepth reports the number of jobs waiting in the admission
+// queue; cancelled jobs have left it.
+func (s *Server) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
 
 // updateQueueAge refreshes the service.queue.age_ms gauge: the age of
-// the oldest still-queued job, 0 for an empty queue. Computed at
-// scrape time (handleMetrics) instead of continuously — an age gauge
-// only means anything at the moment it is read. Every queued job is
-// in inflight, so the scan skips the retained finished jobs.
+// the oldest still-queued job (the queue's head), 0 for an empty
+// queue. Computed at scrape time (handleMetrics) instead of
+// continuously — an age gauge only means anything at the moment it is
+// read.
 func (s *Server) updateQueueAge() {
 	s.mu.Lock()
 	var oldest time.Time
-	for _, j := range s.inflight {
-		if j.state == StateQueued && (oldest.IsZero() || j.created.Before(oldest)) {
-			oldest = j.created
-		}
+	if len(s.queue) > 0 {
+		oldest = s.queue[0].created
 	}
 	s.mu.Unlock()
 	if oldest.IsZero() {
@@ -508,8 +532,9 @@ func (s *Server) updateQueueAge() {
 // Shutdown gracefully stops the server: admission closes (new
 // submissions get ErrDraining), queued and running jobs drain, and
 // the accumulated telemetry is flushed as a final dft.run-report/v1
-// document. If ctx expires before the drain completes, in-flight
-// jobs are hard-cancelled through the base context and Shutdown
+// document. If ctx expires before the drain completes, queued jobs
+// are cancelled in place, running jobs are hard-cancelled through the
+// base context, and Shutdown
 // still waits for the workers to unwind before returning, so no job
 // goroutine outlives the call.
 func (s *Server) Shutdown(ctx context.Context) (*telemetry.Report, error) {
@@ -519,7 +544,7 @@ func (s *Server) Shutdown(ctx context.Context) (*telemetry.Report, error) {
 		return nil, errors.New("service: already shut down")
 	}
 	s.draining = true
-	close(s.queue)
+	s.ready.Broadcast()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -532,21 +557,20 @@ func (s *Server) Shutdown(ctx context.Context) (*telemetry.Report, error) {
 	case <-done:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.baseCancel() // hard-stop running jobs
-		<-done
-	}
-	s.baseCancel()
-
-	s.mu.Lock()
-	// Jobs still queued when the channel closed (drained by no one
-	// because ctx expired first) are marked cancelled for the record.
-	for _, j := range s.jobs {
-		if !j.state.terminal() && j.state == StateQueued {
+		// Jobs still queued are cancelled where they wait; running
+		// ones are hard-stopped.
+		s.mu.Lock()
+		for _, j := range s.queue {
 			j.cancelReason = CancelShutdown
 			s.finishLocked(j, StateCancelled, ErrDraining.Error(), nil)
 		}
+		s.queue = s.queue[:0]
+		s.gQueueDepth.Set(0)
+		s.mu.Unlock()
+		s.baseCancel()
+		<-done
 	}
-	s.mu.Unlock()
+	s.baseCancel()
 
 	rep := telemetry.NewReport("dftd", "shutdown", "")
 	rep.Config = map[string]any{

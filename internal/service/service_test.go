@@ -813,6 +813,52 @@ func TestServiceRetention(t *testing.T) {
 	}
 }
 
+// TestServiceCancelledJobsFreeQueue: cancelling a queued job takes it
+// out of the admission queue. With the one worker busy, a depth-8
+// queue holding 5 live jobs and 3 cancelled ones admits the next
+// submission, reports it sixth in line, and counts 6 queued jobs.
+func TestServiceCancelledJobsFreeQueue(t *testing.T) {
+	srv, ts, reg := testServer(t, Config{Workers: 1, QueueDepth: 8})
+	defer func() {
+		ctx, stop := context.WithCancel(context.Background())
+		stop()
+		srv.Shutdown(ctx) //nolint:errcheck // a hard stop reports ctx.Err()
+	}()
+	submit := func(salt int) *Job {
+		t.Helper()
+		j, err := srv.Submit(slowJob(salt))
+		if err != nil {
+			t.Fatalf("job %d: %v", salt, err)
+		}
+		return j
+	}
+	blocker := submit(0)
+	waitState(t, ts.URL, blocker.ID, StateRunning)
+	var queued []*Job
+	for salt := 1; salt <= 8; salt++ {
+		queued = append(queued, submit(salt))
+	}
+	for _, j := range queued[1:4] {
+		if v, err := srv.Cancel(j.ID); err != nil || v.State != StateCancelled {
+			t.Fatalf("cancel %s: %+v, %v", j.ID, v, err)
+		}
+	}
+	if n := srv.QueueDepth(); n != 5 {
+		t.Fatalf("queue depth %d after 3 cancels, want 5", n)
+	}
+	next := submit(9)
+	events, _, _ := next.events.since(0)
+	if len(events) == 0 || events[0].Position != 6 {
+		t.Fatalf("first event of the next job %+v, want queued at position 6", events)
+	}
+	if n := srv.QueueDepth(); n != 6 {
+		t.Fatalf("queue depth %d, want 6", n)
+	}
+	if g := reg.Gauge("service.queue.depth").Value(); g != 6 {
+		t.Fatalf("service.queue.depth = %d, want 6", g)
+	}
+}
+
 // TestServiceATPGAndTimeout: an atpg job completes with plausible
 // coverage, and a microscopic per-job budget cancels rather than
 // fails.

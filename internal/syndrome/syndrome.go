@@ -199,7 +199,7 @@ func widenGate(c *logic.Circuit, id int) *logic.Circuit {
 }
 
 func countUntestable(c *logic.Circuit) int {
-	cl := fault.CollapseEquiv(c, fault.Universe(c))
+	cl := fault.Collapse(c)
 	return len(Untestable(Classify(c, cl.Reps)))
 }
 
