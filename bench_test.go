@@ -288,7 +288,7 @@ func BenchmarkFig13RacelessShift(b *testing.B) {
 
 func BenchmarkFig15ScanSetSnapshot(b *testing.B) {
 	c := circuits.Counter(16)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	ss := scanset.New(m, c.DFFs, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,6 @@ import (
 	"dft/internal/fault"
 	"dft/internal/lfsr"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // Mode is the B1B2 control encoding of Fig. 19.
@@ -173,11 +172,7 @@ func (s *SelfTest) session(c *logic.Circuit, gen, misr *Register, f *fault.Fault
 		for i := range in {
 			in[i] = q>>uint(i)&1 == 1
 		}
-		if f == nil {
-			sim.EvalInto(c, in, nil, vals)
-		} else {
-			fault.EvalFaultyInto(c, in, nil, *f, vals, scratch)
-		}
+		fault.EvalInto(c, in, nil, f, vals, scratch)
 		var z uint64
 		for i, po := range c.POs {
 			if vals[po] {

@@ -8,10 +8,10 @@ package board
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // Module is a replaceable unit on the board wrapping a combinational
@@ -22,19 +22,9 @@ type Module struct {
 	Fault *fault.Fault
 }
 
-// Eval computes the module's outputs.
+// Eval computes the module's outputs, with its fault if it has one.
 func (m *Module) Eval(in []bool) []bool {
-	var vals []bool
-	if m.Fault != nil {
-		vals = fault.EvalFaulty(m.Logic, in, nil, *m.Fault)
-	} else {
-		vals = sim.Eval(m.Logic, in, nil)
-	}
-	out := make([]bool, len(m.Logic.POs))
-	for i, po := range m.Logic.POs {
-		out[i] = vals[po]
-	}
-	return out
+	return fault.NewMachine(m.Logic, m.Fault).Apply(in)
 }
 
 // Port addresses one pin of a module.
@@ -199,17 +189,13 @@ func (bn *BedOfNails) InCircuitTest(patterns map[string][][]bool) ([]string, err
 	for _, m := range bn.B.Modules {
 		pats := patterns[m.Name]
 		bad := false
-		// The golden pass reuses one valuation across the module's
-		// whole pattern set.
-		c := m.Logic
-		vals := make([]bool, c.NumNets())
+		// One good and one faulty machine serve the module's whole
+		// pattern set.
+		uut := fault.NewMachine(m.Logic, m.Fault)
+		golden := fault.NewMachine(m.Logic, nil)
 		for _, p := range pats {
-			got := m.Eval(p)
-			sim.EvalInto(c, p, nil, vals)
-			for i, po := range c.POs {
-				if got[i] != vals[po] {
-					bad = true
-				}
+			if !slices.Equal(uut.Apply(p), golden.Apply(p)) {
+				bad = true
 			}
 		}
 		if bad {
@@ -261,7 +247,7 @@ func (o *Oscillator) Tick() bool {
 // trace depends on the oscillator's hidden phase; with degating it is
 // repeatable.
 func SyncSession(c *logic.Circuit, o *Oscillator, inputs [][]bool) [][]bool {
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	var trace [][]bool
 	for _, in := range inputs {
 		out := m.Apply(in)

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -33,10 +34,14 @@ var builtins = map[string]struct {
 }
 
 // maxBuiltinSize bounds the size argument: generators grow at least
-// linearly (the multiplier and majority voter much faster), and
-// Builtin sits behind the dftd network API, so unbounded n is a
-// memory-exhaustion hole rather than a convenience.
+// linearly, and Builtin sits behind the dftd network API, so unbounded
+// n is a memory-exhaustion hole rather than a convenience. The array
+// multiplier grows as about 6n² gates, so sizeCap gives it a lower
+// cap (about 100k gates, the size of the largest decoder); the
+// exponential decoder, mux and majority voter bound n themselves.
 const maxBuiltinSize = 4096
+
+var sizeCap = map[string]int{"mult": 128}
 
 // Builtin instantiates a library circuit by generator name. n sizes
 // parameterized generators (bit width, input count, cascade depth);
@@ -52,8 +57,8 @@ func Builtin(name string, n int) (c *logic.Circuit, err error) {
 	if n <= 0 {
 		n = b.def
 	}
-	if n > maxBuiltinSize {
-		return nil, fmt.Errorf("circuits: %s size %d exceeds the %d cap", name, n, maxBuiltinSize)
+	if limit := cmp.Or(sizeCap[name], maxBuiltinSize); n > limit {
+		return nil, fmt.Errorf("circuits: %s size %d exceeds the %d cap", name, n, limit)
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dft/internal/fault"
 	"dft/internal/sim"
 )
 
@@ -95,7 +96,7 @@ func TestCascade74181Arithmetic(t *testing.T) {
 func TestJohnsonCounterCycle(t *testing.T) {
 	n := 4
 	c := JohnsonCounter(n)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	seen := map[string]bool{}
 	key := func(st []bool) string {
 		b := make([]byte, len(st))
@@ -135,7 +136,7 @@ func TestJohnsonCounterCycle(t *testing.T) {
 func TestGrayCounterSingleBitTransitions(t *testing.T) {
 	n := 4
 	c := GrayCounter(n)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	prev := m.Apply([]bool{true})
 	for step := 0; step < 40; step++ {
 		out := m.Step([]bool{true})

@@ -2,8 +2,10 @@ package circuits
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"dft/internal/fault"
 	"dft/internal/logic"
 	"dft/internal/sim"
 )
@@ -301,7 +303,7 @@ func TestRandomCircuitWellFormed(t *testing.T) {
 
 func TestCounterCounts(t *testing.T) {
 	c := Counter(4)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	for step := 1; step <= 20; step++ {
 		m.Step([]bool{true})
 		var got uint64
@@ -328,7 +330,7 @@ func TestCounterCounts(t *testing.T) {
 func TestShiftRegisterDelaysInput(t *testing.T) {
 	n := 5
 	c := ShiftRegister(n)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	seq := []bool{true, false, true, true, false, false, true, false, true, true}
 	var outs []bool
 	for _, b := range seq {
@@ -344,7 +346,7 @@ func TestShiftRegisterDelaysInput(t *testing.T) {
 
 func TestLFSRCircuitMatchesShiftRule(t *testing.T) {
 	c := LFSRCircuit(3, []int{2, 3})
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	m.SetState([]bool{true, false, false})
 	q1, q2, q3 := true, false, false
 	for i := 0; i < 14; i++ {
@@ -359,7 +361,7 @@ func TestLFSRCircuitMatchesShiftRule(t *testing.T) {
 
 func TestFSMDetects101(t *testing.T) {
 	c := FSM()
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	seq := []bool{true, false, true, false, true, true, false, true}
 	//              1     0     1*    0     1*    1     0     1*
 	wantHit := []bool{false, false, true, false, true, false, false, true}
@@ -376,7 +378,7 @@ func TestFSMDetects101(t *testing.T) {
 func TestSequencedALUPipelines(t *testing.T) {
 	n := 4
 	c := SequencedALU(n)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	// Load operands, clock twice (input regs then output regs), read.
 	in := make([]bool, 2*n+1)
 	a, b := uint64(9), uint64(5)
@@ -403,4 +405,23 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestBuiltinSizeCaps: a size past a generator's cap is refused before
+// anything is built — 4,096 for every generator, 128 for the
+// quadratic multiplier — so a dftd request cannot ask for a netlist of
+// millions of gates.
+func TestBuiltinSizeCaps(t *testing.T) {
+	for _, name := range BuiltinNames() {
+		limit := maxBuiltinSize
+		if name == "mult" {
+			limit = 128
+		}
+		if _, err := Builtin(name, limit+1); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("%s(%d): err = %v, want the %d cap", name, limit+1, err, limit)
+		}
+	}
+	if _, err := Builtin("mult", 16); err != nil {
+		t.Fatalf("mult(16): %v", err)
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
+	"slices"
 
 	"dft/internal/fault"
 	"dft/internal/logic"
@@ -30,9 +32,13 @@ import (
 
 var dictMagic = [8]byte{'D', 'F', 'T', 'D', 'I', 'C', 'T', 1}
 
-// dictLimit bounds the decoded dimensions so a corrupt header cannot
-// provoke a multi-gigabyte allocation before the checksum is reached.
+// dictLimit bounds the decoded dimensions, and Decode grows every
+// table only as its bytes arrive, so a corrupt header cannot provoke an
+// allocation past what the input holds before the checksum is reached.
 const dictLimit = 1 << 26
+
+// readChunk is the most words Decode reads into a table at once.
+const readChunk = 1 << 13
 
 // hashedWriter tees writes into the running checksum.
 type hashedWriter struct {
@@ -144,13 +150,21 @@ func Decode(r io.Reader) (*Dictionary, error) {
 	if nFaults > dictLimit || nPats > dictLimit || nInputs > dictLimit || nOutputs > dictLimit {
 		return nil, fmt.Errorf("diagnose: corrupt header (dimensions %d×%d exceed limit)", nFaults, nPats)
 	}
+	if nPats > 0 && nInputs == 0 {
+		// Each pattern block would cost the body no bytes, so the
+		// header alone could size the pattern table.
+		return nil, fmt.Errorf("diagnose: corrupt header (%d patterns over no inputs)", nPats)
+	}
 	d.NumPats = int(nPats)
 	d.nInputs = int(nInputs)
 	d.numOuts = int(nOutputs)
 	d.poWords = (int(nOutputs) + 63) / 64
+	if stride := d.NumPats * d.poWords; flags&1 != 0 && stride > 0 && int(nFaults) > math.MaxInt/stride {
+		return nil, fmt.Errorf("diagnose: corrupt header (full tier of %d×%d×%d words overflows)", nFaults, nPats, d.poWords)
+	}
 
-	d.Faults = make([]fault.Fault, nFaults)
-	for i := range d.Faults {
+	d.Faults = make([]fault.Fault, 0, min(nFaults, readChunk))
+	for range nFaults {
 		var rec struct {
 			Gate, Pin int32
 			SA        uint8
@@ -162,14 +176,15 @@ func Decode(r io.Reader) (*Dictionary, error) {
 		if rec.SA != 0 {
 			sa = logic.One
 		}
-		d.Faults[i] = fault.Fault{Gate: int(rec.Gate), Pin: int(rec.Pin), SA: sa}
+		d.Faults = append(d.Faults, fault.Fault{Gate: int(rec.Gate), Pin: int(rec.Pin), SA: sa})
 	}
 
 	nBlocks := (int(nPats) + 63) / 64
 	d.packed = fault.NewPackedPatterns(int(nInputs))
-	blockWords := make([]uint64, nInputs)
+	var blockWords []uint64
 	for bi := 0; bi < nBlocks; bi++ {
-		if err := get(blockWords); err != nil {
+		var err error
+		if blockWords, err = readWords(get, blockWords[:0], int(nInputs)); err != nil {
 			return nil, err
 		}
 		k := int(nPats) - bi*64
@@ -180,8 +195,8 @@ func Decode(r io.Reader) (*Dictionary, error) {
 	}
 
 	patWords := detailWords(int(nPats))
-	rowBacking := make([]uint64, int(nFaults)*patWords)
-	if err := get(rowBacking); err != nil {
+	rowBacking, err := readWords(get, nil, int(nFaults)*patWords)
+	if err != nil {
 		return nil, err
 	}
 	d.rows = make([][]uint64, nFaults)
@@ -191,8 +206,8 @@ func Decode(r io.Reader) (*Dictionary, error) {
 
 	if flags&1 != 0 {
 		stride := int(nPats) * d.poWords
-		fullBacking := make([]uint64, int(nFaults)*stride)
-		if err := get(fullBacking); err != nil {
+		fullBacking, err := readWords(get, nil, int(nFaults)*stride)
+		if err != nil {
 			return nil, err
 		}
 		d.full = make([][]uint64, nFaults)
@@ -211,4 +226,18 @@ func Decode(r io.Reader) (*Dictionary, error) {
 	}
 	d.index()
 	return d, nil
+}
+
+// readWords appends n words to dst, at most readChunk at a time, so the
+// table grows only as fast as the input supplies it.
+func readWords(get func(any) error, dst []uint64, n int) ([]uint64, error) {
+	for n > 0 {
+		k := min(n, readChunk)
+		dst = slices.Grow(dst, k)
+		if err := get(dst[len(dst) : len(dst)+k]); err != nil {
+			return nil, err
+		}
+		dst, n = dst[:len(dst)+k], n-k
+	}
+	return dst, nil
 }

@@ -3,6 +3,8 @@ package diagnose
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -147,4 +149,57 @@ func TestAttachRejectsWrongCircuit(t *testing.T) {
 	if err := got.Attach(circuits.RippleAdder(3), Options{}); err == nil {
 		t.Fatal("attached a dictionary to the wrong netlist")
 	}
+}
+
+// FuzzDecodeDictionary: Decode answers any byte string with a
+// dictionary or an error, never a panic, and allocates no more than
+// dictLimit bytes doing so, whatever dimensions the header claims; what
+// it accepts encodes back into bytes it accepts again. The
+// seeds are c17's dictionary with and without the full tier, their
+// truncations, a flipped checksum byte and a header claiming the
+// largest admitted dimensions over a short body.
+func FuzzDecodeDictionary(f *testing.F) {
+	c := circuits.C17()
+	for _, full := range []bool{false, true} {
+		d, err := Build(context.Background(), c, fault.Universe(c), exhaustive(5), Options{Full: full})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		raw := buf.Bytes()
+		f.Add(raw)
+		for _, n := range []int{0, 8, 44, 60, len(raw) / 2, len(raw) - 1} {
+			f.Add(raw[:n])
+		}
+		flipped := append([]byte(nil), raw...)
+		flipped[len(flipped)-1] ^= 0x80
+		f.Add(flipped)
+		huge := append([]byte(nil), raw[:64]...)
+		for field := 0; field < 4; field++ {
+			binary.LittleEndian.PutUint32(huge[44+4*field:], dictLimit)
+		}
+		f.Add(huge)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := Decode(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > dictLimit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), n, dictLimit)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err != nil {
+			t.Fatalf("a decoded dictionary re-encodes to one Decode refuses: %v", err)
+		}
+	})
 }

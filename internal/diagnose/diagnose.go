@@ -191,6 +191,9 @@ func Build(ctx context.Context, c *logic.Circuit, faults []fault.Fault, patterns
 	defer span.End()
 
 	inputs, outputs := opt.View.Resolve(c)
+	if len(inputs) == 0 && len(patterns) > 0 {
+		return nil, fmt.Errorf("diagnose: %d patterns over a view with no inputs", len(patterns))
+	}
 	d := &Dictionary{
 		Faults:  faults,
 		NumPats: len(patterns),

@@ -10,7 +10,6 @@ import (
 	"dft/internal/cost"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // Fig1Result is the stuck-at demonstration of Fig. 1.
@@ -39,13 +38,14 @@ func Fig1() Result {
 	c.MarkOutput(y)
 	c.MustFinalize()
 	f := fault.Fault{Gate: y, Pin: 0, SA: logic.One}
-	good := sim.Eval(c, []bool{false, true}, nil)
-	bad := fault.EvalFaulty(c, []bool{false, true}, nil, f)
+	pi := []bool{false, true}
+	good := fault.NewMachine(c, nil).Apply(pi)[0]
+	bad := fault.NewMachine(c, &f).Apply(pi)[0]
 	return Fig1Result{
 		Pattern:        "A=0 B=1",
-		GoodOut:        good[y],
-		FaultyOut:      bad[y],
-		IsTest:         good[y] != bad[y],
+		GoodOut:        good,
+		FaultyOut:      bad,
+		IsTest:         good != bad,
 		NonTestPattern: "A=1 B=1",
 	}
 }

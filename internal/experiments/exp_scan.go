@@ -10,7 +10,6 @@ import (
 	"dft/internal/rascan"
 	"dft/internal/scanpath"
 	"dft/internal/scanset"
-	"dft/internal/sim"
 )
 
 // LSSDResult covers Figs. 9–12: the central scan payoff.
@@ -178,7 +177,7 @@ func (r ScanSetResult) Render() string {
 // Fig15ScanSet runs the Scan/Set experiments.
 func Fig15ScanSet() Result {
 	c := circuits.Counter(8)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	ss := scanset.New(m, c.DFFs, nil)
 	for i := 0; i < 5; i++ {
 		m.Step([]bool{true})
@@ -237,7 +236,7 @@ func (r RASResult) Render() string {
 func Fig16to18RAS() Result {
 	n := 64
 	c := circuits.Counter(n)
-	r := rascan.New(sim.NewMachine(c), rascan.PolarityHold)
+	r := rascan.New(fault.NewMachine(c, nil), rascan.PolarityHold)
 	r.Write(n-1, true)
 	o := rascan.EstimateOverhead(n)
 	return RASResult{

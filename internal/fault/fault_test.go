@@ -40,7 +40,8 @@ func TestFig1StuckAt(t *testing.T) {
 	f := Fault{Gate: and, Pin: 0, SA: logic.One} // input A s-a-1
 	pattern := []bool{false, true}               // A=0, B=1
 	good := sim.Eval(c, pattern, nil)
-	bad := EvalFaulty(c, pattern, nil, f)
+	bad := make([]bool, c.NumNets())
+	EvalInto(c, pattern, nil, &f, bad, make([]bool, c.MaxFanin()))
 	if good[and] != false || bad[and] != true {
 		t.Fatalf("good=%v bad=%v; want 0/1", good[and], bad[and])
 	}
@@ -296,11 +297,11 @@ func TestMachineMatchesSimulateSequence(t *testing.T) {
 				seq[i][j] = rng.Intn(2) == 1
 			}
 		}
-		good := sim.NewMachine(c).Run(seq)
+		good := NewMachine(c, nil).Run(seq)
 		u := Universe(c)
 		ref := SimulateSequence(c, u, seq)
 		for i, f := range u {
-			m := NewMachine(c, f)
+			m := NewMachine(c, &f)
 			first := -1
 			for cyc, pi := range seq {
 				if !slices.Equal(m.Step(pi), good[cyc]) {

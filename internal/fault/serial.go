@@ -4,38 +4,8 @@ import (
 	"slices"
 
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
-
-// EvalFaulty computes all net values of the faulty machine for one
-// pattern: a full levelized pass with the fault injected at its site.
-// pi and state follow the same conventions as sim.Eval.
-func EvalFaulty(c *logic.Circuit, pi, state []bool, f Fault) []bool {
-	vals := make([]bool, len(c.Gates))
-	evalFaultyInto(c, pi, state, f, vals, make([]bool, c.MaxFanin()))
-	return vals
-}
-
-// EvalFaultyInto is EvalFaulty into caller-provided storage, for
-// session loops that drive a faulty network once per clock. scratch
-// must have capacity for the widest gate fanin.
-func EvalFaultyInto(c *logic.Circuit, pi, state []bool, f Fault, vals, scratch []bool) {
-	evalFaultyInto(c, pi, state, f, vals, scratch)
-}
-
-func evalFaultyInto(c *logic.Circuit, pi, state []bool, f Fault, vals, scratch []bool) {
-	for i, id := range c.PIs {
-		vals[id] = pi[i]
-	}
-	for i, id := range c.DFFs {
-		vals[id] = state[i]
-	}
-	if f.Pin == Stem && !c.Gates[f.Gate].Type.IsCombinational() {
-		vals[f.Gate] = f.SA == logic.One
-	}
-	evalOrder(c, f, vals, scratch)
-}
 
 // goodMachine is the fault evalOrder injects nowhere: no gate has a
 // negative index.
@@ -86,9 +56,8 @@ func detectsWithState(c *logic.Circuit, pi, state []bool, f Fault) bool {
 	cSerialEvals.Add(2)
 	good := make([]bool, len(c.Gates))
 	bad := make([]bool, len(c.Gates))
-	scratch := make([]bool, c.MaxFanin())
-	sim.EvalInto(c, pi, state, good)
-	evalFaultyInto(c, pi, state, f, bad, scratch)
+	EvalInto(c, pi, state, nil, good, nil)
+	EvalInto(c, pi, state, &f, bad, make([]bool, c.MaxFanin()))
 	for _, po := range c.POs {
 		if good[po] != bad[po] {
 			return true
@@ -133,10 +102,10 @@ func SimulateSequence(c *logic.Circuit, faults []Fault, seq [][]bool) *Sequentia
 		NumCycles: len(seq),
 		NumFaults: len(faults),
 	}
-	goodOuts := sim.NewMachine(c).Run(seq)
+	goodOuts := NewMachine(c, nil).Run(seq)
 	for fi, f := range faults {
 		res.DetectCyc[fi] = -1
-		m := NewMachine(c, f)
+		m := NewMachine(c, &f)
 		for t, pat := range seq {
 			machineEvals++
 			if !slices.Equal(m.Step(pat), goodOuts[t]) {

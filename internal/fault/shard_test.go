@@ -213,7 +213,7 @@ func TestFaultyWordAfterFaultMask(t *testing.T) {
 	for _, f := range Universe(c) {
 		ps.FaultMask(f)
 		for p, pat := range pats {
-			evalFaultyInto(c, pat, nil, f, vals, scratch)
+			EvalInto(c, pat, nil, &f, vals, scratch)
 			for n := range vals {
 				if got := ps.FaultyWord(n)>>uint(p)&1 == 1; got != vals[n] {
 					t.Fatalf("%v: FaultyWord(%s) pattern %d = %v, want %v", f, c.NameOf(n), p, got, vals[n])

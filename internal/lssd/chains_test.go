@@ -7,7 +7,6 @@ import (
 	"dft/internal/circuits"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 func TestFlushTestPassesOnGoodChain(t *testing.T) {
@@ -50,8 +49,8 @@ func TestInsertChainsPreservesFunction(t *testing.T) {
 		if len(p.ScanIns) != n || len(p.ScanOuts) != n {
 			t.Fatalf("chains=%d: pin counts %d/%d", n, len(p.ScanIns), len(p.ScanOuts))
 		}
-		mo := sim.NewMachine(orig)
-		ms := sim.NewMachine(scanned)
+		mo := fault.NewMachine(orig, nil)
+		ms := fault.NewMachine(scanned, nil)
 		for cyc := 0; cyc < 30; cyc++ {
 			in := []bool{rng.Intn(2) == 1}
 			sIn := append(append([]bool{}, in...), make([]bool, 1+n)...) // SE + SIs = 0
@@ -89,7 +88,7 @@ func TestMultiChainShiftWorks(t *testing.T) {
 	if len(ports.Chains[0]) != 3 || len(ports.Chains[1]) != 3 {
 		t.Fatalf("chain split %d/%d", len(ports.Chains[0]), len(ports.Chains[1]))
 	}
-	m := sim.NewMachine(scanned)
+	m := fault.NewMachine(scanned, nil)
 	want := []bool{true, false, true, true, false, true}
 	// Chain ch holds original DFFs i with i%2==ch, in order; shift
 	// deepest-first per chain.

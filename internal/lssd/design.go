@@ -5,16 +5,7 @@ import (
 
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
-
-// machine abstracts the good machine (sim.Machine) and the faulty
-// machine (fault.Machine) so scan tests run identically on both.
-type machine interface {
-	Apply(pi []bool) []bool
-	Clock()
-	Peek(net int) bool
-}
 
 // Design couples a scanned netlist with its ports and provides scan
 // test application over the actual gate-level hardware: scan-in through
@@ -26,7 +17,7 @@ type Design struct {
 	P       Ports
 	Style   Style
 
-	m machine
+	m *fault.Machine
 	// cycle accounting
 	Cycles int
 }
@@ -35,7 +26,7 @@ type Design struct {
 // application.
 func NewDesign(c *logic.Circuit, style Style) *Design {
 	sc, p := Insert(c, style)
-	return &Design{Orig: c, Scanned: sc, P: p, Style: style, m: sim.NewMachine(sc)}
+	return &Design{Orig: c, Scanned: sc, P: p, Style: style, m: fault.NewMachine(sc, nil)}
 }
 
 // ChainLength returns the number of scan positions.
@@ -68,7 +59,7 @@ func (d *Design) soPin() bool { return d.m.Peek(d.P.ScanOut) }
 // Reset zeroes the machine state and cycle count, clearing any
 // injected fault.
 func (d *Design) Reset() {
-	d.m = sim.NewMachine(d.Scanned)
+	d.m = fault.NewMachine(d.Scanned, nil)
 	d.Cycles = 0
 }
 
@@ -76,7 +67,7 @@ func (d *Design) Reset() {
 // fault in the scanned netlist; original-circuit gate IDs are
 // preserved by insertion, so faults on original logic carry over).
 func (d *Design) InjectFault(f fault.Fault) {
-	d.m = fault.NewMachine(d.Scanned, f)
+	d.m = fault.NewMachine(d.Scanned, &f)
 	d.Cycles = 0
 }
 

@@ -8,7 +8,6 @@ import (
 	"dft/internal/circuits"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 func TestSRLBasicClocks(t *testing.T) {
@@ -116,8 +115,8 @@ func TestInsertPreservesFunction(t *testing.T) {
 		if vs := CheckRules(scanned, p); len(vs) != 0 {
 			t.Fatalf("style %d: rule violations: %v", style, vs)
 		}
-		mo := sim.NewMachine(orig)
-		ms := sim.NewMachine(scanned)
+		mo := fault.NewMachine(orig, nil)
+		ms := fault.NewMachine(scanned, nil)
 		for cyc := 0; cyc < 40; cyc++ {
 			in := []bool{rng.Intn(2) == 1}
 			sIn := append(append([]bool{}, in...), false, false) // SE=0, SI=0

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
+	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 func TestInsertPartialPreservesFunction(t *testing.T) {
@@ -18,8 +18,8 @@ func TestInsertPartialPreservesFunction(t *testing.T) {
 		if len(p.ChainL1) != 2 {
 			t.Fatalf("style %d: chain length %d, want 2", style, len(p.ChainL1))
 		}
-		mo := sim.NewMachine(orig)
-		ms := sim.NewMachine(scanned)
+		mo := fault.NewMachine(orig, nil)
+		ms := fault.NewMachine(scanned, nil)
 		for cyc := 0; cyc < 40; cyc++ {
 			in := []bool{rng.Intn(2) == 1}
 			sIn := append(append([]bool{}, in...), false, false) // SE=0, SI=0
@@ -38,7 +38,7 @@ func TestInsertPartialShiftsOnlyTheChain(t *testing.T) {
 	orig := circuits.ShiftRegister(4)
 	subset := []int{orig.DFFs[0], orig.DFFs[1]}
 	scanned, p := InsertPartial(orig, subset, StyleMuxScan)
-	m := sim.NewMachine(scanned)
+	m := fault.NewMachine(scanned, nil)
 	// SE=1: clock two 1s through SI. The chained prefix loads them; the
 	// unchained tail keeps following its system path, which only ever
 	// sees the pre-shift zeros.

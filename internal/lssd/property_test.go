@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"dft/internal/circuits"
-	"dft/internal/sim"
+	"dft/internal/fault"
 )
 
 // TestPropertyChainLoadUnload: for any chain length and contents,
@@ -81,8 +81,8 @@ func TestPropertyScanTransparency(t *testing.T) {
 		orig := circuits.GrayCounter(4)
 		scanned, _ := Insert(orig, style)
 		rng := rand.New(rand.NewSource(seed))
-		mo := sim.NewMachine(orig)
-		ms := sim.NewMachine(scanned)
+		mo := fault.NewMachine(orig, nil)
+		ms := fault.NewMachine(scanned, nil)
 		for cyc := 0; cyc < 25; cyc++ {
 			in := []bool{rng.Intn(2) == 1}
 			a := mo.Step(in)
@@ -113,7 +113,7 @@ func TestPropertyCaptureMatchesNextState(t *testing.T) {
 		}
 		pi := []bool{rng.Intn(2) == 1}
 		resp := d.RunTest(ScanTest{State: st, PI: pi})
-		m := sim.NewMachine(orig)
+		m := fault.NewMachine(orig, nil)
 		m.SetState(st)
 		m.Step(pi)
 		want := m.State()

@@ -28,7 +28,7 @@ type Advise struct {
 }
 
 func (s Advise) parse() (lssd.Style, error) {
-	if err := negative(count{"max_steps", s.MaxSteps}, count{"patterns", s.Patterns}, count{"workers", s.Workers}); err != nil {
+	if err := inRange(count{"max_steps", s.MaxSteps, MaxAdviseSteps}, count{"patterns", s.Patterns, MaxPatterns}, count{"workers", s.Workers, MaxWorkers}); err != nil {
 		return 0, err
 	}
 	if s.Target < 0 || s.Target > 1 {

@@ -30,7 +30,7 @@ type ATPGResult struct {
 }
 
 func (s ATPG) parse() (atpg.Engine, compact.Mode, error) {
-	if err := negative(count{"random", s.Random}, count{"workers", s.Workers}); err != nil {
+	if err := inRange(count{"random", s.Random, MaxPatterns}, count{"workers", s.Workers, MaxWorkers}); err != nil {
 		return 0, 0, err
 	}
 	engine := atpg.EnginePodem

@@ -30,7 +30,7 @@ type FuzzResult struct {
 
 // parse returns the explicit seed list, nil when the sweep is 1..Rounds.
 func (s Fuzz) parse() ([]int64, error) {
-	if err := negative(count{"rounds", s.Rounds}, count{"patterns", s.Patterns}); err != nil {
+	if err := inRange(count{"rounds", s.Rounds, MaxRounds}, count{"patterns", s.Patterns, MaxPatterns}); err != nil {
 		return nil, err
 	}
 	if s.Seeds == "" {

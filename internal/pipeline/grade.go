@@ -45,7 +45,7 @@ type FaultSimResult struct {
 }
 
 func (s FaultSim) parse() (fault.Backend, fault.DropMode, compact.Mode, error) {
-	if err := negative(count{"patterns", s.Patterns}, count{"workers", s.Workers}); err != nil {
+	if err := inRange(count{"patterns", s.Patterns, MaxPatterns}, count{"workers", s.Workers, MaxWorkers}); err != nil {
 		return 0, 0, 0, err
 	}
 	backend, err := fault.ParseBackend(s.Backend)
@@ -188,7 +188,7 @@ type DiagnoseResult struct {
 }
 
 func (s Diagnose) parse() (fault.Backend, compact.Mode, error) {
-	if err := negative(count{"patterns", s.Patterns}, count{"workers", s.Workers}, count{"top", s.Top}); err != nil {
+	if err := inRange(count{"patterns", s.Patterns, MaxPatterns}, count{"workers", s.Workers, MaxWorkers}, count{"top", s.Top, MaxTop}); err != nil {
 		return 0, 0, err
 	}
 	if s.Inject != "" && s.Signature != "" {

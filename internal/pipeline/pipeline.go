@@ -38,17 +38,36 @@ const (
 	DefaultFuzzPatterns     = 64
 )
 
-// count is a spec's count or size, named as dftd's options spell it.
+// The largest value each count may take. A run sizes buffers from its
+// counts before any work starts — one row per random pattern, one
+// simulator slot per worker — so a count past its bound is refused at
+// validation, where dftd answers 400, rather than left to exhaust the
+// server's memory. Each bound admits the defaults above with room to
+// spare; the largest budgets in use are 131,072 patterns and
+// 1,000,000 fuzz rounds.
+const (
+	MaxPatterns    = 1 << 18 // also bounds ATPG's random-first budget
+	MaxRounds      = 1 << 20
+	MaxWorkers     = 1 << 10
+	MaxTop         = 1 << 12
+	MaxAdviseSteps = 1 << 12
+)
+
+// count is a spec's count or size, named as dftd's options spell it,
+// with its bound from the table above.
 type count struct {
-	name string
-	v    int
+	name   string
+	v, max int
 }
 
-// negative rejects the first count below zero.
-func negative(counts ...count) error {
+// inRange rejects the first count below zero or above its bound.
+func inRange(counts ...count) error {
 	for _, c := range counts {
 		if c.v < 0 {
 			return fmt.Errorf("%s %d is negative", c.name, c.v)
+		}
+		if c.v > c.max {
+			return fmt.Errorf("%s %d exceeds the bound %d", c.name, c.v, c.max)
 		}
 	}
 	return nil

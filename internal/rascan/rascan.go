@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math"
 
+	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // LatchKind selects between the paper's two addressable latch designs.
@@ -30,7 +30,7 @@ const (
 // RAS couples a simulated machine with a random-access scan network.
 type RAS struct {
 	c    *logic.Circuit
-	m    *sim.Machine
+	m    *fault.Machine
 	kind LatchKind
 	// Address geometry: latches arranged in an X×Y grid.
 	xBits, yBits int
@@ -40,7 +40,7 @@ type RAS struct {
 }
 
 // New builds a RAS wrapper for the machine's flip-flops.
-func New(m *sim.Machine, kind LatchKind) *RAS {
+func New(m *fault.Machine, kind LatchKind) *RAS {
 	n := m.Circuit().NumDFFs()
 	if n == 0 {
 		panic("rascan: circuit has no storage elements")
@@ -145,7 +145,7 @@ func (r *RAS) ReadState() []bool {
 }
 
 // Machine exposes the wrapped machine for functional cycles.
-func (r *RAS) Machine() *sim.Machine { return r.m }
+func (r *RAS) Machine() *fault.Machine { return r.m }
 
 // Overhead reports the paper's hardware accounting for a Random-Access
 // Scan network over n latches and optional observation-only points.

@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
-	"dft/internal/sim"
+	"dft/internal/fault"
 )
 
 func TestReadWritePolarityHold(t *testing.T) {
 	c := circuits.Counter(4)
-	r := New(sim.NewMachine(c), PolarityHold)
+	r := New(fault.NewMachine(c, nil), PolarityHold)
 	r.Write(2, true)
 	if !r.Read(2) {
 		t.Fatal("written latch reads back false")
@@ -25,7 +25,7 @@ func TestReadWritePolarityHold(t *testing.T) {
 
 func TestSetResetDiscipline(t *testing.T) {
 	c := circuits.Counter(4)
-	r := New(sim.NewMachine(c), SetReset)
+	r := New(fault.NewMachine(c, nil), SetReset)
 	r.Preset(1)
 	r.Preset(3)
 	st := r.Machine().State()
@@ -51,7 +51,7 @@ func TestLoadStateBothKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, kind := range []LatchKind{PolarityHold, SetReset} {
 		c := circuits.Counter(6)
-		r := New(sim.NewMachine(c), kind)
+		r := New(fault.NewMachine(c, nil), kind)
 		want := make([]bool, 6)
 		for i := range want {
 			want[i] = rng.Intn(2) == 1
@@ -76,7 +76,7 @@ func TestLoadStateBothKinds(t *testing.T) {
 func TestRandomAccessBeatsSerialForSingleLatch(t *testing.T) {
 	n := 64
 	c := circuits.Counter(n)
-	r := New(sim.NewMachine(c), PolarityHold)
+	r := New(fault.NewMachine(c, nil), PolarityHold)
 	r.Write(n-1, true)
 	if r.AddressLoads != 1 {
 		t.Fatalf("single-latch write cost %d operations; serial scan would cost %d shifts",
@@ -86,7 +86,7 @@ func TestRandomAccessBeatsSerialForSingleLatch(t *testing.T) {
 
 func TestFunctionalOperationAfterLoad(t *testing.T) {
 	c := circuits.Counter(4)
-	r := New(sim.NewMachine(c), PolarityHold)
+	r := New(fault.NewMachine(c, nil), PolarityHold)
 	r.LoadState([]bool{true, true, false, false}) // 3
 	r.Machine().Step([]bool{true})
 	var got uint
@@ -118,7 +118,7 @@ func TestEstimateOverhead(t *testing.T) {
 
 func TestReadStateMatchesMachine(t *testing.T) {
 	c := circuits.Counter(5)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	r := New(m, PolarityHold)
 	for i := 0; i < 11; i++ {
 		m.Step([]bool{true})
@@ -134,7 +134,7 @@ func TestReadStateMatchesMachine(t *testing.T) {
 
 func TestAddrValidation(t *testing.T) {
 	c := circuits.Counter(3)
-	r := New(sim.NewMachine(c), PolarityHold)
+	r := New(fault.NewMachine(c, nil), PolarityHold)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range address must panic")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dft/internal/circuits"
+	"dft/internal/fault"
 	"dft/internal/sim"
 )
 
@@ -151,7 +152,7 @@ func TestInsertBlockingFFPipelinesNet(t *testing.T) {
 	c := circuits.RippleAdder(4)
 	mid, _ := c.NetByName("C2")
 	cut := InsertBlockingFF(c, mid)
-	m := sim.NewMachine(cut)
+	m := fault.NewMachine(cut, nil)
 	in := []bool{true, true, false, true, true, false, true, false, false} // A=1011? packed A,B,CIN
 	m.Step(in)
 	out := m.Apply(in)

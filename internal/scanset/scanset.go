@@ -12,8 +12,8 @@ package scanset
 import (
 	"fmt"
 
+	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // MaxBits is the width of the classical bit-serial register.
@@ -23,7 +23,7 @@ const MaxBits = 64
 // the sampled nets; SetPoints are flip-flops the set function can load.
 type ScanSet struct {
 	c         *logic.Circuit
-	m         *sim.Machine
+	m         *fault.Machine
 	taps      []int
 	setPoints []int // DFF element nets
 	reg       []bool
@@ -32,7 +32,7 @@ type ScanSet struct {
 
 // New wires a Scan/Set register to machine m sampling the given nets
 // and able to set the given flip-flops.
-func New(m *sim.Machine, taps []int, setPoints []int) *ScanSet {
+func New(m *fault.Machine, taps []int, setPoints []int) *ScanSet {
 	c := m.Circuit()
 	if len(taps) > MaxBits {
 		panic(fmt.Sprintf("scanset: %d taps exceed the %d-bit register", len(taps), MaxBits))
@@ -93,7 +93,7 @@ func (s *ScanSet) Set(vals []bool) {
 }
 
 // Machine exposes the underlying machine for driving system cycles.
-func (s *ScanSet) Machine() *sim.Machine { return s.m }
+func (s *ScanSet) Machine() *fault.Machine { return s.m }
 
 // CoverageProfile describes the observability a Scan/Set configuration
 // achieves: which flip-flops are settable, which nets sampled.

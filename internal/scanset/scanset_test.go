@@ -6,12 +6,11 @@ import (
 	"dft/internal/atpg"
 	"dft/internal/circuits"
 	"dft/internal/fault"
-	"dft/internal/sim"
 )
 
 func TestSampleSnapshotsRunningMachine(t *testing.T) {
 	c := circuits.Counter(4)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	taps := append([]int(nil), c.DFFs...)
 	ss := New(m, taps, nil)
 
@@ -42,7 +41,7 @@ func TestSampleSnapshotsRunningMachine(t *testing.T) {
 func TestSampleInternalNets(t *testing.T) {
 	// Scan/Set can sample arbitrary nets, not just latches.
 	c := circuits.Counter(3)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	t1, _ := c.NetByName("T1")
 	ca0, _ := c.NetByName("CA0")
 	ss := New(m, []int{t1, ca0}, nil)
@@ -57,7 +56,7 @@ func TestSampleInternalNets(t *testing.T) {
 
 func TestSetFunctionLoadsLatches(t *testing.T) {
 	c := circuits.Counter(4)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	ss := New(m, c.DFFs, c.DFFs)
 	ss.Set([]bool{true, false, true, false}) // load 5
 	m.Step([]bool{true})
@@ -74,7 +73,7 @@ func TestSetFunctionLoadsLatches(t *testing.T) {
 
 func TestMaxBitsEnforced(t *testing.T) {
 	c := circuits.Counter(4)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	taps := make([]int, 65)
 	defer func() {
 		if recover() == nil {
@@ -86,7 +85,7 @@ func TestMaxBitsEnforced(t *testing.T) {
 
 func TestSetPointValidation(t *testing.T) {
 	c := circuits.Counter(4)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	en, _ := c.NetByName("EN")
 	defer func() {
 		if recover() == nil {
@@ -120,7 +119,7 @@ func TestPartialScanCoverageBand(t *testing.T) {
 		t.Fatalf("coverage ordering violated: primary %.3f, partial %.3f, full %.3f",
 			primary, partial, full)
 	}
-	p := New(sim.NewMachine(c), c.DFFs[:4], c.DFFs[:4]).Profile()
+	p := New(fault.NewMachine(c, nil), c.DFFs[:4], c.DFFs[:4]).Profile()
 	if p.SetDFFs != 4 || p.TotalDFFs != 8 {
 		t.Fatalf("profile %v", p)
 	}
@@ -128,7 +127,7 @@ func TestPartialScanCoverageBand(t *testing.T) {
 
 func TestMachineAccessor(t *testing.T) {
 	c := circuits.Counter(3)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	ss := New(m, c.DFFs, nil)
 	if ss.Machine() != m {
 		t.Fatal("Machine accessor broken")

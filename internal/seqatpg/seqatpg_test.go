@@ -36,7 +36,7 @@ func TestUnrollMatchesSequentialSim(t *testing.T) {
 		flat = append(flat, p...)
 	}
 	vals := sim.Eval(u.C, flat, nil)
-	m := sim.NewMachine(c)
+	m := fault.NewMachine(c, nil)
 	for tme, p := range seq {
 		out := m.Apply(p)
 		for i, po := range c.POs {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -857,6 +858,60 @@ func TestServiceCancelledJobsFreeQueue(t *testing.T) {
 	if g := reg.Gauge("service.queue.depth").Value(); g != 6 {
 		t.Fatalf("service.queue.depth = %d, want 6", g)
 	}
+}
+
+// TestServiceRejectsOversizedCounts: a count past its pipeline bound
+// is refused at admission with a bad-request error naming the field,
+// its value and the bound, and the same server then finishes a normal
+// job. The one worker is busy throughout the rejections, so a wrongly
+// admitted job would wait in the queue and be cancelled, never run.
+func TestServiceRejectsOversizedCounts(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{Workers: 1, QueueDepth: 8})
+	defer func() {
+		ctx, stop := context.WithCancel(context.Background())
+		stop()
+		srv.Shutdown(ctx) //nolint:errcheck // a hard stop reports ctx.Err()
+	}()
+	blocker, err := srv.Submit(slowJob(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ts.URL, blocker.ID, StateRunning)
+	const huge = 1 << 40
+	for _, tc := range []struct {
+		field string
+		req   JobRequest
+	}{
+		{"patterns", JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: huge}}},
+		{"workers", JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Workers: huge}}},
+		{"random", JobRequest{Kind: KindATPG, Builtin: "c17", Options: Options{Random: huge}}},
+		{"rounds", JobRequest{Kind: KindFuzz, Options: Options{Rounds: huge}}},
+		{"top", JobRequest{Kind: KindDiagnose, Builtin: "c17", Options: Options{Top: huge, Inject: "g5 s-a-1"}}},
+		{"max_steps", JobRequest{Kind: KindAdvise, Builtin: "c17", Options: Options{MaxSteps: huge}}},
+	} {
+		j, err := srv.Submit(tc.req)
+		if j != nil {
+			srv.Cancel(j.ID) //nolint:errcheck // the test fails below either way
+		}
+		var bad *ErrBadRequest
+		if !errors.As(err, &bad) {
+			t.Fatalf("%s %d: Submit returned %v, want *ErrBadRequest", tc.field, huge, err)
+		}
+		if want := fmt.Sprintf("%s %d exceeds the bound", tc.field, huge); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not say %q", tc.field, err, want)
+		}
+	}
+	if _, code, _ := postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: huge}}); code != http.StatusBadRequest {
+		t.Fatalf("POST with patterns %d: status %d, want 400", huge, code)
+	}
+	if _, err := srv.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	v, code, e := postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: 64}})
+	if code != http.StatusAccepted {
+		t.Fatalf("normal job: status %d (%s)", code, e.Error)
+	}
+	waitState(t, ts.URL, v.ID, StateDone)
 }
 
 // TestServiceATPGAndTimeout: an atpg job completes with plausible

@@ -15,16 +15,8 @@ import (
 	"dft/internal/fault"
 	"dft/internal/lfsr"
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
-
-// machine abstracts good and faulty board simulations.
-type machine interface {
-	Apply(pi []bool) []bool
-	Clock()
-	Peek(net int) bool
-}
 
 // Analyzer is the external signature-analysis tool: a probe feeding a
 // k-bit LFSR synchronized with the board clock.
@@ -40,7 +32,7 @@ func NewAnalyzer(width int) *Analyzer { return &Analyzer{Width: width} }
 // returning the signature. The session must be identical for every
 // probing, which is why the board needs initialization and a fixed
 // clock count.
-func (a *Analyzer) Probe(m machine, stimulus [][]bool, net int) uint64 {
+func (a *Analyzer) Probe(m *fault.Machine, stimulus [][]bool, net int) uint64 {
 	reg := telemetry.Default()
 	defer reg.Timer("signature.probe").Time()()
 	reg.Counter("signature.probes").Inc()
@@ -109,8 +101,7 @@ func SelfStimulus(c *logic.Circuit, cycles int) [][]bool {
 func (b *Board) GoldenSignatures(a *Analyzer, nets []int) map[int]uint64 {
 	sigs := make(map[int]uint64, len(nets))
 	for _, n := range nets {
-		m := sim.NewMachine(b.C)
-		sigs[n] = a.Probe(m, b.Stimulus, n)
+		sigs[n] = a.Probe(fault.NewMachine(b.C, nil), b.Stimulus, n)
 	}
 	return sigs
 }
@@ -236,7 +227,7 @@ func (b *Board) Diagnose(a *Analyzer, f fault.Fault) (Diagnosis, error) {
 		}
 		good := true
 		for _, n := range m.Outputs {
-			fm := fault.NewMachine(b.C, f)
+			fm := fault.NewMachine(b.C, &f)
 			sig := a.Probe(fm, b.Stimulus, n)
 			diag.Probes++
 			if sig != golden[n] {
@@ -300,12 +291,11 @@ func (b *Board) topoOrder() ([]string, error) {
 // error streams were caught — with a 16-bit register this approaches
 // 1 - 2^-16 of the faults that disturb the net at all.
 func DetectionExperiment(b *Board, a *Analyzer, net int, faults []fault.Fault) (caught, disturbed int) {
-	m := sim.NewMachine(b.C)
-	golden := a.Probe(m, b.Stimulus, net)
+	golden := a.Probe(fault.NewMachine(b.C, nil), b.Stimulus, net)
 	for _, f := range faults {
-		fm := fault.NewMachine(b.C, f)
+		fm := fault.NewMachine(b.C, &f)
 		// Does the fault disturb the probed stream at all?
-		gm := sim.NewMachine(b.C)
+		gm := fault.NewMachine(b.C, nil)
 		streamDiffers := false
 		for _, pat := range b.Stimulus {
 			fm.Apply(pat)
@@ -320,7 +310,7 @@ func DetectionExperiment(b *Board, a *Analyzer, net int, faults []fault.Fault) (
 			continue
 		}
 		disturbed++
-		fm2 := fault.NewMachine(b.C, f)
+		fm2 := fault.NewMachine(b.C, &f)
 		if a.Probe(fm2, b.Stimulus, net) != golden {
 			caught++
 		}

@@ -6,7 +6,6 @@ import (
 	"dft/internal/circuits"
 	"dft/internal/fault"
 	"dft/internal/logic"
-	"dft/internal/sim"
 )
 
 // testBoard builds a small self-stimulating "microprocessor board":
@@ -192,12 +191,12 @@ func TestShortSignatureAliasesMoreThanLong(t *testing.T) {
 }
 
 func TestMachineInterfaces(t *testing.T) {
-	// Both machines satisfy the probe interface.
+	// The probe takes the good and the faulty machine alike.
 	b := testBoard(t)
 	a := NewAnalyzer(8)
 	q0, _ := b.C.NetByName("Q0")
-	var g machine = sim.NewMachine(b.C)
-	var f machine = fault.NewMachine(b.C, fault.Fault{Gate: q0, Pin: fault.Stem, SA: logic.One})
+	g := fault.NewMachine(b.C, nil)
+	f := fault.NewMachine(b.C, &fault.Fault{Gate: q0, Pin: fault.Stem, SA: logic.One})
 	if a.Probe(g, b.Stimulus, q0) == a.Probe(f, b.Stimulus, q0) {
 		t.Fatal("stuck Q0 should change its own signature")
 	}

@@ -220,96 +220,41 @@ func OrDefault(r *Registry) *Registry {
 	return r
 }
 
-// Counter returns (creating on first use) the named counter.
-func (r *Registry) Counter(name string) *Counter {
+// instrument returns the named instrument of m, creating it on first
+// use. Reset zeroes instruments in place and never removes them, so a
+// returned handle stays valid for the registry's lifetime.
+func instrument[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	c, ok := r.counters[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
+	if v, ok = m[name]; ok {
+		return v
 	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	v = new(T)
+	m[name] = v
+	return v
 }
+
+// Counter returns (creating on first use) the named counter.
+func (r *Registry) Counter(name string) *Counter { return instrument(r, r.counters, name) }
 
 // Gauge returns (creating on first use) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return instrument(r, r.gauges, name) }
 
 // Timer returns (creating on first use) the named timer.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.RLock()
-	t, ok := r.timers[name]
-	r.mu.RUnlock()
-	if ok {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t, ok = r.timers[name]; ok {
-		return t
-	}
-	t = &Timer{}
-	r.timers[name] = t
-	return t
-}
+func (r *Registry) Timer(name string) *Timer { return instrument(r, r.timers, name) }
 
 // Histogram returns (creating on first use) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return instrument(r, r.hists, name) }
 
 // Progress returns (creating on first use) the named progress
 // tracker.
-func (r *Registry) Progress(name string) *Progress {
-	r.mu.RLock()
-	p, ok := r.progress[name]
-	r.mu.RUnlock()
-	if ok {
-		return p
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok = r.progress[name]; ok {
-		return p
-	}
-	p = &Progress{}
-	r.progress[name] = p
-	return p
-}
+func (r *Registry) Progress(name string) *Progress { return instrument(r, r.progress, name) }
 
 // ProgressStats returns a point-in-time copy of every progress
 // tracker — the cheap polling surface for live monitors (no timer or
