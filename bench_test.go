@@ -429,6 +429,31 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
+// The no-drop kernel cost on a grade-shaped job: a 2,000-gate random
+// netlist graded by 192 patterns with dropping off, on cpt (stem flips)
+// and on parallel (one propagation per fault per block), one worker so
+// the counts do not move with the machine. fault.sim.events/op is the
+// gate evaluations one grade costs, good machine included; both
+// kernels drop a pattern lane once a view output has shown it.
+func BenchmarkGradeNoDrop(b *testing.B) {
+	c := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 2000, 32, 4)
+	faults := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+	pats := benchPatterns(c, 192)
+	for _, be := range []fault.Backend{fault.BackendCPT, fault.BackendParallel} {
+		b.Run(be.String(), func(b *testing.B) {
+			reg := telemetry.NewRegistry()
+			eng := fault.NewEngine(c, fault.Options{Backend: be, Drop: fault.DropOff, Workers: 1, Metrics: reg, NoProgress: true})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(context.Background(), faults, pats); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(reg.Counter("fault.sim.events").Value())/float64(b.N), "fault.sim.events/op")
+		})
+	}
+}
+
 // Ablation 2: bit-parallel vs serial fault simulation.
 func BenchmarkAblationSimParallel(b *testing.B) {
 	c := circuits.ArrayMultiplier(5)

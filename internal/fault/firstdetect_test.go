@@ -68,6 +68,76 @@ func checkGradeDigest(t *testing.T, key string, workers int, got string) {
 	}
 }
 
+// noDropDigests pins the grades that return every detection on the
+// same 2,000-gate netlist as gradeDigests: a 192-pattern DropOff grade
+// (Auto, which runs cpt, and explicit parallel share one digest), the
+// RunDetail rows of 200 patterns (three full blocks and one of eight,
+// on both backends), and the 8-pattern DropOn re-grade Auto sends to
+// cpt. They were recorded on the kernel that propagated every lane of
+// a stem flip and of a DropOff fault to the end of its cone.
+var noDropDigests = map[string]string{
+	"dropoff": "72ee66c9e8451745926d3e3cbfd3f979b050868edeff2b51acfe26f9b7e96dd0",
+	"detail":  "1c14780268a7a4721570f780e0b180283a7446917b83580776e7c6b54d63a828",
+	"regrade": "2f29fb4846287f6b9aab6b295026b8db0b1f15391a8ebe70bd7c7b9cc449e349",
+}
+
+// TestGradeNoDropDigest pins the detect-only kernel paths: cpt stem
+// flips and the DropOff PPSFP block loop, through Simulate and
+// RunDetail, at 1 and 4 workers.
+func TestGradeNoDropDigest(t *testing.T) {
+	c := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 2000, 32, 4)
+	faults := CollapseEquiv(c, Universe(c)).Reps
+	pats := enginePatterns(len(c.PIs), 200, 202)
+	resultDigest := func(res *Result) string {
+		h := sha256.New()
+		for i, d := range res.Detected {
+			fmt.Fprintf(h, "%v %d\n", d, res.DetectedBy[i])
+		}
+		fmt.Fprintln(h, res.NumCaught)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, w := range []int{1, 4} {
+		for _, be := range []Backend{Auto, BackendParallel} {
+			reg := telemetry.NewRegistry()
+			opts := Options{Backend: be, Workers: w, Drop: DropOff, Metrics: reg}
+			res, err := Simulate(context.Background(), c, faults, pats[:192], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if be == Auto && reg.Timer("fault.sim.cpt").Stats().Count != 1 {
+				t.Fatalf("workers=%d: Auto DropOff grade did not run on cpt", w)
+			}
+			checkNoDropDigest(t, "dropoff", be, w, resultDigest(res))
+
+			dr, err := NewEngine(c, opts).RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, row := range dr.Detect {
+				fmt.Fprintf(h, "%016x\n", row)
+			}
+			checkNoDropDigest(t, "detail", be, w, hex.EncodeToString(h.Sum(nil)))
+		}
+		reg := telemetry.NewRegistry()
+		res, err := Simulate(context.Background(), c, faults, pats[:8], Options{Workers: w, Drop: DropOn, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg.Timer("fault.sim.cpt").Stats().Count != 1 {
+			t.Fatalf("workers=%d: Auto 8-pattern re-grade did not run on cpt", w)
+		}
+		checkNoDropDigest(t, "regrade", Auto, w, resultDigest(res))
+	}
+}
+
+func checkNoDropDigest(t *testing.T, key string, be Backend, workers int, got string) {
+	t.Helper()
+	if want := noDropDigests[key]; got != want {
+		t.Errorf("%s %v workers=%d: digest %s, want %s", key, be, workers, got, want)
+	}
+}
+
 // TestDropsPerBlockWorkerInvariant requires fault.sim.drops_per_block
 // to observe each graded block once, with the faults it dropped, so its
 // count, sum and buckets are the same at every worker count. The

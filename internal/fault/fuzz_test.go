@@ -121,20 +121,26 @@ func firstDetectViews(c *logic.Circuit) []fault.View {
 	return []fault.View{{}, scan}
 }
 
-// FuzzFirstDetect checks the first-detect kernel against the full-word
-// one on a seed-generated circuit, under the primary and the full-scan
-// view, for every fault of the universe (stems, branches and the
-// flip-flop D pins that collapsing folds away), over one full and one
-// partial block. On one simulator it interleaves
-// FirstDetect with FlipMask and FaultMask calls and requires:
+// FuzzFirstDetect checks the kernel's detect-only entries against the
+// full-word one on a seed-generated circuit, under the primary and the
+// full-scan view, for every fault of the universe (stems, branches and
+// the flip-flop D pins that collapsing folds away), over one full and
+// one partial block. A reference simulator runs only FaultMask, which
+// carries every lane to the end of the cone. On a second simulator
+// FirstDetect, DetectMask and FlipMask each drop lanes as view outputs
+// show them; per fault they run in an order that rotates with the
+// fault's index, so each is in turn the call just before a FaultMask.
+// The target requires:
 //
-//   - FirstDetect's word is the lowest bit of FaultMask(f) & mask;
-//   - the propagation stopped at that detection: exactly one view
+//   - FirstDetect's word is the lowest bit of FaultMask(f) & mask, and
+//     the propagation stopped at that detection: exactly one view
 //     output differs from the good machine in the detecting lane;
-//   - every FlipMask and FaultMask after an early stop returns the same
-//     word, and leaves the same FaultyWord on every net, as a reference
-//     simulator that never runs FirstDetect, so a stop leaves nothing
-//     queued behind it.
+//   - DetectMask(f, mask) is FaultMask(f) & mask;
+//   - FlipMask(n, mask) is (FaultMask(n s-a-0) | FaultMask(n s-a-1)) &
+//     mask, with n the fault's gate;
+//   - the FaultMask after those calls returns the reference's word and
+//     leaves the reference's FaultyWord on every net, so an early stop
+//     leaves nothing queued or unrestored behind it.
 //
 // Run: go test -fuzz=FuzzFirstDetect -fuzztime=10s ./internal/fault
 func FuzzFirstDetect(f *testing.F) {
@@ -158,32 +164,48 @@ func FuzzFirstDetect(f *testing.F) {
 					where := func() string {
 						return fmt.Sprintf("seed %d view %d block %d (%d patterns) fault %v", seed, vi, bi, k, fl)
 					}
-					got := ps.FirstDetect(fl, mask)
-					if got != 0 {
-						hit := map[int]bool{}
-						for _, o := range out {
-							if (ps.FaultyWord(o)^ps.GoodWord(o))&got != 0 {
-								hit[o] = true
+					stem := fault.Fault{Gate: fl.Gate, Pin: fault.Stem, SA: logic.Zero}
+					flip := ref.FaultMask(stem)
+					stem.SA = logic.One
+					flip = (flip | ref.FaultMask(stem)) & mask
+					want := ref.FaultMask(fl)
+					checks := []func(){
+						func() {
+							got := ps.FirstDetect(fl, mask)
+							if lowest := want & mask & -(want & mask); got != lowest {
+								t.Fatalf("%s: FirstDetect %016x, lowest bit of FaultMask&mask %016x", where(), got, lowest)
 							}
-						}
-						if len(hit) != 1 {
-							t.Fatalf("%s: %d view outputs differ in detecting lane %016x, want 1", where(), len(hit), got)
-						}
+							if got == 0 {
+								return
+							}
+							hit := map[int]bool{} // a net can be listed twice, as a PO and a D input
+							for _, o := range out {
+								if (ps.FaultyWord(o)^ps.GoodWord(o))&got != 0 {
+									hit[o] = true
+								}
+							}
+							if len(hit) != 1 {
+								t.Fatalf("%s: %d view outputs differ in detecting lane %016x, want 1", where(), len(hit), got)
+							}
+						},
+						func() {
+							if got := ps.DetectMask(fl, mask); got != want&mask {
+								t.Fatalf("%s: DetectMask %016x, FaultMask&mask %016x", where(), got, want&mask)
+							}
+						},
+						func() {
+							if got := ps.FlipMask(fl.Gate, mask); got != flip {
+								t.Fatalf("%s: FlipMask(%d) %016x, stuck-at-0|1 FaultMask&mask %016x", where(), fl.Gate, got, flip)
+							}
+						},
 					}
-					if i%2 == 1 {
-						if a, b := ps.FlipMask(fl.Gate), ref.FlipMask(fl.Gate); a != b {
-							t.Fatalf("%s: FlipMask(%d) %016x after FirstDetect, reference %016x", where(), fl.Gate, a, b)
-						}
-						sameFaultyWords(t, c, ps, ref, where)
+					for j := range checks {
+						checks[(i+j)%len(checks)]()
 					}
-					full, want := ps.FaultMask(fl), ref.FaultMask(fl)
-					if full != want {
-						t.Fatalf("%s: FaultMask %016x after FirstDetect, reference %016x", where(), full, want)
+					if full := ps.FaultMask(fl); full != want {
+						t.Fatalf("%s: FaultMask %016x after the detect-only calls, reference %016x", where(), full, want)
 					}
 					sameFaultyWords(t, c, ps, ref, where)
-					if want &= mask; got != want&-want {
-						t.Fatalf("%s: FirstDetect %016x, FaultMask&mask %016x", where(), got, want)
-					}
 				}
 			}
 		}

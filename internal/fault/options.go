@@ -84,6 +84,8 @@ const (
 	DropOn DropMode = iota
 	// DropOff grades every fault against every pattern on every
 	// backend — the ablation setting measuring what dropping buys.
+	// The kernel still drops each pattern lane from a fault's
+	// propagation once a view output has shown it (DetectMask).
 	DropOff
 )
 

@@ -230,7 +230,7 @@ type ParallelSim struct {
 	pending int       // queued gates not yet evaluated
 	det     uint64    // detections of the propagation in progress
 	care    uint64    // pattern lanes the propagation in progress still grades
-	first   bool      // propagation stops at its lowest detecting lane
+	mode    propMode  // what a detection does to care
 	liveBuf []int     // blockLoop's live list, reused across calls
 
 	// Work counters, accumulated as plain ints (the simulator is owned
@@ -316,13 +316,35 @@ func blockMask(k int) uint64 {
 	return 1<<uint(k) - 1
 }
 
+// propMode is what a detection does to the lanes a propagation still
+// carries. Only FaultMask keeps every lane, because its callers read
+// the whole faulty machine through FaultyWord; an entry that returns
+// only detections drops each lane once a view output has shown it.
+type propMode uint8
+
+const (
+	keepAll   propMode = iota // FaultMask: care never shrinks
+	dropSeen                  // DetectMask, FlipMask: a detected lane leaves care
+	firstSeen                 // FirstDetect: care shrinks to the lanes below the lowest detection
+)
+
 // FaultMask simulates one fault against the loaded block, returning a
 // bitmask of the patterns (bit p = pattern p) that detect it. Faults
 // on source elements pin the source net — a DFF D-pin fault replaces
 // the captured operand, which the element passes through — mirroring
-// the serial backend.
+// the serial backend. It carries every lane to the end of the fault's
+// cone, so FaultyWord afterwards reads the whole faulty machine.
 func (ps *ParallelSim) FaultMask(f Fault) uint64 {
-	return ps.inject(f, ^uint64(0), false)
+	return ps.inject(f, ^uint64(0), keepAll)
+}
+
+// DetectMask is FaultMask for a grade that needs only the detections:
+// it returns FaultMask(f) & mask, but drops each lane from the
+// propagation once a view output has shown it and stops once no lane
+// of mask is left, so FaultyWord afterwards is exact only on the lanes
+// that no output detected.
+func (ps *ParallelSim) DetectMask(f Fault, mask uint64) uint64 {
+	return ps.inject(f, mask, dropSeen)
 }
 
 // FirstDetect is FaultMask for a grade that keeps only a fault's first
@@ -331,52 +353,53 @@ func (ps *ParallelSim) FaultMask(f Fault) uint64 {
 // the lowest detection found so far and stops once none is left, so
 // FaultyWord afterwards is exact on those lanes only.
 func (ps *ParallelSim) FirstDetect(f Fault, mask uint64) uint64 {
-	return ps.inject(f, mask, true)
+	return ps.inject(f, mask, firstSeen)
 }
 
 // inject puts fault f on the loaded block and propagates it over the
 // care lanes.
-func (ps *ParallelSim) inject(f Fault, care uint64, first bool) uint64 {
+func (ps *ParallelSim) inject(f Fault, care uint64, mode propMode) uint64 {
 	stuck := uint64(0)
 	if f.SA == logic.One {
 		stuck = ^uint64(0)
 	}
 	if f.Pin == Stem || !ps.c.Gates[f.Gate].Type.IsCombinational() {
-		return ps.propagate(int32(f.Gate), stuck, care, first)
+		return ps.propagate(int32(f.Gate), stuck, care, mode)
 	}
 	// Branch fault: only gate f.Gate sees the corrupt operand. Its
 	// fanins are upstream of every fault effect, so their good words
 	// are current.
 	ps.nEvals++
-	return ps.propagate(int32(f.Gate), ps.t.evalPinned(f.Gate, f.Pin, ps.good, stuck), care, first)
+	return ps.propagate(int32(f.Gate), ps.t.evalPinned(f.Gate, f.Pin, ps.good, stuck), care, mode)
 }
 
 // FlipMask event-propagates the complement of net n's good value
-// through its combinational fanout cone and returns the patterns on
-// which the flip reaches a view output — the exact observability of n
-// for the loaded block.
-func (ps *ParallelSim) FlipMask(n int) uint64 {
-	return ps.propagate(int32(n), ^ps.good[n], ^uint64(0), false)
+// through its combinational fanout cone and returns the patterns in
+// mask on which the flip reaches a view output — the exact
+// observability of n for the loaded block. Like DetectMask, it drops
+// each lane once an output has shown it.
+func (ps *ParallelSim) FlipMask(n int, mask uint64) uint64 {
+	return ps.propagate(int32(n), ^ps.good[n], mask, dropSeen)
 }
 
-// propagate is the kernel behind FaultMask, FirstDetect and FlipMask:
-// net n takes word w, and the change is event-propagated level by
-// level through n's combinational fanout cone until nothing is
-// pending. A gate is re-evaluated, written and its readers queued only
-// when its word differs from the good machine's in a care lane; lanes
-// outside care are left unexact. It returns the care lanes on which
-// some view output differs from the good machine. Under first, each
-// detection shrinks care to the lanes below the lowest detecting one,
-// so the result is that lane's one-bit word, and the propagation stops
-// as soon as care is empty, unqueueing whatever it leaves behind.
-func (ps *ParallelSim) propagate(n int32, w, care uint64, first bool) uint64 {
+// propagate is the kernel behind FaultMask, DetectMask, FirstDetect
+// and FlipMask: net n takes word w, and the change is event-propagated
+// level by level through n's combinational fanout cone until nothing
+// is pending. A gate is re-evaluated, written and its readers queued
+// only when its word differs from the good machine's in a care lane;
+// lanes outside care are left unexact. It returns the care lanes on
+// which some view output differs from the good machine. Unless mode
+// is keepAll, each detection shrinks care (see set), and the
+// propagation stops as soon as care is empty, unqueueing whatever it
+// leaves behind.
+func (ps *ParallelSim) propagate(n int32, w, care uint64, mode propMode) uint64 {
 	ps.nMasks++
 	cur, t := ps.cur, ps.t
 	for _, d := range ps.dirty {
 		cur[d] = ps.good[d]
 	}
 	ps.dirty = ps.dirty[:0]
-	ps.det, ps.care, ps.first = 0, care, first
+	ps.det, ps.care, ps.mode = 0, care, mode
 	if (w^cur[n])&care == 0 {
 		return 0
 	}
@@ -418,18 +441,24 @@ func (ps *ParallelSim) drain(rest []int32, lv int32) {
 }
 
 // set writes faulty word w to net n, records any detection in a care
-// lane and queues n's combinational readers.
+// lane and queues n's combinational readers. A detection in lanes d
+// takes them out of care under dropSeen; under firstSeen it keeps only
+// the lowest, and care shrinks to the lanes below it.
 func (ps *ParallelSim) set(n int32, w uint64) {
 	t := ps.t
 	ps.cur[n] = w
 	ps.dirty = append(ps.dirty, n)
 	if t.isObs[n] {
 		if d := (w ^ ps.good[n]) & ps.care; d != 0 {
-			if ps.first {
+			switch ps.mode {
+			case keepAll:
+				ps.det |= d
+			case dropSeen:
+				ps.det |= d
+				ps.care &^= d
+			default:
 				d &= -d
 				ps.det, ps.care = d, d-1
-			} else {
-				ps.det |= d
 			}
 		}
 	}
@@ -446,7 +475,9 @@ func (ps *ParallelSim) set(n int32, w uint64) {
 func (ps *ParallelSim) GoodWord(n int) uint64 { return ps.good[n] }
 
 // FaultyWord returns net n's word as left by the most recent FaultMask
-// call (the good word if the fault never reached n).
+// call (the good word if the fault never reached n). After DetectMask,
+// FirstDetect or FlipMask it is exact only on the lanes they still
+// carried when they stopped.
 func (ps *ParallelSim) FaultyWord(n int) uint64 { return ps.cur[n] }
 
 // liveFor returns the simulator's reusable live-fault scratch list,
@@ -465,7 +496,8 @@ func (ps *ParallelSim) liveFor(n int) []int {
 // FirstDetect's one-bit word of its first detecting pattern in the
 // block, so the kernel carries only the lanes below a detection; drop
 // is set only when emit reports every detection done. Otherwise it is
-// the full FaultMask word. The engine calls it once per shard, so each
+// DetectMask's word of every detecting pattern, each lane carried only
+// until some output has shown it. The engine calls it once per shard, so each
 // call touches only its own fault range. The pattern blocks are packed
 // once by the caller and shared read-only across every shard and
 // worker. Work counters accumulate on ps for the caller to drain, the
@@ -491,7 +523,7 @@ func blockLoop(ctx context.Context, ps *ParallelSim, faults []Fault, lo, hi int,
 			if drop {
 				det = ps.FirstDetect(faults[fi], mask)
 			} else {
-				det = ps.FaultMask(faults[fi]) & mask
+				det = ps.DetectMask(faults[fi], mask)
 			}
 			if det == 0 || !emit(fi, bi, det) {
 				next = append(next, fi)

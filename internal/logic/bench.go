@@ -379,23 +379,47 @@ func benchType(fn string) (GateType, bool) {
 func WriteBench(w io.Writer, c *Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", c.Name)
+	writeBenchBody(bw, c)
+	return bw.Flush()
+}
+
+// benchWriter is what writeBenchBody renders into: a *bufio.Writer
+// for WriteBench, a *strings.Builder for CanonicalBench.
+type benchWriter interface {
+	WriteString(s string) (int, error)
+	WriteByte(b byte) error
+}
+
+// writeBenchBody renders everything of the .bench form below its
+// "# name" header: the INPUT and OUTPUT declarations, then one line per
+// non-input gate in net order.
+func writeBenchBody(w benchWriter, c *Circuit) {
 	for _, pi := range c.PIs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gates[pi].Name)
+		w.WriteString("INPUT(")
+		w.WriteString(c.Gates[pi].Name)
+		w.WriteString(")\n")
 	}
 	for _, po := range c.POs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gates[po].Name)
+		w.WriteString("OUTPUT(")
+		w.WriteString(c.Gates[po].Name)
+		w.WriteString(")\n")
 	}
-	for id, g := range c.Gates {
+	for _, g := range c.Gates {
 		if g.Type == Input {
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		w.WriteString(g.Name)
+		w.WriteString(" = ")
+		w.WriteString(benchName(g.Type))
+		w.WriteByte('(')
 		for i, f := range g.Fanin {
-			names[i] = c.Gates[f].Name
+			if i > 0 {
+				w.WriteString(", ")
+			}
+			w.WriteString(c.Gates[f].Name)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", c.Gates[id].Name, benchName(g.Type), strings.Join(names, ", "))
+		w.WriteString(")\n")
 	}
-	return bw.Flush()
 }
 
 func benchName(t GateType) string {
