@@ -92,7 +92,12 @@ func (d *Design) Analyze(k int) (testability.Summary, []testability.NetReport) {
 
 // ApplyScan converts the design to the given scan style. The original
 // circuit is retained; test generation switches to the full-scan view.
+// A scan style on a circuit without storage elements is an error: there
+// is nothing to chain.
 func (d *Design) ApplyScan(style Style) error {
+	if style != StyleNone && d.Circuit.NumDFFs() == 0 {
+		return fmt.Errorf("core: %v scan needs storage elements, and circuit %s has none", style, d.Circuit.Name)
+	}
 	switch style {
 	case StyleLSSD:
 		d.scan = lssd.NewDesign(d.Circuit, lssd.StyleLSSD)

@@ -49,6 +49,7 @@ type Engine struct {
 	topoOnce sync.Once
 	topo     *topology // flat netlist under the view, shared read-only
 	obs      []uint64  // cpt observability words, one per net
+	wobs     []uint64  // cpt group flips: wideBlocks words per stem, by stem index
 }
 
 // NewEngine prepares an engine for the circuit under the given
@@ -169,11 +170,13 @@ func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns
 	ctx, span := e.startSpan(ctx, name, be, auto, len(faults), nPats)
 	defer span.End()
 	var err error
-	switch be {
-	case BackendSerial:
+	switch {
+	case be == BackendSerial:
 		err = e.runSerial(ctx, span, faults, pats, emit)
-	case BackendCPT:
-		err = e.cptBlocks(ctx, span, faults, pats, emit)
+	case be == BackendCPT:
+		err = e.runCPT(ctx, span, faults, pats, drop, emit)
+	case auto && drop:
+		err = e.handOff(ctx, span, faults, pats, emit)
 	default:
 		w := e.noteWorkers(span, e.shardWorkers(len(faults)))
 		err = e.shardFaults(ctx, faults, pats, w, e.progress(int64(len(faults))), drop, emit)
@@ -190,13 +193,81 @@ func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns
 }
 
 // backend resolves Options.Backend for one job: Auto picks by the
-// job's shape through pickBackend, and auto reports that it did; an
-// explicit backend is honoured as-is.
+// job's shape and the view's reconvergent-stem count through
+// pickBackend, and auto reports that it did; an explicit backend is
+// honoured as-is. A job small enough for serial never builds the
+// topology.
 func (e *Engine) backend(nFaults, nPats int, drop bool) (be Backend, auto bool) {
 	if e.opts.Backend != Auto {
 		return e.opts.Backend, false
 	}
-	return pickBackend(nFaults, nPats, drop), true
+	stems := 0
+	if nFaults*nPats > serialJob {
+		stems = len(e.topology().stems)
+	}
+	return pickBackend(nFaults, nPats, stems, drop), true
+}
+
+// runCPT runs a whole grade on cpt, every block, at the cpt worker
+// rule. Progress counts patterns, or under dropping faults: each
+// block's drops, then the faults no block detected.
+func (e *Engine) runCPT(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, drop bool, emit emitFunc) error {
+	w := e.noteWorkers(span, e.cptWorkers())
+	total := pats.NumPatterns()
+	if drop {
+		total = len(faults)
+	}
+	prog := e.progress(int64(total))
+	live, _, err := e.cptBlocks(ctx, faults, pats, w, drop, 0, prog, emit)
+	if err == nil && drop && prog != nil {
+		prog.Add(int64(len(live)))
+	}
+	return err
+}
+
+// handOff is Auto's dropping grade. Before each block it asks one
+// count-only question, live ≥ cptPerStem × stems: while the answer is
+// yes the block runs on cpt, whose stem flips cost the same however
+// many faults are live; once it is no, PPSFP, whose cost falls with
+// the live list, grades the survivors over the remaining blocks in
+// one shardFaults call. The live list only shrinks, so a grade is a
+// cpt prefix and then a PPSFP tail, either possibly empty; the span
+// records both lengths as cpt_blocks and ppsfp_blocks. A fault's first
+// detection is the same on either backend, so the split never changes
+// a result. Progress counts faults, and drops_per_block observes every
+// block reached once, the cpt prefix included.
+func (e *Engine) handOff(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, emit emitFunc) error {
+	prog := e.progress(int64(len(faults)))
+	wc := e.cptWorkers()
+	live, next, err := e.cptBlocks(ctx, faults, pats, wc, true, cptPerStem*len(e.topology().stems), prog, emit)
+	if err != nil {
+		return err
+	}
+	tail := 0
+	if len(live) > 0 {
+		tail = pats.NumBlocks() - next
+	}
+	span.SetAttr("cpt_blocks", strconv.Itoa(next))
+	span.SetAttr("ppsfp_blocks", strconv.Itoa(tail))
+	if tail == 0 {
+		e.noteWorkers(span, wc)
+		if prog != nil {
+			prog.Add(int64(len(live)))
+		}
+		return nil
+	}
+	if next == 0 {
+		w := e.noteWorkers(span, e.shardWorkers(len(faults)))
+		return e.shardFaults(ctx, faults, pats, w, prog, true, emit)
+	}
+	survivors := make([]Fault, len(live))
+	for i, fi := range live {
+		survivors[i] = faults[fi]
+	}
+	w := e.shardWorkers(len(survivors))
+	e.noteWorkers(span, max(wc, w))
+	return e.shardFaults(ctx, survivors, pats.from(next), w, prog, true,
+		func(i, bi int, det uint64) bool { return emit(live[i], next+bi, det) })
 }
 
 // startSpan opens a run's span with the job's shape and the backend
@@ -211,20 +282,30 @@ func (e *Engine) startSpan(ctx context.Context, name string, be Backend, auto bo
 	return ctx, span
 }
 
+// serialJob is the most faults × patterns Auto runs serially.
+const serialJob = 512
+
+// cptPerStem is Auto's cpt-or-PPSFP test for a dropping block: cpt
+// while at least cptPerStem live faults share each reconvergent stem's
+// flip, PPSFP below that.
+const cptPerStem = 4
+
 // pickBackend implements the Auto heuristics; the selection table is
-// documented in DESIGN.md. Tiny jobs skip engine setup and run
-// serially. Fault-heavy gradings — no-drop jobs with many faults per
-// pattern, and short drop-mode re-grades — trace observability from
-// the good machine, where CPT grades every fault in O(1) per block.
-// Everything else takes the sharded parallel-pattern path.
-func pickBackend(nFaults, nPatterns int, drop bool) Backend {
-	if nFaults*nPatterns <= 512 {
+// documented in DESIGN.md. Jobs of at most serialJob fault-pattern
+// pairs skip engine setup and run serially. A no-drop grade with at
+// least four faults per pattern traces observability from the good
+// machine, where cpt grades every fault in O(1) per block. A one-block
+// dropping grade runs on cpt when it has at least cptPerStem faults
+// per reconvergent stem. Everything else takes the parallel-pattern
+// path, where a multi-block dropping grade still runs its first blocks
+// on cpt while the same test holds (Engine.handOff).
+func pickBackend(nFaults, nPatterns, nStems int, drop bool) Backend {
+	switch {
+	case nFaults*nPatterns <= serialJob:
 		return BackendSerial
-	}
-	if !drop && nFaults >= 4*nPatterns {
+	case !drop && nFaults >= 4*nPatterns:
 		return BackendCPT
-	}
-	if nPatterns <= 16 && nFaults >= 64*nPatterns {
+	case drop && nPatterns <= 64 && nFaults >= cptPerStem*nStems:
 		return BackendCPT
 	}
 	return BackendParallel

@@ -248,27 +248,32 @@ func TestParseBackendRoundTrip(t *testing.T) {
 }
 
 // TestEngineAutoHeuristic pins every Auto rule from both sides of its
-// threshold.
+// threshold. The stem counts of the one-block dropping rows are those
+// of alu74181x4 (814 collapsed faults, 105 reconvergent stems) and
+// adder32 (770, 128), which cpt grades 2–3× faster than PPSFP at 16
+// patterns.
 func TestEngineAutoHeuristic(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		faults, patterns int
-		drop             bool
-		want             Backend
+		name                    string
+		faults, patterns, stems int
+		drop                    bool
+		want                    Backend
 	}{
-		{"tiny", 16, 32, true, BackendSerial},
-		{"just past tiny", 17, 32, true, BackendParallel},
-		{"no-drop fault-heavy", 1024, 256, false, BackendCPT},
-		{"no-drop pattern-heavy", 1023, 256, false, BackendParallel},
-		{"8-pattern drop re-grade", 4096, 8, true, BackendCPT},
-		{"8-pattern re-grade, too few faults", 511, 8, true, BackendParallel},
-		{"16-pattern drop re-grade", 1024, 16, true, BackendCPT},
-		{"17-pattern drop re-grade", 4096, 17, true, BackendParallel},
-		{"384-pattern drop", 4096, 384, true, BackendParallel},
+		{"tiny", 16, 32, 0, true, BackendSerial},
+		{"just past tiny", 17, 32, 100, true, BackendParallel},
+		{"no-drop fault-heavy", 1024, 256, 4096, false, BackendCPT},
+		{"no-drop pattern-heavy", 1023, 256, 0, false, BackendParallel},
+		{"alu74181x4 16-pattern drop", 814, 16, 105, true, BackendCPT},
+		{"adder32 16-pattern drop", 770, 16, 128, true, BackendCPT},
+		{"one-block drop, 4 faults per stem", 4096, 64, 1024, true, BackendCPT},
+		{"one-block drop, too few faults per stem", 4095, 8, 1024, true, BackendParallel},
+		{"fanout-free one-block drop", 600, 1, 0, true, BackendCPT},
+		{"two-block drop hands off inside parallel", 4096, 65, 1, true, BackendParallel},
+		{"384-pattern drop", 4096, 384, 100, true, BackendParallel},
 	} {
-		if got := pickBackend(tc.faults, tc.patterns, tc.drop); got != tc.want {
-			t.Errorf("%s (%d faults × %d patterns, drop=%v): picked %v, want %v",
-				tc.name, tc.faults, tc.patterns, tc.drop, got, tc.want)
+		if got := pickBackend(tc.faults, tc.patterns, tc.stems, tc.drop); got != tc.want {
+			t.Errorf("%s (%d faults × %d patterns, %d stems, drop=%v): picked %v, want %v",
+				tc.name, tc.faults, tc.patterns, tc.stems, tc.drop, got, tc.want)
 		}
 	}
 }

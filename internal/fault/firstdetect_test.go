@@ -69,25 +69,31 @@ func checkGradeDigest(t *testing.T, key string, workers int, got string) {
 }
 
 // noDropDigests pins the grades that return every detection on the
-// same 2,000-gate netlist as gradeDigests: a 192-pattern DropOff grade
-// (Auto, which runs cpt, and explicit parallel share one digest), the
-// RunDetail rows of 200 patterns (three full blocks and one of eight,
-// on both backends), and the 8-pattern DropOn re-grade Auto sends to
-// cpt. They were recorded on the kernel that propagated every lane of
-// a stem flip and of a DropOff fault to the end of its cone.
+// same 2,000-gate netlist as gradeDigests: 192- and 256-pattern
+// DropOff grades (Auto, which runs cpt, and explicit parallel share
+// one digest), the RunDetail rows of 200 patterns (three full blocks
+// and one of eight) and of 130 patterns (two full blocks and one of
+// two), on both backends, and the 8-pattern DropOn re-grade Auto sends
+// to cpt. The first three and the re-grade were recorded on the kernel
+// that propagated every lane of a stem flip and of a DropOff fault to
+// the end of its cone; dropoff256 and detail130 on the kernel that
+// flipped each stem once per block.
 var noDropDigests = map[string]string{
-	"dropoff": "72ee66c9e8451745926d3e3cbfd3f979b050868edeff2b51acfe26f9b7e96dd0",
-	"detail":  "1c14780268a7a4721570f780e0b180283a7446917b83580776e7c6b54d63a828",
-	"regrade": "2f29fb4846287f6b9aab6b295026b8db0b1f15391a8ebe70bd7c7b9cc449e349",
+	"dropoff":    "72ee66c9e8451745926d3e3cbfd3f979b050868edeff2b51acfe26f9b7e96dd0",
+	"dropoff256": "cc847203701e52f3d19aadf8d46179b3d451d515d00a96cbe85f38a605b80eca",
+	"detail":     "1c14780268a7a4721570f780e0b180283a7446917b83580776e7c6b54d63a828",
+	"detail130":  "32bc2337cddfb302c3f866cd3c733c822a786d1d4391dab61a0720723d6c317a",
+	"regrade":    "2f29fb4846287f6b9aab6b295026b8db0b1f15391a8ebe70bd7c7b9cc449e349",
 }
 
 // TestGradeNoDropDigest pins the detect-only kernel paths: cpt stem
-// flips and the DropOff PPSFP block loop, through Simulate and
-// RunDetail, at 1 and 4 workers.
+// flips (one block at a time and in groups of two to four blocks) and
+// the DropOff PPSFP block loop, through Simulate and RunDetail, at 1
+// and 4 workers.
 func TestGradeNoDropDigest(t *testing.T) {
 	c := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 2000, 32, 4)
 	faults := CollapseEquiv(c, Universe(c)).Reps
-	pats := enginePatterns(len(c.PIs), 200, 202)
+	pats := enginePatterns(len(c.PIs), 256, 202)
 	resultDigest := func(res *Result) string {
 		h := sha256.New()
 		for i, d := range res.Detected {
@@ -98,26 +104,35 @@ func TestGradeNoDropDigest(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		for _, be := range []Backend{Auto, BackendParallel} {
-			reg := telemetry.NewRegistry()
-			opts := Options{Backend: be, Workers: w, Drop: DropOff, Metrics: reg}
-			res, err := Simulate(context.Background(), c, faults, pats[:192], opts)
-			if err != nil {
-				t.Fatal(err)
+			opts := Options{Backend: be, Workers: w, Drop: DropOff}
+			for key, n := range map[string]int{"dropoff": 192, "dropoff256": 256} {
+				reg := telemetry.NewRegistry()
+				opts.Metrics = reg
+				res, err := Simulate(context.Background(), c, faults, pats[:n], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if be == Auto && reg.Timer("fault.sim.cpt").Stats().Count != 1 {
+					t.Fatalf("workers=%d: Auto %d-pattern DropOff grade did not run on cpt", w, n)
+				}
+				checkNoDropDigest(t, key, be, w, resultDigest(res))
 			}
-			if be == Auto && reg.Timer("fault.sim.cpt").Stats().Count != 1 {
-				t.Fatalf("workers=%d: Auto DropOff grade did not run on cpt", w)
+			for key, n := range map[string]int{"detail": 200, "detail130": 130} {
+				reg := telemetry.NewRegistry()
+				opts.Metrics = reg
+				dr, err := NewEngine(c, opts).RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats[:n]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if be == Auto && reg.Counter("fault.cpt.chain_obs").Value() == 0 {
+					t.Fatalf("workers=%d: Auto %d-pattern detail grade did not run on cpt", w, n)
+				}
+				h := sha256.New()
+				for _, row := range dr.Detect {
+					fmt.Fprintf(h, "%016x\n", row)
+				}
+				checkNoDropDigest(t, key, be, w, hex.EncodeToString(h.Sum(nil)))
 			}
-			checkNoDropDigest(t, "dropoff", be, w, resultDigest(res))
-
-			dr, err := NewEngine(c, opts).RunDetail(context.Background(), faults, PackPatternSet(len(c.PIs), pats))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			for _, row := range dr.Detect {
-				fmt.Fprintf(h, "%016x\n", row)
-			}
-			checkNoDropDigest(t, "detail", be, w, hex.EncodeToString(h.Sum(nil)))
 		}
 		reg := telemetry.NewRegistry()
 		res, err := Simulate(context.Background(), c, faults, pats[:8], Options{Workers: w, Drop: DropOn, Metrics: reg})

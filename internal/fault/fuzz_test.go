@@ -212,6 +212,65 @@ func FuzzFirstDetect(f *testing.F) {
 	})
 }
 
+// FuzzWideFlip checks cpt's wide stem flip against the one-word kernel
+// on a seed-generated circuit, under the primary and the full-scan
+// view, for groups of two, three and four blocks whose last block
+// holds 1 to 64 patterns. One simulator loads each group side by side
+// and flips every net across it, one net after another, once with the
+// whole group in care and once with each block alone in care; on every
+// block in care the result must be FlipMask(n, mask) on a second
+// simulator that loads the block alone, and on every other word it
+// must be zero.
+//
+// Run: go test -fuzz=FuzzWideFlip -fuzztime=10s ./internal/fault
+func FuzzWideFlip(f *testing.F) {
+	for _, seed := range backendSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := fuzzdiff.Generate(fuzzdiff.ShapeConfig(seed), seed)
+		for vi, v := range firstDetectViews(c) {
+			in, out := v.Resolve(c)
+			for g := 2; g <= 4; g++ {
+				n := (g-1)*64 + 1 + int(uint64(seed+int64(g))%64)
+				pats := fault.PackPatternSet(len(in), fuzzdiff.RandomPatterns(len(in), n, seed^int64(g)<<32))
+				ref := fault.NewParallelSimView(c, in, out)
+				want := make([][]uint64, g) // want[j][net]: FlipMask on block j alone
+				for j := range want {
+					words, k := pats.Block(j)
+					ref.LoadPackedBlock(words, k)
+					want[j] = make([]uint64, c.NumNets())
+					for net := range want[j] {
+						want[j][net] = ref.FlipMask(net, ^uint64(0)>>uint(64-k))
+					}
+				}
+				wide := fault.NewParallelSimView(c, in, out)
+				masks := wide.LoadWide(pats, 0, g)
+				for net := 0; net < c.NumNets(); net++ {
+					// The whole group, then each block alone in care.
+					for only := -1; only < g; only++ {
+						care := masks
+						if only >= 0 {
+							care = [4]uint64{}
+							care[only] = masks[only]
+						}
+						for j, w := range wide.FlipWide(net, care) {
+							exp := uint64(0)
+							if j < g && (only < 0 || j == only) {
+								exp = want[j][net]
+							}
+							if w != exp {
+								t.Fatalf("seed %d view %d, %d-block group of %d patterns, care %016x: FlipWide(%s) block %d = %016x, want %016x",
+									seed, vi, g, n, care, c.NameOf(net), j, w, exp)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // sameFaultyWords requires two simulators to hold the same faulty
 // machine on every net.
 func sameFaultyWords(t *testing.T, c *logic.Circuit, ps, ref *fault.ParallelSim, where func() string) {

@@ -15,9 +15,14 @@ import (
 type Backend int
 
 const (
-	// Auto picks a backend from fault-count, pattern-count and drop
-	// heuristics: tiny jobs run serially, fault-heavy gradings trace
-	// observability from the good machine, everything else runs on the
+	// Auto picks a backend from the job's fault and pattern counts,
+	// its drop mode and the view's reconvergent-stem count. A job of
+	// at most 512 fault-pattern pairs runs serially. A no-drop grade
+	// with at least four faults per pattern runs on cpt. A dropping
+	// grade runs each block on cpt while at least four live faults
+	// share each stem flip, and hands the rest of its blocks to the
+	// parallel-pattern engine once fewer do; a one-block grade is
+	// therefore all cpt or all parallel. Everything else runs on the
 	// sharded parallel-pattern engine.
 	Auto Backend = iota
 	// BackendParallel is the 64-way parallel-pattern single-fault
@@ -33,7 +38,9 @@ const (
 	// good-machine pass alone, an observability word for every net
 	// (exact on fanout-free regions by chain rule, by explicit
 	// complement simulation at reconvergent stems), then grades each
-	// fault in O(1) as activation AND observability.
+	// fault in O(1) as activation AND observability. A grade that
+	// never drops flips each stem once per group of up to four
+	// blocks.
 	BackendCPT
 )
 
@@ -85,7 +92,10 @@ const (
 	// DropOff grades every fault against every pattern on every
 	// backend — the ablation setting measuring what dropping buys.
 	// The kernel still drops each pattern lane from a fault's
-	// propagation once a view output has shown it (DetectMask).
+	// propagation once a view output has shown it (DetectMask). On
+	// cpt each stem is flipped once per group of up to four blocks;
+	// fault.sim.events counts one per gate visit, whatever its width,
+	// so a gate such a flip re-evaluates counts one, as on one block.
 	DropOff
 )
 

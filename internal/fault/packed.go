@@ -41,6 +41,12 @@ func (pp *PackedPatterns) Block(b int) (words []uint64, k int) {
 	return pp.blocks[b], k
 }
 
+// from returns the blocks of the set from block b on, as a set that
+// shares their words.
+func (pp *PackedPatterns) from(b int) *PackedPatterns {
+	return &PackedPatterns{nInputs: pp.nInputs, n: pp.n - b*64, blocks: pp.blocks[b:]}
+}
+
 // grow ensures a block exists for pattern index i and returns it.
 func (pp *PackedPatterns) grow(i int) []uint64 {
 	for len(pp.blocks) <= i/64 {

@@ -92,10 +92,14 @@ func TestSingleWorkerOnePassPerBlock(t *testing.T) {
 
 // Every backend run opens one span named after its timer, and under
 // Auto the span's backend attribute is what pickBackend chose, for one
-// job of each shape in the DESIGN.md selection table.
+// job of each shape in the DESIGN.md selection table. mult5 has 720
+// faults and 80 reconvergent stems, so its whole list passes Auto's
+// live ≥ 4 × stems test and 300 faults do not; a dropping grade on
+// parallel records how many blocks it ran on cpt before handing off.
 func TestAutoRunSpanNamesBackend(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	all := Universe(c)
+	stems := len(NewEngine(c, Options{}).topology().stems)
 	spans := map[Backend]string{
 		BackendSerial:   "fault.sim.serial",
 		BackendCPT:      "fault.sim.cpt",
@@ -105,14 +109,18 @@ func TestAutoRunSpanNamesBackend(t *testing.T) {
 		faults, patterns int
 		drop             DropMode
 		want             Backend
+		cptBlocks, ppsfp string // hand-off attributes, "" where none
 	}{
-		{8, 16, DropOn, BackendSerial},
-		{len(all), 64, DropOff, BackendCPT},
-		{len(all), 4, DropOn, BackendCPT},
-		{len(all), 256, DropOn, BackendParallel},
+		{8, 16, DropOn, BackendSerial, "", ""},
+		{len(all), 64, DropOff, BackendCPT, "", ""},
+		{len(all), 4, DropOn, BackendCPT, "", ""},
+		{300, 64, DropOn, BackendParallel, "0", "1"},
+		{len(all), 256, DropOn, BackendParallel, "1", "3"},
+		{300, 256, DropOn, BackendParallel, "0", "4"},
 	} {
+
 		label := fmt.Sprintf("%d faults × %d patterns drop=%v", tc.faults, tc.patterns, tc.drop)
-		if got := pickBackend(tc.faults, tc.patterns, tc.drop == DropOn); got != tc.want {
+		if got := pickBackend(tc.faults, tc.patterns, stems, tc.drop == DropOn); got != tc.want {
 			t.Fatalf("%s: pickBackend = %v, want %v", label, got, tc.want)
 		}
 		reg := telemetry.NewRegistry()
@@ -136,6 +144,10 @@ func TestAutoRunSpanNamesBackend(t *testing.T) {
 		if ev.Name != spans[tc.want] || ev.Attrs["backend"] != tc.want.String() || ev.Attrs["auto"] != "true" {
 			t.Fatalf("%s: span %s backend=%q auto=%q, want %s backend=%q auto=\"true\"",
 				label, ev.Name, ev.Attrs["backend"], ev.Attrs["auto"], spans[tc.want], tc.want)
+		}
+		if ev.Attrs["cpt_blocks"] != tc.cptBlocks || ev.Attrs["ppsfp_blocks"] != tc.ppsfp {
+			t.Fatalf("%s: cpt_blocks=%q ppsfp_blocks=%q, want %q and %q",
+				label, ev.Attrs["cpt_blocks"], ev.Attrs["ppsfp_blocks"], tc.cptBlocks, tc.ppsfp)
 		}
 		if n := reg.Snapshot().Timers[ev.Name].Count; n != 1 {
 			t.Fatalf("%s: timer %s observed %d times, want 1", label, ev.Name, n)

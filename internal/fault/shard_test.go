@@ -18,21 +18,21 @@ func bigRandom() *logic.Circuit {
 	return circuits.RandomCircuit(rand.New(rand.NewSource(11)), 48, 2000, 24, 4)
 }
 
-// cptSpanWorkers returns the workers attribute of the registry's last
-// fault.sim.cpt span.
-func cptSpanWorkers(t *testing.T, reg *telemetry.Registry) string {
+// spanAttr returns attribute key of the registry's last span named
+// name, failing the test when there is none.
+func spanAttr(t *testing.T, reg *telemetry.Registry, name, key string) string {
 	t.Helper()
 	events, _ := reg.Trace().Events()
-	w := ""
+	v := ""
 	for _, ev := range events {
-		if ev.Name == "fault.sim.cpt" {
-			w = ev.Attrs["workers"]
+		if ev.Name == name {
+			v = ev.Attrs[key]
 		}
 	}
-	if w == "" {
-		t.Fatal("no fault.sim.cpt span recorded")
+	if v == "" {
+		t.Fatalf("no %s span with a %s attribute recorded", name, key)
 	}
-	return w
+	return v
 }
 
 // Stem-sharded cpt must grade exactly like one worker and like the
@@ -73,7 +73,7 @@ func TestStemShardedCPTMatchesSerial(t *testing.T) {
 				}
 				label := fmt.Sprintf("%d patterns drop=%v workers=%d", nPats, drop, w)
 				sameResult(t, label, got, want)
-				if sw := cptSpanWorkers(t, reg); sw != fmt.Sprint(w) {
+				if sw := spanAttr(t, reg, "fault.sim.cpt", "workers"); sw != fmt.Sprint(w) {
 					t.Fatalf("%s: span workers = %s, want the stems sharded %d ways", label, sw, w)
 				}
 			}
@@ -107,7 +107,7 @@ func TestStemShardedCPTScanView(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, fmt.Sprintf("scan view workers=%d", w), got, want)
-		if sw := cptSpanWorkers(t, reg); sw != fmt.Sprint(w) {
+		if sw := spanAttr(t, reg, "fault.sim.cpt", "workers"); sw != fmt.Sprint(w) {
 			t.Fatalf("scan view: span workers = %s, want %d", sw, w)
 		}
 	}
@@ -122,7 +122,10 @@ func TestStemShardedCPTScanView(t *testing.T) {
 
 // cpt's work counters describe the algorithm, not the schedule: flips
 // and chain-rule words are the same at every worker count, for Run
-// and for RunDetail.
+// and for RunDetail on explicit cpt, and for Auto's 192-pattern no-drop
+// grade (one group of three blocks) and 384-pattern dropping grade (a
+// cpt prefix, then PPSFP), whose span also records the same
+// cpt_blocks and ppsfp_blocks at every worker count.
 func TestCPTCountersWorkerInvariant(t *testing.T) {
 	c := bigRandom()
 	faults := CollapseEquiv(c, Universe(c)).Reps
@@ -150,6 +153,45 @@ func TestCPTCountersWorkerInvariant(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("workers=%d detail=%v: flips/chain_obs = %v, want %v", w, detail, got, want)
+			}
+		}
+	}
+
+	g := circuits.RandomCircuit(rand.New(rand.NewSource(1)), 64, 2000, 32, 4)
+	gf := CollapseEquiv(g, Universe(g)).Reps
+	for _, tc := range []struct {
+		patterns int
+		drop     DropMode
+		span     string
+	}{
+		{192, DropOff, "fault.sim.cpt"},
+		{384, DropOn, "fault.sim.engine"},
+	} {
+		gp := enginePatterns(len(g.PIs), tc.patterns, 101)
+		var want [4]string
+		for _, w := range []int{1, 2, 4} {
+			reg := telemetry.NewRegistry()
+			if _, err := Simulate(context.Background(), g, gf, gp, Options{Workers: w, Drop: tc.drop, Metrics: reg}); err != nil {
+				t.Fatal(err)
+			}
+			got := [4]string{
+				fmt.Sprint(reg.Counter("fault.cpt.flips").Value()),
+				fmt.Sprint(reg.Counter("fault.cpt.chain_obs").Value()),
+			}
+			if tc.drop == DropOn {
+				got[2] = spanAttr(t, reg, tc.span, "cpt_blocks")
+				got[3] = spanAttr(t, reg, tc.span, "ppsfp_blocks")
+				if got[2] == "0" || got[3] == "0" {
+					t.Fatalf("%d-pattern drop grade: cpt_blocks %s, ppsfp_blocks %s; want both parts", tc.patterns, got[2], got[3])
+				}
+			} else if spanAttr(t, reg, tc.span, "backend") != "cpt" {
+				t.Fatalf("%d-pattern no-drop grade did not run on cpt", tc.patterns)
+			}
+			if w == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%d patterns drop=%v workers=%d: flips, chain_obs, cpt_blocks, ppsfp_blocks = %v, want %v (workers=1)",
+					tc.patterns, tc.drop, w, got, want)
 			}
 		}
 	}

@@ -233,6 +233,11 @@ type ParallelSim struct {
 	mode    propMode  // what a detection does to care
 	liveBuf []int     // blockLoop's live list, reused across calls
 
+	// The wide layout of cpt's group flips (loadWide, flipWide): good
+	// and faulty words of up to wideBlocks blocks side by side, four
+	// words per net, allocated on the first wide group.
+	wgood, wcur []uint64
+
 	// Work counters, accumulated as plain ints (the simulator is owned
 	// by one goroutine) and drained in batches via TakeCounts so hot
 	// loops pay no atomics.
@@ -462,6 +467,13 @@ func (ps *ParallelSim) set(n int32, w uint64) {
 			}
 		}
 	}
+	ps.queueReaders(n)
+}
+
+// queueReaders puts each combinational reader of net n that is not yet
+// queued into its level's bucket.
+func (ps *ParallelSim) queueReaders(n int32) {
+	t := ps.t
 	for _, r := range t.readers[t.rdStart[n]:t.rdStart[n+1]] {
 		if !ps.queued[r] {
 			ps.queued[r] = true

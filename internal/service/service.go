@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -127,6 +128,7 @@ type Server struct {
 	cRejected   *telemetry.Counter
 	cCompleted  *telemetry.Counter
 	cFailed     *telemetry.Counter
+	cPanics     *telemetry.Counter
 	cCancelled  *telemetry.Counter
 	cCoalesced  *telemetry.Counter
 	cCacheHit   *telemetry.Counter
@@ -159,6 +161,7 @@ func New(cfg Config) *Server {
 		cRejected:   reg.Counter("service.jobs.rejected"),
 		cCompleted:  reg.Counter("service.jobs.completed"),
 		cFailed:     reg.Counter("service.jobs.failed"),
+		cPanics:     reg.Counter("service.job.panics"),
 		cCancelled:  reg.Counter("service.jobs.cancelled"),
 		cCoalesced:  reg.Counter("service.jobs.coalesced"),
 		cCacheHit:   reg.Counter("service.cache.hits"),
@@ -448,7 +451,7 @@ func (s *Server) runJob(j *Job) {
 	monDone := make(chan struct{})
 	go s.monitor(j, stop, monDone)
 
-	rep, err := s.execute(ctx, j)
+	rep, err := s.executeRecovered(ctx, j)
 	var report []byte
 	if err == nil {
 		report, err = encodeReport(rep)
@@ -484,6 +487,20 @@ func (s *Server) runJob(j *Job) {
 	default:
 		s.finishLocked(j, StateFailed, err.Error(), nil)
 	}
+}
+
+// executeRecovered is execute with a panic on the job's goroutine
+// turned into the job's error, which carries the panic value and the
+// stack, and counted in service.job.panics: a bug one request reaches
+// fails that job, and the worker goes on to the next.
+func (s *Server) executeRecovered(ctx context.Context, j *Job) (rep *telemetry.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.cPanics.Inc()
+			rep, err = nil, fmt.Errorf("internal error: panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return s.execute(ctx, j)
 }
 
 // jobContext derives the job's run context: the server's base context

@@ -23,6 +23,7 @@ import (
 	"dft/internal/circuits"
 	"dft/internal/core"
 	"dft/internal/fault"
+	"dft/internal/pipeline"
 	"dft/internal/telemetry"
 )
 
@@ -947,5 +948,52 @@ func TestServiceATPGAndTimeout(t *testing.T) {
 	got = waitTerminal(t, ts.URL, v.ID)
 	if got.State != StateCancelled {
 		t.Fatalf("1ms atpg job: state %s, want cancelled", got.State)
+	}
+}
+
+// A job that fails, by an error or by a panic on its worker goroutine,
+// fails alone: scan on the combinational c17 is refused by
+// core.Design.ApplyScan, a job whose circuit is missing panics inside
+// the fault engine and is recovered into StateFailed with the stack in
+// its error and service.job.panics counted, and the same one-worker
+// server then finishes the next job.
+func TestServiceJobFailureKeepsServing(t *testing.T) {
+	srv, ts, reg := testServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 8})
+
+	v, code, e := postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Scan: true}})
+	if code != http.StatusAccepted {
+		t.Fatalf("scan on c17: status %d (%s)", code, e.Error)
+	}
+	v = waitTerminal(t, ts.URL, v.ID)
+	if v.State != StateFailed || !strings.Contains(v.Error, "has none") {
+		t.Fatalf("scan on c17: state %s, error %q; want failed with the ApplyScan error", v.State, v.Error)
+	}
+
+	p := &parsedRequest{req: JobRequest{Kind: KindFaultSim}, spec: pipeline.FaultSim{Patterns: 8}, key: "no-circuit"}
+	srv.mu.Lock()
+	j := &Job{ID: srv.nextID(), Key: p.key, parsed: p, state: StateQueued, created: time.Now(),
+		reg: telemetry.NewRegistry(), events: newEventLog(), done: make(chan struct{})}
+	srv.queue = append(srv.queue, j)
+	srv.remember(j)
+	srv.inflight[p.key] = j
+	srv.ready.Signal()
+	srv.mu.Unlock()
+	pv, err := srv.Wait(context.Background(), j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pv.State != StateFailed || !strings.Contains(pv.Error, "panic") || !strings.Contains(pv.Error, "executeRecovered") {
+		t.Fatalf("job without a circuit: state %s, error %q; want failed with the panic and its stack", pv.State, pv.Error)
+	}
+	if n := reg.Counter("service.job.panics").Value(); n != 1 {
+		t.Fatalf("service.job.panics = %d, want 1", n)
+	}
+
+	v, code, e = postJob(t, ts.URL, JobRequest{Kind: KindFaultSim, Builtin: "c17", Options: Options{Patterns: 16}})
+	if code != http.StatusAccepted {
+		t.Fatalf("next job: status %d (%s)", code, e.Error)
+	}
+	if v = waitTerminal(t, ts.URL, v.ID); v.State != StateDone {
+		t.Fatalf("next job: state %s, error %q", v.State, v.Error)
 	}
 }
