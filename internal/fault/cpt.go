@@ -45,9 +45,12 @@ import (
 // per-block flips would pay up to four. The chain rule, cptMask and
 // emit then run block by block, in order, as for one block. A
 // one-block group, and every block of a dropping grade, flips on the
-// one-word FlipMask, which is faster for a single block. A dropping
-// grade under Auto also leaves cpt once too few faults are live to
-// share the stem flips (Engine.handOff).
+// one-word FlipMask, which is faster for a single block.
+// Engine.runBlocks drives the loop for explicit cpt, which runs every
+// block here, and for Auto, which runs a block here only while at
+// least cptPerStem live faults share each stem flip: a no-drop grade
+// runs all its blocks here or none, and a dropping grade hands its
+// survivors to PPSFP once too few are live.
 
 // minStemShard is the smallest stem share worth a cpt worker: each
 // worker pays its own good-machine pass per block, so for a group of
@@ -115,30 +118,32 @@ func (e *Engine) cptWorkers() int {
 	return max(1, min(e.workers, len(e.topology().stems)/minStemShard))
 }
 
-// cptBlocks is the CPT backend's block loop on w workers. Blocks run
-// in order; before each one it checks that the live list still holds
-// at least minLive faults, and it stops once it does not or once the
-// list is empty. Per block it traces every net's observability word
-// into e.obs, grades each live fault through cptMask on worker 0's
-// good machine, hands every nonzero detect word to emit and drops the
-// fault once emit reports it done. A dropping grade (drop set) flips
-// each stem one block at a time and observes
-// fault.sim.drops_per_block once per block; a grade that never drops
-// flips each stem once for a group of up to wideBlocks blocks
-// (flipWide), then chains, grades and emits the group block by block.
-// Progress counts patterns, or under drop the faults each block
-// drops. Cancellation is checked between stem chunks. It returns the
-// live list and the first block it did not grade.
+// cptBlocks is the CPT backend's block loop on w workers, for a grade
+// with at least one fault and one block. Blocks run in order; before
+// each one it checks that the live list still holds at least minLive
+// faults, and it stops once it does not or once the list is empty.
+// Per block it traces every net's observability word into e.obs,
+// grades each live fault through cptMask on worker 0's good machine,
+// hands every nonzero detect word to emit and drops the fault once
+// emit reports it done. A dropping grade (drop set) flips each stem
+// one block at a time and observes fault.sim.drops_per_block once per
+// block; a grade that never drops flips each stem once for a group of
+// up to wideBlocks blocks (flipWide), then chains, grades and emits
+// the group block by block. Progress counts patterns, or under drop
+// the faults each block drops. Cancellation is checked between stem
+// chunks. It returns the live list and the first block it did not
+// grade, and a nil list when the whole list is under minLive, so it
+// graded no block.
 func (e *Engine) cptBlocks(ctx context.Context, faults []Fault, pats *PackedPatterns, w int, drop bool, minLive int,
 	prog *telemetry.Progress, emit emitFunc) (live []int, next int, err error) {
+	if len(faults) < minLive {
+		return nil, 0, nil
+	}
 	live = make([]int, len(faults))
 	for i := range live {
 		live[i] = i
 	}
 	nb := pats.NumBlocks()
-	if nb == 0 || len(live) == 0 || len(live) < minLive {
-		return live, 0, nil
-	}
 	reg := e.reg
 	t := e.topology()
 	if e.obs == nil {

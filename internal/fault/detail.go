@@ -89,9 +89,10 @@ func (dr *DetailResult) Result() *Result {
 // faults' row words (PPSFP shards the fault axis; CPT and serial grade
 // the rows from one goroutine), so the rows are byte-identical at
 // every worker count. An explicit BackendSerial runs serially; Auto
-// resolves as RunPacked would with dropping off, except that a job
-// small enough for serial runs on PPSFP, and the span records the
-// backend that ran.
+// resolves as RunPacked would with dropping off: all cpt when at least
+// four faults share each reconvergent stem, all PPSFP otherwise, so a
+// one-fault per-device observation runs on PPSFP. The span records the
+// backend that ran. An empty grade opens no span.
 func (e *Engine) RunDetail(ctx context.Context, faults []Fault, pats *PackedPatterns) (*DetailResult, error) {
 	nPats := pats.NumPatterns()
 	dr := &DetailResult{Faults: faults, NumPats: nPats, Detect: make([][]uint64, len(faults))}

@@ -3,7 +3,9 @@ package fault
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"sync"
@@ -140,23 +142,36 @@ func (e *Engine) RunPacked(ctx context.Context, faults []Fault, pats *PackedPatt
 type emitFunc func(fi, bi int, det uint64) (done bool)
 
 // grade is the preamble RunPacked and RunDetail share: it checks the
-// pattern width, resolves the backend, opens the run's span, runs the
-// backend's one block loop with emit as its consumer and records the
-// run's counters. A detail grade (detail set) never drops, always
-// names its span fault.sim.detail, and runs on PPSFP where Auto would
-// pick serial; an empty detail grade opens no span.
+// pattern width, returns on an empty grade, opens the run's span, runs
+// the block loop with emit as its consumer and records the counters.
+// Explicit serial runs runSerial; every other backend runs runBlocks
+// with its own live-list floor. A grade known before it starts to run
+// wholly on cpt (explicit cpt, or Auto passing the test on a grade
+// that does not drop or has one block) is span fault.sim.cpt with
+// backend cpt, any other packed grade fault.sim.engine with backend
+// parallel, and a detail grade, which never drops, fault.sim.detail.
+// The span observes the same-named timer on End.
 func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns, detail bool, emit emitFunc) error {
 	if pats.NumInputs() != len(e.inputs) {
 		panic(fmt.Sprintf("fault: packed patterns are %d wide for %d view inputs", pats.NumInputs(), len(e.inputs)))
 	}
 	nPats := pats.NumPatterns()
-	if detail && (len(faults) == 0 || nPats == 0) {
+	if len(faults) == 0 || nPats == 0 {
 		return nil
 	}
 	drop := e.drop() && !detail
-	be, auto := e.backend(len(faults), nPats, drop)
-	if detail && auto && be == BackendSerial {
+	be, auto := e.opts.Backend, e.opts.Backend == Auto
+	minLive, stems := 0, 0 // explicit cpt: every block
+	switch be {
+	case Auto:
+		stems = len(e.topology().stems)
+		minLive = cptPerStem * stems
 		be = BackendParallel
+		if len(faults) >= minLive && (!drop || pats.NumBlocks() == 1) {
+			be = BackendCPT
+		}
+	case BackendParallel:
+		minLive = math.MaxInt // no cpt block
 	}
 	name := "fault.sim.engine"
 	switch {
@@ -167,19 +182,20 @@ func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns
 	case be == BackendCPT:
 		name = "fault.sim.cpt"
 	}
-	ctx, span := e.startSpan(ctx, name, be, auto, len(faults), nPats)
+	ctx, span := telemetry.StartSpanCtx(ctx, e.reg, name)
 	defer span.End()
+	span.SetAttr("faults", strconv.Itoa(len(faults)))
+	span.SetAttr("patterns", strconv.Itoa(nPats))
+	span.SetAttr("backend", be.String())
+	span.SetAttr("auto", strconv.FormatBool(auto))
 	var err error
-	switch {
-	case be == BackendSerial:
+	if be == BackendSerial {
 		err = e.runSerial(ctx, span, faults, pats, emit)
-	case be == BackendCPT:
-		err = e.runCPT(ctx, span, faults, pats, drop, emit)
-	case auto && drop:
-		err = e.handOff(ctx, span, faults, pats, emit)
-	default:
-		w := e.noteWorkers(span, e.shardWorkers(len(faults)))
-		err = e.shardFaults(ctx, faults, pats, w, e.progress(int64(len(faults))), drop, emit)
+	} else {
+		if auto {
+			span.SetAttr("stems", strconv.Itoa(stems))
+		}
+		err = e.runBlocks(ctx, span, faults, pats, drop, minLive, emit)
 	}
 	if err != nil {
 		e.reg.Counter("fault.engine.cancelled").Inc()
@@ -192,73 +208,51 @@ func (e *Engine) grade(ctx context.Context, faults []Fault, pats *PackedPatterns
 	return nil
 }
 
-// backend resolves Options.Backend for one job: Auto picks by the
-// job's shape and the view's reconvergent-stem count through
-// pickBackend, and auto reports that it did; an explicit backend is
-// honoured as-is. A job small enough for serial never builds the
-// topology.
-func (e *Engine) backend(nFaults, nPats int, drop bool) (be Backend, auto bool) {
-	if e.opts.Backend != Auto {
-		return e.opts.Backend, false
+// runBlocks is the one block driver behind cpt, parallel and Auto.
+// Before each block it asks live ≥ minLive: while yes, the block runs
+// on cpt, whose stem flips cost the same however many faults are live;
+// once no, one shardFaults call grades the survivors over the
+// remaining blocks on PPSFP, whose cost falls with the live list.
+// minLive is 0 for explicit cpt, cptPerStem × stems for Auto and
+// math.MaxInt for explicit parallel. The live list only shrinks, so a
+// grade is a cpt prefix and a PPSFP tail, either possibly empty, and
+// one that never drops is all one or all the other; the span records
+// both lengths as cpt_blocks and ppsfp_blocks. Either backend finds
+// the same first detection, so the split never changes a result.
+// Progress (none under NoProgress) counts patterns on a no-drop cpt
+// grade and faults otherwise.
+func (e *Engine) runBlocks(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns,
+	drop bool, minLive int, emit emitFunc) error {
+	var prog *telemetry.Progress
+	if !e.opts.NoProgress {
+		prog = e.reg.Progress("fault.sim.progress")
+		if !drop && len(faults) >= minLive {
+			prog.AddTotal(int64(pats.NumPatterns()))
+		} else {
+			prog.AddTotal(int64(len(faults)))
+		}
 	}
-	stems := 0
-	if nFaults*nPats > serialJob {
-		stems = len(e.topology().stems)
-	}
-	return pickBackend(nFaults, nPats, stems, drop), true
-}
-
-// runCPT runs a whole grade on cpt, every block, at the cpt worker
-// rule. Progress counts patterns, or under dropping faults: each
-// block's drops, then the faults no block detected.
-func (e *Engine) runCPT(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, drop bool, emit emitFunc) error {
-	w := e.noteWorkers(span, e.cptWorkers())
-	total := pats.NumPatterns()
-	if drop {
-		total = len(faults)
-	}
-	prog := e.progress(int64(total))
-	live, _, err := e.cptBlocks(ctx, faults, pats, w, drop, 0, prog, emit)
-	if err == nil && drop && prog != nil {
-		prog.Add(int64(len(live)))
-	}
-	return err
-}
-
-// handOff is Auto's dropping grade. Before each block it asks one
-// count-only question, live ≥ cptPerStem × stems: while the answer is
-// yes the block runs on cpt, whose stem flips cost the same however
-// many faults are live; once it is no, PPSFP, whose cost falls with
-// the live list, grades the survivors over the remaining blocks in
-// one shardFaults call. The live list only shrinks, so a grade is a
-// cpt prefix and then a PPSFP tail, either possibly empty; the span
-// records both lengths as cpt_blocks and ppsfp_blocks. A fault's first
-// detection is the same on either backend, so the split never changes
-// a result. Progress counts faults, and drops_per_block observes every
-// block reached once, the cpt prefix included.
-func (e *Engine) handOff(ctx context.Context, span *telemetry.Span, faults []Fault, pats *PackedPatterns, emit emitFunc) error {
-	prog := e.progress(int64(len(faults)))
 	wc := e.cptWorkers()
-	live, next, err := e.cptBlocks(ctx, faults, pats, wc, true, cptPerStem*len(e.topology().stems), prog, emit)
+	live, next, err := e.cptBlocks(ctx, faults, pats, wc, drop, minLive, prog, emit)
 	if err != nil {
 		return err
 	}
-	tail := 0
-	if len(live) > 0 {
-		tail = pats.NumBlocks() - next
+	tail := pats.NumBlocks() - next
+	if next > 0 && len(live) == 0 {
+		tail = 0
 	}
 	span.SetAttr("cpt_blocks", strconv.Itoa(next))
 	span.SetAttr("ppsfp_blocks", strconv.Itoa(tail))
 	if tail == 0 {
 		e.noteWorkers(span, wc)
-		if prog != nil {
+		if drop && prog != nil {
 			prog.Add(int64(len(live)))
 		}
 		return nil
 	}
 	if next == 0 {
 		w := e.noteWorkers(span, e.shardWorkers(len(faults)))
-		return e.shardFaults(ctx, faults, pats, w, prog, true, emit)
+		return e.shardFaults(ctx, faults, pats, w, prog, drop, emit)
 	}
 	survivors := make([]Fault, len(live))
 	for i, fi := range live {
@@ -270,46 +264,10 @@ func (e *Engine) handOff(ctx context.Context, span *telemetry.Span, faults []Fau
 		func(i, bi int, det uint64) bool { return emit(live[i], next+bi, det) })
 }
 
-// startSpan opens a run's span with the job's shape and the backend
-// that runs it. The span observes the same-named timer on End, so run
-// reports keep one timer entry per backend.
-func (e *Engine) startSpan(ctx context.Context, name string, be Backend, auto bool, nFaults, nPats int) (context.Context, *telemetry.Span) {
-	ctx, span := telemetry.StartSpanCtx(ctx, e.reg, name)
-	span.SetAttr("faults", strconv.Itoa(nFaults))
-	span.SetAttr("patterns", strconv.Itoa(nPats))
-	span.SetAttr("backend", be.String())
-	span.SetAttr("auto", strconv.FormatBool(auto))
-	return ctx, span
-}
-
-// serialJob is the most faults × patterns Auto runs serially.
-const serialJob = 512
-
-// cptPerStem is Auto's cpt-or-PPSFP test for a dropping block: cpt
-// while at least cptPerStem live faults share each reconvergent stem's
-// flip, PPSFP below that.
+// cptPerStem is Auto's cpt-or-PPSFP test, checked before each block:
+// cpt while at least cptPerStem live faults share each reconvergent
+// stem's flip, PPSFP below that.
 const cptPerStem = 4
-
-// pickBackend implements the Auto heuristics; the selection table is
-// documented in DESIGN.md. Jobs of at most serialJob fault-pattern
-// pairs skip engine setup and run serially. A no-drop grade with at
-// least four faults per pattern traces observability from the good
-// machine, where cpt grades every fault in O(1) per block. A one-block
-// dropping grade runs on cpt when it has at least cptPerStem faults
-// per reconvergent stem. Everything else takes the parallel-pattern
-// path, where a multi-block dropping grade still runs its first blocks
-// on cpt while the same test holds (Engine.handOff).
-func pickBackend(nFaults, nPatterns, nStems int, drop bool) Backend {
-	switch {
-	case nFaults*nPatterns <= serialJob:
-		return BackendSerial
-	case !drop && nFaults >= 4*nPatterns:
-		return BackendCPT
-	case drop && nPatterns <= 64 && nFaults >= cptPerStem*nStems:
-		return BackendCPT
-	}
-	return BackendParallel
-}
 
 // newResult allocates a Result with no detections recorded.
 func newResult(faults []Fault, numPats int) *Result {
@@ -323,17 +281,6 @@ func newResult(faults []Fault, numPats int) *Result {
 		res.DetectedBy[i] = -1
 	}
 	return res
-}
-
-// progress returns the run's fault.sim.progress tracker with total
-// more units expected, or nil under NoProgress.
-func (e *Engine) progress(total int64) *telemetry.Progress {
-	if e.opts.NoProgress {
-		return nil
-	}
-	prog := e.reg.Progress("fault.sim.progress")
-	prog.AddTotal(total)
-	return prog
 }
 
 // flushCounts drains a simulator's work counters into the registry.
@@ -358,29 +305,57 @@ func (e *Engine) noteWorkers(span *telemetry.Span, w int) int {
 // every worker slot wi in [0, w), worker 0 on the calling goroutine,
 // and fanOut returns when all have finished, with the first error in
 // worker order. A sharded fan-out (w > 1) sets the fault.sim.workers
-// gauge.
+// gauge. A worker that panics stops alone; once all have finished,
+// fanOut re-panics on the calling goroutine with the first panic in
+// worker order, a *workerPanic carrying that worker's stack.
 func (e *Engine) fanOut(w int, fn func(wi int) error) error {
 	if w <= 1 {
 		return fn(0)
 	}
 	e.reg.Gauge("fault.sim.workers").Set(int64(w))
 	errs := make([]error, w)
+	panics := make([]*workerPanic, w)
+	run := func(wi int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[wi] = &workerPanic{worker: wi, value: r, stack: debug.Stack()}
+			}
+		}()
+		errs[wi] = fn(wi)
+	}
 	var wg sync.WaitGroup
 	for wi := 1; wi < w; wi++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[wi] = fn(wi)
+			run(wi)
 		}()
 	}
-	errs[0] = fn(0)
+	run(0)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// workerPanic is what fanOut re-panics with: a worker's slot, panic
+// value and stack. Its String, which %v prints, carries the stack.
+type workerPanic struct {
+	worker int
+	value  any
+	stack  []byte
+}
+
+func (p *workerPanic) String() string {
+	return fmt.Sprintf("fault: worker %d: %v\n%s", p.worker, p.value, p.stack)
 }
 
 // cursor deals the index range [0, n) to concurrent workers in chunks

@@ -247,41 +247,102 @@ func TestParseBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEngineAutoHeuristic pins every Auto rule from both sides of its
-// threshold. The stem counts of the one-block dropping rows are those
-// of alu74181x4 (814 collapsed faults, 105 reconvergent stems) and
-// adder32 (770, 128), which cpt grades 2–3× faster than PPSFP at 16
-// patterns.
+// backendSpans maps each backend a grade can run on to the span a
+// packed grade of it opens.
+var backendSpans = map[Backend]string{
+	BackendSerial:   "fault.sim.serial",
+	BackendCPT:      "fault.sim.cpt",
+	BackendParallel: "fault.sim.engine",
+}
+
+// autoSpan runs one Auto grade, RunPacked or RunDetail, and returns
+// its one backend span, after checking that the span observed its
+// same-named timer once.
+func autoSpan(t *testing.T, c *logic.Circuit, faults []Fault, patterns int, drop DropMode, detail bool) telemetry.Event {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	e := NewEngine(c, Options{Drop: drop, Metrics: reg})
+	pats := PackPatternSet(len(c.PIs), enginePatterns(len(c.PIs), patterns, 6))
+	var err error
+	if detail {
+		_, err = e.RunDetail(context.Background(), faults, pats)
+	} else {
+		_, err = e.RunPacked(context.Background(), faults, pats)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := reg.Trace().Events()
+	var got []telemetry.Event
+	for _, ev := range events {
+		switch ev.Name {
+		case "fault.sim.serial", "fault.sim.cpt", "fault.sim.engine", "fault.sim.detail":
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("%d backend spans, want 1", len(got))
+	}
+	if n := reg.Snapshot().Timers[got[0].Name].Count; n != 1 {
+		t.Fatalf("timer %s observed %d times, want 1", got[0].Name, n)
+	}
+	return got[0]
+}
+
+// TestEngineAutoHeuristic pins Auto's one test, live ≥ cptPerStem ×
+// stems before each block, from both sides, dropping and not, through
+// real engines: the span names the backend that ran. c17 has 22
+// collapsed faults and 3 reconvergent stems, mult8 1,328 and 224,
+// mult5 720 (uncollapsed) and 80, alu74181x4 814 and 105, adder32 770
+// and 128, and a parity tree none. Auto never picks serial, however
+// small the grade, and a grade's pattern count never enters the test.
 func TestEngineAutoHeuristic(t *testing.T) {
+	c17 := circuits.C17()
+	mult8 := circuits.ArrayMultiplier(8)
+	mult8f := CollapseEquiv(mult8, Universe(mult8)).Reps
+	mult5 := circuits.ArrayMultiplier(5)
+	alu := circuits.Cascade74181(4)
+	adder := circuits.RippleAdder(32)
+	parity := circuits.ParityTree(16)
 	for _, tc := range []struct {
-		name                    string
-		faults, patterns, stems int
-		drop                    bool
-		want                    Backend
+		name     string
+		c        *logic.Circuit
+		faults   []Fault
+		patterns int
+		drop     DropMode
+		detail   bool
+		want     Backend
 	}{
-		{"tiny", 16, 32, 0, true, BackendSerial},
-		{"just past tiny", 17, 32, 100, true, BackendParallel},
-		{"no-drop fault-heavy", 1024, 256, 4096, false, BackendCPT},
-		{"no-drop pattern-heavy", 1023, 256, 0, false, BackendParallel},
-		{"alu74181x4 16-pattern drop", 814, 16, 105, true, BackendCPT},
-		{"adder32 16-pattern drop", 770, 16, 128, true, BackendCPT},
-		{"one-block drop, 4 faults per stem", 4096, 64, 1024, true, BackendCPT},
-		{"one-block drop, too few faults per stem", 4095, 8, 1024, true, BackendParallel},
-		{"fanout-free one-block drop", 600, 1, 0, true, BackendCPT},
-		{"two-block drop hands off inside parallel", 4096, 65, 1, true, BackendParallel},
-		{"384-pattern drop", 4096, 384, 100, true, BackendParallel},
+		{"c17 16-pattern drop", c17, CollapseEquiv(c17, Universe(c17)).Reps, 16, DropOn, false, BackendCPT},
+		{"one-fault mult8 detail", mult8, mult8f[:1], 35, DropOff, true, BackendParallel},
+		{"mult8 full list, 384 patterns no drop", mult8, mult8f, 384, DropOff, false, BackendCPT},
+		{"mult8 3 faults per stem, 64 patterns no drop", mult8, mult8f[:3*224], 64, DropOff, false, BackendParallel},
+		{"mult8 4 faults per stem, 64 patterns no drop", mult8, mult8f[:4*224], 64, DropOff, false, BackendCPT},
+		{"mult8 4 faults per stem, detail", mult8, mult8f[:4*224], 200, DropOff, true, BackendCPT},
+		{"mult8 one short of 4 per stem, detail", mult8, mult8f[:4*224-1], 200, DropOff, true, BackendParallel},
+		{"mult5 4 faults per stem, one-block drop", mult5, Universe(mult5)[:4*80], 64, DropOn, false, BackendCPT},
+		{"mult5 one short of 4 per stem, one-block drop", mult5, Universe(mult5)[:4*80-1], 64, DropOn, false, BackendParallel},
+		{"alu74181x4 16-pattern drop", alu, CollapseEquiv(alu, Universe(alu)).Reps, 16, DropOn, false, BackendCPT},
+		{"adder32 16-pattern drop", adder, CollapseEquiv(adder, Universe(adder)).Reps, 16, DropOn, false, BackendCPT},
+		{"fanout-free one-block drop", parity, Universe(parity), 16, DropOn, false, BackendCPT},
 	} {
-		if got := pickBackend(tc.faults, tc.patterns, tc.stems, tc.drop); got != tc.want {
-			t.Errorf("%s (%d faults × %d patterns, %d stems, drop=%v): picked %v, want %v",
-				tc.name, tc.faults, tc.patterns, tc.stems, tc.drop, got, tc.want)
+		ev := autoSpan(t, tc.c, tc.faults, tc.patterns, tc.drop, tc.detail)
+		want := backendSpans[tc.want]
+		if tc.detail {
+			want = "fault.sim.detail"
+		}
+		if ev.Name != want || ev.Attrs["backend"] != tc.want.String() || ev.Attrs["auto"] != "true" {
+			t.Errorf("%s (%d faults × %d patterns, %s stems): span %s backend=%q auto=%q, want %s backend=%q",
+				tc.name, len(tc.faults), tc.patterns, ev.Attrs["stems"], ev.Name, ev.Attrs["backend"], ev.Attrs["auto"], want, tc.want)
 		}
 	}
 }
 
 // TestEngineAutoDFFCircuit runs Auto on a scan-view circuit with
-// flip-flops in every job shape: each run must land on exactly one of
-// serial, cpt or parallel (read off the backend timers) and match the
-// serial backend.
+// flip-flops (156 collapsed faults, 15 reconvergent stems) in every
+// job shape: each run must land on exactly one of cpt or parallel
+// (read off the backend timers), never open fault.sim.serial, and
+// match the serial backend.
 func TestEngineAutoDFFCircuit(t *testing.T) {
 	c := circuits.Counter(16)
 	all := CollapseEquiv(c, Universe(c)).Reps
@@ -291,15 +352,15 @@ func TestEngineAutoDFFCircuit(t *testing.T) {
 		outputs = append(outputs, c.Gates[d].Fanin[0])
 	}
 	view := View{Inputs: inputs, Outputs: outputs}
-	timers := []string{"fault.sim.serial", "fault.sim.cpt", "fault.sim.engine"}
 	for _, tc := range []struct {
 		faults, patterns int
 		drop             DropMode
+		want             Backend
 	}{
-		{8, 16, DropOn},
-		{len(all), 16, DropOff},
-		{len(all), 2, DropOn},
-		{len(all), 256, DropOn},
+		{8, 16, DropOn, BackendParallel},
+		{len(all), 16, DropOff, BackendCPT},
+		{len(all), 2, DropOn, BackendCPT},
+		{len(all), 256, DropOn, BackendParallel},
 	} {
 		faults := all[:tc.faults]
 		pats := enginePatterns(len(inputs), tc.patterns, 7)
@@ -310,13 +371,18 @@ func TestEngineAutoDFFCircuit(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
-		ran := 0
-		for _, name := range timers {
-			ran += int(snap.Timers[name].Count)
-		}
 		label := fmt.Sprintf("%d faults × %d patterns drop=%v", tc.faults, tc.patterns, tc.drop)
-		if ran != 1 {
-			t.Fatalf("%s: %d runs of serial/cpt/parallel, want exactly 1", label, ran)
+		if n := snap.Timers["fault.sim.serial"].Count; n != 0 {
+			t.Fatalf("%s: Auto opened fault.sim.serial %d times", label, n)
+		}
+		for be, name := range backendSpans {
+			want := int64(0)
+			if be == tc.want {
+				want = 1
+			}
+			if n := snap.Timers[name].Count; n != want {
+				t.Fatalf("%s: %d runs of %s, want %d", label, n, name, want)
+			}
 		}
 		want, err := Simulate(context.Background(), c, faults, pats,
 			Options{Backend: BackendSerial, View: view})

@@ -10,20 +10,17 @@ import (
 )
 
 // Backend selects the fault-simulation algorithm behind Simulate. The
-// zero value, Auto, picks one from circuit and workload heuristics;
-// the selection table lives in DESIGN.md.
+// zero value, Auto, picks cpt or parallel before each pattern block
+// with one count-only test, described in DESIGN.md.
 type Backend int
 
 const (
-	// Auto picks a backend from the job's fault and pattern counts,
-	// its drop mode and the view's reconvergent-stem count. A job of
-	// at most 512 fault-pattern pairs runs serially. A no-drop grade
-	// with at least four faults per pattern runs on cpt. A dropping
-	// grade runs each block on cpt while at least four live faults
-	// share each stem flip, and hands the rest of its blocks to the
-	// parallel-pattern engine once fewer do; a one-block grade is
-	// therefore all cpt or all parallel. Everything else runs on the
-	// sharded parallel-pattern engine.
+	// Auto runs each block on cpt while at least four live faults
+	// share each of the view's reconvergent-stem flips, and hands the
+	// rest of the grade's blocks to the parallel-pattern engine once
+	// fewer do. The test is the same for RunPacked, dropping or not,
+	// and RunDetail. A grade that does not drop and a one-block grade
+	// are therefore all cpt or all parallel. Auto never picks serial.
 	Auto Backend = iota
 	// BackendParallel is the 64-way parallel-pattern single-fault
 	// (PPSFP) simulator, sharded across workers on the fault axis.
@@ -40,7 +37,7 @@ const (
 	// complement simulation at reconvergent stems), then grades each
 	// fault in O(1) as activation AND observability. A grade that
 	// never drops flips each stem once per group of up to four
-	// blocks.
+	// blocks. Requested explicitly, it runs every block.
 	BackendCPT
 )
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -90,67 +91,74 @@ func TestSingleWorkerOnePassPerBlock(t *testing.T) {
 	}
 }
 
-// Every backend run opens one span named after its timer, and under
-// Auto the span's backend attribute is what pickBackend chose, for one
-// job of each shape in the DESIGN.md selection table. mult5 has 720
+// Every Auto grade opens one span named after its timer, whose
+// backend attribute names the backend that ran, and which records the
+// decision's inputs: stems, cpt_blocks and ppsfp_blocks. mult5 has 720
 // faults and 80 reconvergent stems, so its whole list passes Auto's
 // live ≥ 4 × stems test and 300 faults do not; a dropping grade on
 // parallel records how many blocks it ran on cpt before handing off.
 func TestAutoRunSpanNamesBackend(t *testing.T) {
 	c := circuits.ArrayMultiplier(5)
 	all := Universe(c)
-	stems := len(NewEngine(c, Options{}).topology().stems)
-	spans := map[Backend]string{
-		BackendSerial:   "fault.sim.serial",
-		BackendCPT:      "fault.sim.cpt",
-		BackendParallel: "fault.sim.engine",
-	}
 	for _, tc := range []struct {
 		faults, patterns int
 		drop             DropMode
 		want             Backend
-		cptBlocks, ppsfp string // hand-off attributes, "" where none
+		cptBlocks, ppsfp string
 	}{
-		{8, 16, DropOn, BackendSerial, "", ""},
-		{len(all), 64, DropOff, BackendCPT, "", ""},
-		{len(all), 4, DropOn, BackendCPT, "", ""},
+		{8, 16, DropOn, BackendParallel, "0", "1"},
+		{len(all), 64, DropOff, BackendCPT, "1", "0"},
+		{len(all), 4, DropOn, BackendCPT, "1", "0"},
 		{300, 64, DropOn, BackendParallel, "0", "1"},
 		{len(all), 256, DropOn, BackendParallel, "1", "3"},
 		{300, 256, DropOn, BackendParallel, "0", "4"},
+		{300, 256, DropOff, BackendParallel, "0", "4"},
+		{len(all), 256, DropOff, BackendCPT, "4", "0"},
 	} {
-
 		label := fmt.Sprintf("%d faults × %d patterns drop=%v", tc.faults, tc.patterns, tc.drop)
-		if got := pickBackend(tc.faults, tc.patterns, stems, tc.drop == DropOn); got != tc.want {
-			t.Fatalf("%s: pickBackend = %v, want %v", label, got, tc.want)
-		}
-		reg := telemetry.NewRegistry()
-		if _, err := Simulate(context.Background(), c, all[:tc.faults], enginePatterns(len(c.PIs), tc.patterns, 6),
-			Options{Drop: tc.drop, Metrics: reg}); err != nil {
-			t.Fatal(err)
-		}
-		events, _ := reg.Trace().Events()
-		var got []telemetry.Event
-		for _, ev := range events {
-			for _, name := range spans {
-				if ev.Name == name {
-					got = append(got, ev)
-				}
-			}
-		}
-		if len(got) != 1 {
-			t.Fatalf("%s: %d backend spans, want 1", label, len(got))
-		}
-		ev := got[0]
-		if ev.Name != spans[tc.want] || ev.Attrs["backend"] != tc.want.String() || ev.Attrs["auto"] != "true" {
+		ev := autoSpan(t, c, all[:tc.faults], tc.patterns, tc.drop, false)
+		if ev.Name != backendSpans[tc.want] || ev.Attrs["backend"] != tc.want.String() || ev.Attrs["auto"] != "true" {
 			t.Fatalf("%s: span %s backend=%q auto=%q, want %s backend=%q auto=\"true\"",
-				label, ev.Name, ev.Attrs["backend"], ev.Attrs["auto"], spans[tc.want], tc.want)
+				label, ev.Name, ev.Attrs["backend"], ev.Attrs["auto"], backendSpans[tc.want], tc.want)
 		}
-		if ev.Attrs["cpt_blocks"] != tc.cptBlocks || ev.Attrs["ppsfp_blocks"] != tc.ppsfp {
-			t.Fatalf("%s: cpt_blocks=%q ppsfp_blocks=%q, want %q and %q",
-				label, ev.Attrs["cpt_blocks"], ev.Attrs["ppsfp_blocks"], tc.cptBlocks, tc.ppsfp)
-		}
-		if n := reg.Snapshot().Timers[ev.Name].Count; n != 1 {
-			t.Fatalf("%s: timer %s observed %d times, want 1", label, ev.Name, n)
+		if ev.Attrs["stems"] != "80" || ev.Attrs["cpt_blocks"] != tc.cptBlocks || ev.Attrs["ppsfp_blocks"] != tc.ppsfp {
+			t.Fatalf("%s: stems=%q cpt_blocks=%q ppsfp_blocks=%q, want 80, %q and %q",
+				label, ev.Attrs["stems"], ev.Attrs["cpt_blocks"], ev.Attrs["ppsfp_blocks"], tc.cptBlocks, tc.ppsfp)
 		}
 	}
 }
+
+// A panic in a spawned worker does not end the process: the worker
+// stops alone, the others finish, and fanOut re-panics on the calling
+// goroutine with the worker's value and its own stack.
+func TestFanOutWorkerPanic(t *testing.T) {
+	e := NewEngine(circuits.C17(), Options{Metrics: telemetry.NewRegistry()})
+	var finished [3]atomic.Bool
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		e.fanOut(3, func(wi int) error {
+			if wi == 2 {
+				panicInWorker()
+			}
+			finished[wi].Store(true)
+			return nil
+		})
+	}()
+	p, ok := r.(*workerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *workerPanic", r, r)
+	}
+	if p.worker != 2 || p.value != "boom" {
+		t.Fatalf("worker %d value %v, want worker 2 value boom", p.worker, p.value)
+	}
+	if !strings.Contains(string(p.stack), "panicInWorker") || !strings.Contains(fmt.Sprint(p), "panicInWorker") {
+		t.Fatalf("worker stack does not show the panicking frame:\n%s", p.stack)
+	}
+	if !finished[0].Load() || !finished[1].Load() || finished[2].Load() {
+		t.Fatalf("finished = %v, want slots 0 and 1 only", []bool{finished[0].Load(), finished[1].Load(), finished[2].Load()})
+	}
+}
+
+//go:noinline
+func panicInWorker() { panic("boom") }

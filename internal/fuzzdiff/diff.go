@@ -45,13 +45,15 @@ func Baseline() SimConfig {
 	return SimConfig{Backend: fault.BackendSerial, Workers: 1, Drop: fault.DropOn}
 }
 
-// Matrix enumerates the configurations CheckBackends sweeps: the
-// serial backend, the parallel backend at several worker counts and
-// the critical-path-tracing backend at two (cpt shards each block's
-// reconvergent-stem flips, so its worker cells also pin the shared
-// observability trace), each with dropping on and off. Detection outcomes are
-// defined to be drop-invariant, so drop-on cells are compared against
-// the same baseline as drop-off cells.
+// Matrix enumerates the configurations CheckBackends sweeps, 16
+// cells: the serial backend, the parallel backend at several worker
+// counts, the critical-path-tracing backend at two (cpt shards each
+// block's reconvergent-stem flips, so its worker cells also pin the
+// shared observability trace) and Auto, the production default and
+// the one configuration that picks cpt or parallel per block, at two,
+// each with dropping on and off. Detection outcomes are defined to be
+// drop-invariant, so drop-on cells are compared against the same
+// baseline as drop-off cells.
 func Matrix() []SimConfig {
 	var m []SimConfig
 	for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
@@ -61,6 +63,9 @@ func Matrix() []SimConfig {
 		}
 		for _, w := range []int{1, 4} {
 			m = append(m, SimConfig{fault.BackendCPT, w, drop})
+		}
+		for _, w := range []int{1, 2} {
+			m = append(m, SimConfig{fault.Auto, w, drop})
 		}
 	}
 	return m

@@ -162,6 +162,15 @@ func TestMatrixShape(t *testing.T) {
 	if !seen[Baseline().String()] {
 		t.Fatal("matrix must contain the baseline cell")
 	}
+	// Auto, the production default, decides per block, so it is swept
+	// as its own cells.
+	for _, w := range []int{1, 2} {
+		for _, drop := range []fault.DropMode{fault.DropOn, fault.DropOff} {
+			if sc := (SimConfig{fault.Auto, w, drop}); !seen[sc.String()] {
+				t.Fatalf("matrix lacks the Auto cell %s", sc)
+			}
+		}
+	}
 }
 
 func TestRandomPatternsDeterministic(t *testing.T) {
