@@ -506,6 +506,44 @@ func benchEngine(b *testing.B, e atpg.Engine, randomFirst int) {
 	}
 }
 
+// BenchmarkPodem runs one Searcher over every collapsed fault of a
+// netlist at testgen scale, on one goroutine, with the default
+// backtrack limit: a full-scan Hardcore(32), a 10-bit array multiplier
+// and a small random netlist whose redundant faults end in exhausted
+// searches. It reports PODEM's gate evaluations per op and the time
+// per evaluation, the K of Eq. 1 for five-valued implication.
+func BenchmarkPodem(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		c    *logic.Circuit
+		scan bool
+	}{
+		{"hardcore32", circuits.Hardcore(32), true},
+		{"mult10", circuits.ArrayMultiplier(10), false},
+		{"redundant80", circuits.RandomCircuit(rand.New(rand.NewSource(3)), 12, 80, 6, 4), false},
+	} {
+		c := tc.c
+		view := atpg.PrimaryView(c)
+		if tc.scan {
+			view = atpg.FullScanView(c)
+		}
+		reps := fault.CollapseEquiv(c, fault.Universe(c)).Reps
+		b.Run(tc.name, func(b *testing.B) {
+			reg := telemetry.NewRegistry()
+			search := atpg.NewSearcher(c, view)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range reps {
+					search.Podem(f, atpg.PodemConfig{Metrics: reg})
+				}
+			}
+			evals := float64(reg.Counter("atpg.podem.evals").Value())
+			b.ReportMetric(evals/float64(b.N), "atpg.podem.evals/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/evals, "ns/eval")
+		})
+	}
+}
+
 // Ablation 4: scan vs no-scan ATPG on the same machine.
 func BenchmarkAblationATPGNoScan(b *testing.B) {
 	c := circuits.Counter(8)

@@ -55,6 +55,7 @@ func main() {
 	// --- Apply a few tests through the real scan hardware. ---
 	fmt.Println("end-to-end through the scan chain:")
 	shown := 0
+	search := atpg.NewSearcher(c, view)
 	for _, f := range cl.Reps {
 		if shown == 5 {
 			break
@@ -62,7 +63,7 @@ func main() {
 		if !c.Gates[f.Gate].Type.IsCombinational() {
 			continue
 		}
-		cube, err := atpg.Podem(c, view, f, atpg.PodemConfig{})
+		cube, err := search.Podem(f, atpg.PodemConfig{})
 		if err != nil {
 			log.Fatalf("podem on %s: %v", f.Name(c), err)
 		}

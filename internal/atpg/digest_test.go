@@ -20,7 +20,9 @@ import (
 )
 
 // digestCircuits are the designs whose generated tests are pinned by
-// digest: two combinational blocks and a sequential one under LSSD.
+// digest: two combinational blocks, a sequential one under LSSD, and a
+// small random netlist whose redundant faults exhaust the search, so
+// untestable verdicts are pinned too.
 var digestCircuits = []struct {
 	name string
 	c    func() *logic.Circuit
@@ -29,25 +31,32 @@ var digestCircuits = []struct {
 	{"alu74181", circuits.ALU74181, false},
 	{"mult8", func() *logic.Circuit { return circuits.ArrayMultiplier(8) }, false},
 	{"hardcore16", func() *logic.Circuit { return circuits.Hardcore(16) }, true},
+	{"redundant80", func() *logic.Circuit {
+		return circuits.RandomCircuit(rand.New(rand.NewSource(3)), 12, 80, 6, 4)
+	}, false},
 }
 
 // wantDigests holds the SHA-256 of each run's serialized output. Any
 // change to the five-valued simulator or the search loops that moves a
 // single pattern, cube or verdict changes these.
 var wantDigests = map[string]string{
-	"alu74181/podem":            "aa496a02465ca52f3cd4e2f2c72ac3e5449520fe5635aba113330fa345851fdf",
-	"alu74181/generate-podem":   "e6fd2e54bbfb91f036b67b642f0bdd1cb130c24b8746f6eadc99d9b3f616855a",
-	"alu74181/dalg":             "bdf9080d0927cfc83f786985821a43ac722be59a9aa89e69f89f1281db7d1680",
-	"alu74181/generate-dalg":    "e0838a04a407447a65321c6d8eb655ffe76ce59a53db0b72493707cbaa21ff55",
-	"mult8/podem":               "0d1645c50cfe02a5b840cabd004ab727617ad89bb1634731da749669f8a025ac",
-	"mult8/generate-podem":      "d6a8eaefbb55ebbf73bd4a79a1c477536997fc1cc29915b26cf955453cb49a89",
-	"mult8/dalg":                "88f100bf89dfa8e402227997550de1d1f8f87a2f54d603a9558232bec8026468",
-	"mult8/generate-dalg":       "be19a9fde16a3dbef6a91762bc53d66b7ed8eeaa356fc50d080f70aa76f28b5b",
-	"hardcore16/podem":          "3c33383fb7936b524858dad0f82e24b3c982408c47c3d668657617d85dcb78c9",
-	"hardcore16/generate-podem": "75f7939516b2a9cb448cf116382c44d91abc1287ec4ae1c1a0fc8fbc337774ad",
-	"hardcore16/dalg":           "f7ea0676f28e8f976ac3f9e874e428f34f977a8a53bd267fc9b82401158e2eaf",
-	"hardcore16/generate-dalg":  "9499d9a078f13ee2345351d3c8e4098c7838f80c2dc3c289e0dddc9db8a11396",
-	"hardcore16/seqatpg":        "2edf24a35624679e374d29609e9d9e7aebbad32324e9b9649b87db9e740edbc8",
+	"alu74181/podem":             "aa496a02465ca52f3cd4e2f2c72ac3e5449520fe5635aba113330fa345851fdf",
+	"alu74181/generate-podem":    "e6fd2e54bbfb91f036b67b642f0bdd1cb130c24b8746f6eadc99d9b3f616855a",
+	"alu74181/dalg":              "bdf9080d0927cfc83f786985821a43ac722be59a9aa89e69f89f1281db7d1680",
+	"alu74181/generate-dalg":     "e0838a04a407447a65321c6d8eb655ffe76ce59a53db0b72493707cbaa21ff55",
+	"mult8/podem":                "0d1645c50cfe02a5b840cabd004ab727617ad89bb1634731da749669f8a025ac",
+	"mult8/generate-podem":       "d6a8eaefbb55ebbf73bd4a79a1c477536997fc1cc29915b26cf955453cb49a89",
+	"mult8/dalg":                 "88f100bf89dfa8e402227997550de1d1f8f87a2f54d603a9558232bec8026468",
+	"mult8/generate-dalg":        "be19a9fde16a3dbef6a91762bc53d66b7ed8eeaa356fc50d080f70aa76f28b5b",
+	"hardcore16/podem":           "3c33383fb7936b524858dad0f82e24b3c982408c47c3d668657617d85dcb78c9",
+	"hardcore16/generate-podem":  "75f7939516b2a9cb448cf116382c44d91abc1287ec4ae1c1a0fc8fbc337774ad",
+	"hardcore16/dalg":            "f7ea0676f28e8f976ac3f9e874e428f34f977a8a53bd267fc9b82401158e2eaf",
+	"hardcore16/generate-dalg":   "9499d9a078f13ee2345351d3c8e4098c7838f80c2dc3c289e0dddc9db8a11396",
+	"hardcore16/seqatpg":         "2edf24a35624679e374d29609e9d9e7aebbad32324e9b9649b87db9e740edbc8",
+	"redundant80/podem":          "9a864d1c856b5c1472f2aed80629e528c03a0fbff12dd22284edee0598b3b446",
+	"redundant80/generate-podem": "fbb6599871e6c635ee62768920be24e448f96c352a3f23a4597012fdcdf7f1e8",
+	"redundant80/dalg":           "125c4de4e319a6399559b0460c54c4d05513594e61d95973a27a0fd2c8d986d5",
+	"redundant80/generate-dalg":  "23e299445f48396e70c964d20580caa424fd38bfc73534e191f2130af52c25be",
 }
 
 func digestDesign(t *testing.T, mk func() *logic.Circuit, scan bool) *core.Design {

@@ -124,16 +124,15 @@ type MultiFault []fault.Fault
 // trailed, so a backtrack undoes to a decision's mark without
 // evaluating a gate.
 type sim5 struct {
-	c       *logic.Circuit
-	t       *sim.Topology
-	view    View
-	sites   MultiFault
-	faulty  []bool // per net: some site sits on this element
-	vals    []logic.V
-	assign  []logic.V // per view-input assignment (X = free)
-	inPos   []int32   // per net: position in view.Inputs, -1 if not a view input
-	isObs   []bool    // per net: observable under the view
-	scratch []logic.V
+	c      *logic.Circuit
+	t      *sim.Topology
+	view   View
+	sites  MultiFault
+	faulty []bool // per net: some site sits on this element
+	vals   []logic.V
+	assign []logic.V // per view-input assignment (X = free)
+	inPos  []int32   // per net: position in view.Inputs, -1 if not a view input
+	isObs  []bool    // per net: observable under the view
 
 	primed  bool      // vals hold a pass over the current sites
 	changed []int32   // view positions set since the last run
@@ -177,7 +176,6 @@ func newSim5(c *logic.Circuit, view View, sites MultiFault) *sim5 {
 		assign:   make([]logic.V, len(view.Inputs)),
 		inPos:    make([]int32, n),
 		isObs:    make([]bool, n),
-		scratch:  make([]logic.V, c.MaxFanin()),
 		queued:   make([]bool, n),
 		byLevel:  make([][]int32, c.Depth()+1),
 		frontier: make([]uint64, (len(c.Order)+63)/64),
@@ -271,25 +269,49 @@ func (s *sim5) injectSources() {
 // whether a fault effect reaches the gate's inputs: an error value on a
 // fanin, or an activated branch site, whose injected D is invisible in
 // vals.
+//
+// The gate's operator (sim.Topology.Op, the table the fault kernel
+// evaluates from too) picks a five-valued fold table, and the fanins
+// are folded straight out of vals, left to right from the connective's
+// identity, as GateType.Eval folds them. The order matters: the
+// five-valued connectives are not associative (AndV(X, D, D') is X,
+// AndV(D, D', X) is 0), so a fold that regrouped the operands, or an
+// encoding that projected back to X only at the end of the gate, would
+// change verdicts. A faulty gate injects its branch sites into the fold
+// operand by operand.
 func (s *sim5) evalD(id int32) (v logic.V, hasD bool) {
-	fanin := s.t.Fanins(id)
-	in := s.scratch[:len(fanin)]
-	for i, src := range fanin {
-		x := s.vals[src]
-		in[i] = x
-		hasD = hasD || x.IsError()
-	}
+	op := s.t.Op[id]
 	if s.faulty[id] {
+		return s.evalFaulty(id, op)
+	}
+	vals, r, e := s.vals, op.Start(), logic.V(0)
+	for _, src := range s.t.Fanins(id) {
+		x := vals[src]
+		// x+5 has bit 3 set just when x is D (3) or D' (4).
+		r, e = op.Fold(r, x), e|(x+5)
+	}
+	return op.Out(r), e&8 != 0
+}
+
+// evalFaulty is evalD for a gate some site sits on: each operand takes
+// the gate's branch sites on its pin, in site order, before it is
+// folded.
+func (s *sim5) evalFaulty(id int32, op logic.Op) (v logic.V, hasD bool) {
+	r := op.Start()
+	for pin, src := range s.t.Fanins(id) {
+		x := s.vals[src]
+		hasD = hasD || x.IsError()
 		for _, f := range s.sites {
-			if f.Gate == int(id) && f.Pin != fault.Stem {
-				if good := in[f.Pin].Good(); good != logic.X && good != f.SA {
+			if f.Gate == int(id) && f.Pin == pin {
+				if good := x.Good(); good != logic.X && good != f.SA {
 					hasD = true
 				}
-				in[f.Pin] = inject(in[f.Pin], f.SA)
+				x = inject(x, f.SA)
 			}
 		}
+		r = op.Fold(r, x)
 	}
-	return s.c.Gates[id].Type.Eval(in), hasD
+	return op.Out(r), hasD
 }
 
 // stem applies the stem sites on gate id to its computed value v.

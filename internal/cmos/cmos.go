@@ -232,14 +232,14 @@ func (f Fault) initValue() bool { return f.inducedStuck() == logic.One }
 // PODEM does not constrain — those fall back to a bounded random
 // search. Returns ErrNoTest when the search fails.
 func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
-	view := atpg.PrimaryView(c)
+	search := atpg.NewSearcher(c, atpg.PrimaryView(c))
 	sa := fault.Fault{Gate: f.Gate, Pin: fault.Stem, SA: f.inducedStuck()}
 
-	excite, ok := findExcitation(c, view, f, sa, rng)
+	excite, ok := findExcitation(c, search, f, sa, rng)
 	if !ok {
 		return TwoPattern{}, fmt.Errorf("cmos: no excitation found for %s", f.Name(c))
 	}
-	init, ok := findInit(c, view, f, rng)
+	init, ok := findInit(c, search, f, rng)
 	if !ok {
 		return TwoPattern{}, fmt.Errorf("cmos: no initialization found for %s", f.Name(c))
 	}
@@ -248,7 +248,7 @@ func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
 
 // findExcitation finds a pattern that floats the node AND propagates
 // the retained-vs-driven difference to an output.
-func findExcitation(c *logic.Circuit, view atpg.View, f Fault, sa fault.Fault, rng *rand.Rand) ([]bool, bool) {
+func findExcitation(c *logic.Circuit, search *atpg.Searcher, f Fault, sa fault.Fault, rng *rand.Rand) ([]bool, bool) {
 	check := func(p []bool) bool {
 		if !fault.DetectsCombinational(c, p, sa) {
 			return false
@@ -258,7 +258,7 @@ func findExcitation(c *logic.Circuit, view atpg.View, f Fault, sa fault.Fault, r
 	}
 	// PODEM's stuck-at test satisfies series-network excitation
 	// automatically; verify and accept.
-	if cube, err := atpg.Podem(c, view, sa, atpg.PodemConfig{}); err == nil {
+	if cube, err := search.Podem(sa, atpg.PodemConfig{}); err == nil {
 		for _, fill := range []bool{false, true} {
 			p := cube.Fill(func() bool { return fill })
 			if check(p) {
@@ -283,7 +283,7 @@ func findExcitation(c *logic.Circuit, view atpg.View, f Fault, sa fault.Fault, r
 
 // findInit finds a pattern that drives the node to f.initValue()
 // without floating it.
-func findInit(c *logic.Circuit, view atpg.View, f Fault, rng *rand.Rand) ([]bool, bool) {
+func findInit(c *logic.Circuit, search *atpg.Searcher, f Fault, rng *rand.Rand) ([]bool, bool) {
 	want := f.initValue()
 	check := func(p []bool) bool {
 		in := gateInputs(c, f.Gate, p)
@@ -296,7 +296,7 @@ func findInit(c *logic.Circuit, view atpg.View, f Fault, rng *rand.Rand) ([]bool
 	// Justify via PODEM: a test for "node s-a-(NOT want)" necessarily
 	// drives the node to want.
 	saInit := fault.Fault{Gate: f.Gate, Pin: fault.Stem, SA: logic.FromBool(!want)}
-	if cube, err := atpg.Podem(c, view, saInit, atpg.PodemConfig{}); err == nil {
+	if cube, err := search.Podem(saInit, atpg.PodemConfig{}); err == nil {
 		for _, fill := range []bool{false, true} {
 			p := cube.Fill(func() bool { return fill })
 			if check(p) {

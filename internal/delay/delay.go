@@ -87,8 +87,8 @@ type TwoPattern struct {
 // supplies the capture pattern (a test for the induced stuck-at) and a
 // justification search supplies the launch pattern.
 func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
-	view := atpg.PrimaryView(c)
-	cube, err := atpg.Podem(c, view, f.inducedStuck(), atpg.PodemConfig{})
+	search := atpg.NewSearcher(c, atpg.PrimaryView(c))
+	cube, err := search.Podem(f.inducedStuck(), atpg.PodemConfig{})
 	if err != nil {
 		return TwoPattern{}, fmt.Errorf("delay: no capture test for %s: %w", f.Name(c), err)
 	}
@@ -96,7 +96,7 @@ func Generate(c *logic.Circuit, f Fault, rng *rand.Rand) (TwoPattern, error) {
 	// Launch: drive the net to initial. A PODEM test for the opposite
 	// stuck-at necessarily sets the net to initial.
 	saInit := fault.Fault{Gate: f.Net, Pin: fault.Stem, SA: logic.FromBool(!f.initial())}
-	if cube2, err := atpg.Podem(c, view, saInit, atpg.PodemConfig{}); err == nil {
+	if cube2, err := search.Podem(saInit, atpg.PodemConfig{}); err == nil {
 		launch := cube2.Bools()
 		if evalValue(c, launch, f.Net) == f.initial() {
 			return TwoPattern{Launch: launch, Capture: capture}, nil

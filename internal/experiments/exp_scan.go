@@ -65,7 +65,7 @@ func Fig9to12LSSD() Result {
 	// hardware models.
 	checks := 0
 	tried := 0
-	view := atpg.FullScanView(c)
+	search := atpg.NewSearcher(c, atpg.FullScanView(c))
 	for _, f := range cl.Reps {
 		if tried >= 10 {
 			break
@@ -74,7 +74,7 @@ func Fig9to12LSSD() Result {
 			continue
 		}
 		tried++
-		cube, err := atpg.Podem(c, view, f, atpg.PodemConfig{})
+		cube, err := search.Podem(f, atpg.PodemConfig{})
 		if err != nil {
 			continue
 		}

@@ -77,14 +77,14 @@ const stemChunk = 8
 func (t *topology) sens(r, pin int32, good []uint64) uint64 {
 	s := ^uint64(0)
 	in := t.fanin[t.fanStart[r]:t.fanStart[r+1]]
-	switch t.op[r] {
-	case opAnd:
+	switch t.op[r].Conn() {
+	case logic.OpAnd:
 		for i, src := range in {
 			if int32(i) != pin {
 				s &= good[src]
 			}
 		}
-	case opOr:
+	case logic.OpOr:
 		for i, src := range in {
 			if int32(i) != pin {
 				s &^= good[src]
@@ -331,8 +331,8 @@ func (ps *ParallelSim) flipWide(n int32, care [wideBlocks]uint64) (det [wideBloc
 			ps.queued[id] = false
 			var nw [wideBlocks]uint64 // t.eval over the wide layout
 			in := t.fanin[t.fanStart[id]:t.fanStart[id+1]]
-			switch t.op[id] {
-			case opAnd:
+			switch t.op[id].Conn() {
+			case logic.OpAnd:
 				nw = [wideBlocks]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 				for _, s := range in {
 					x := (*[wideBlocks]uint64)(cur[s*wideBlocks:])
@@ -341,7 +341,7 @@ func (ps *ParallelSim) flipWide(n int32, care [wideBlocks]uint64) (det [wideBloc
 					nw[2] &= x[2]
 					nw[3] &= x[3]
 				}
-			case opOr:
+			case logic.OpOr:
 				for _, s := range in {
 					x := (*[wideBlocks]uint64)(cur[s*wideBlocks:])
 					nw[0] |= x[0]

@@ -37,15 +37,6 @@ func (r *Result) Undetected() []Fault {
 	return out
 }
 
-// Gate operators of the flat kernel. Every combinational gate is a
-// fold of its operand words followed by an output inversion: BUF and
-// NOT are one-operand ANDs, CONST1 an empty AND, CONST0 an empty OR.
-const (
-	opAnd uint8 = iota
-	opOr
-	opXor
-)
-
 // Fanout classes of a net for critical-path tracing.
 const (
 	cptNone   uint8 = iota // no combinational reader: obs = 0 (or self-observation)
@@ -56,13 +47,15 @@ const (
 // topology is the flat, immutable form of a circuit under one view that
 // the propagation kernel and critical-path tracing walk. It is built
 // once per engine and shared read-only by every worker's simulator. The
-// view-independent CSR arrays and levels are the circuit's shared
-// sim.Topology arrays, held here as direct fields so the kernel's inner
-// loops read them without a pointer hop.
+// view-independent operator table, CSR arrays and levels are the
+// circuit's shared sim.Topology arrays, held here as direct fields so
+// the kernel's inner loops read them without a pointer hop. Every
+// combinational gate is a fold of its operand words under its
+// operator's connective followed by an output inversion (logic.Op).
 type topology struct {
-	op       []uint8  // gate operator per net
-	inv      []uint64 // output inversion word per net
-	fanStart []int32  // fanins of net n: fanin[fanStart[n]:fanStart[n+1]]
+	op       []logic.Op // gate operator per net, shared with PODEM
+	inv      []uint64   // output inversion word per net, from op's inversion bit
+	fanStart []int32    // fanins of net n: fanin[fanStart[n]:fanStart[n+1]]
 	fanin    []int32
 	rdStart  []int32 // combinational readers of n, deduplicated: readers[rdStart[n]:rdStart[n+1]]
 	readers  []int32
@@ -86,7 +79,7 @@ func newTopology(c *logic.Circuit, outputs []int) *topology {
 	n := c.NumNets()
 	st := sim.TopologyFor(c)
 	t := &topology{
-		op:       make([]uint8, n),
+		op:       st.Op,
 		inv:      make([]uint64, n),
 		fanStart: st.FanStart,
 		fanin:    st.Fanin,
@@ -102,18 +95,9 @@ func newTopology(c *logic.Circuit, outputs []int) *topology {
 	for _, o := range outputs {
 		t.isObs[o] = true
 	}
-	for id, g := range c.Gates {
-		switch g.Type {
-		case logic.Nand, logic.Not:
+	for id := range c.Gates {
+		if st.Op[id]&logic.OpInv != 0 {
 			t.inv[id] = ^uint64(0)
-		case logic.Or, logic.Const0:
-			t.op[id] = opOr
-		case logic.Nor:
-			t.op[id], t.inv[id] = opOr, ^uint64(0)
-		case logic.Xor:
-			t.op[id] = opXor
-		case logic.Xnor:
-			t.op[id], t.inv[id] = opXor, ^uint64(0)
 		}
 		pins := 0
 		for _, r := range c.Fanout[id] {
@@ -160,13 +144,13 @@ func newTopology(c *logic.Circuit, outputs []int) *topology {
 func (t *topology) eval(id int32, v []uint64) uint64 {
 	in := t.fanin[t.fanStart[id]:t.fanStart[id+1]]
 	var w uint64
-	switch t.op[id] {
-	case opAnd:
+	switch t.op[id].Conn() {
+	case logic.OpAnd:
 		w = ^uint64(0)
 		for _, s := range in {
 			w &= v[s]
 		}
-	case opOr:
+	case logic.OpOr:
 		for _, s := range in {
 			w |= v[s]
 		}
@@ -183,7 +167,8 @@ func (t *topology) eval(id int32, v []uint64) uint64 {
 func (t *topology) evalPinned(id, pin int, v []uint64, pw uint64) uint64 {
 	in := t.fanin[t.fanStart[id]:t.fanStart[id+1]]
 	var w uint64
-	if t.op[id] == opAnd {
+	op := t.op[id].Conn()
+	if op == logic.OpAnd {
 		w = ^uint64(0)
 	}
 	for i, s := range in {
@@ -191,10 +176,10 @@ func (t *topology) evalPinned(id, pin int, v []uint64, pw uint64) uint64 {
 		if i == pin {
 			x = pw
 		}
-		switch t.op[id] {
-		case opAnd:
+		switch op {
+		case logic.OpAnd:
 			w &= x
-		case opOr:
+		case logic.OpOr:
 			w |= x
 		default:
 			w ^= x

@@ -114,6 +114,25 @@ func (t GateType) ControlledResponse() V {
 	return X
 }
 
+// Op returns the operator that evaluates the type: NAND is an inverted
+// AND, BUF a one-operand AND, CONST0 an empty OR and so on. Source
+// elements (Input, DFF) are never evaluated and map to OpAnd.
+func (t GateType) Op() Op {
+	switch t {
+	case Nand, Not:
+		return OpAnd | OpInv
+	case Or, Const0:
+		return OpOr
+	case Nor:
+		return OpOr | OpInv
+	case Xor:
+		return OpXor
+	case Xnor:
+		return OpXor | OpInv
+	}
+	return OpAnd
+}
+
 // Eval computes the gate function over five-valued operands. Input and
 // DFF types must not be evaluated through this function.
 func (t GateType) Eval(in []V) V {

@@ -176,3 +176,68 @@ func XorV(vs ...V) V {
 	}
 	return r
 }
+
+// Op is a gate's operator: a connective folded left to right over the
+// operands from its identity, then an optional output inversion. Every
+// combinational gate is one: BUF and NOT are one-operand ANDs, CONST1
+// an empty AND, CONST0 an empty OR. GateType.Op maps a gate to its Op;
+// the five-valued fold below and the fault kernel's 64-pattern word
+// fold both evaluate gates from it.
+type Op uint8
+
+const (
+	OpAnd Op = iota // connective and5, identity One
+	OpOr            // connective or5, identity Zero
+	OpXor           // connective xor5, identity Zero
+
+	OpInv Op = 4 // flag: complement the folded result
+)
+
+// Conn returns the operator's connective, without its inversion.
+func (o Op) Conn() Op { return o &^ OpInv }
+
+// The five-valued fold tables, indexed by Op and value and each padded
+// to eight entries so that masked indices need no bounds check:
+// fold5[o][r][v] is r∘v for o's connective, built from and5, or5 and
+// xor5, so a table fold equals AndV, OrV or XorV operand for operand;
+// start5[o] is the connective's identity and out5[o][r] the folded
+// result r after o's inversion. Entries for values past Dbar are
+// never read.
+var (
+	fold5  [8][8][8]V
+	start5 [8]V
+	out5   [8][8]V
+)
+
+func init() {
+	conn := [...]func(a, b V) V{OpAnd: and5, OpOr: or5, OpXor: xor5}
+	for o := Op(0); o < 8; o++ {
+		c := o.Conn()
+		if c > OpXor {
+			continue
+		}
+		start5[o] = [...]V{OpAnd: One, OpOr: Zero, OpXor: Zero}[c]
+		for r := Zero; r <= Dbar; r++ {
+			for v := Zero; v <= Dbar; v++ {
+				fold5[o][r][v] = conn[c](r, v)
+			}
+			out5[o][r] = r
+			if o&OpInv != 0 {
+				out5[o][r] = r.Not()
+			}
+		}
+	}
+}
+
+// Start returns the value a fold under o starts from: its connective's
+// identity.
+func (o Op) Start() V { return start5[o&7] }
+
+// Fold returns r∘v under o's connective. The five-valued connectives
+// are not associative over X and the error values (AndV(X, D, Dbar) is
+// X, AndV(D, Dbar, X) is Zero), so a gate's operands must be folded in
+// fanin order, one at a time.
+func (o Op) Fold(r, v V) V { return fold5[o&7][r&7][v&7] }
+
+// Out applies o's output inversion to a folded result r.
+func (o Op) Out(r V) V { return out5[o&7][r&7] }

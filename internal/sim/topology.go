@@ -3,13 +3,16 @@ package sim
 import "dft/internal/logic"
 
 // Topology is the flat, view-independent structure of a finalized
-// circuit that event-driven engines walk: fanins and deduplicated
-// combinational readers as CSR arrays, combinational levels, and each
-// gate's position in c.Order. It is immutable once built and shared
-// read-only by every user of the circuit (TopologyFor caches it beside
-// the compiled program).
+// circuit that event-driven engines walk: each net's gate operator,
+// fanins and deduplicated combinational readers as CSR arrays,
+// combinational levels, and each gate's position in c.Order. The
+// operator table is the one both PODEM's five-valued implication and
+// the fault kernel's 64-pattern words evaluate gates from. It is
+// immutable once built and shared read-only by every user of the
+// circuit (TopologyFor caches it beside the compiled program).
 type Topology struct {
-	FanStart []int32 // fanins of net n: Fanin[FanStart[n]:FanStart[n+1]]
+	Op       []logic.Op // gate operator of net n (see logic.Op); OpAnd for source elements
+	FanStart []int32    // fanins of net n: Fanin[FanStart[n]:FanStart[n+1]]
 	Fanin    []int32
 	RdStart  []int32 // combinational readers of n, deduplicated: Readers[RdStart[n]:RdStart[n+1]]
 	Readers  []int32
@@ -21,12 +24,14 @@ type Topology struct {
 func newTopology(c *logic.Circuit) *Topology {
 	n := c.NumNets()
 	t := &Topology{
+		Op:       make([]logic.Op, n),
 		FanStart: make([]int32, n+1),
 		RdStart:  make([]int32, n+1),
 		Level:    make([]int32, n),
 		OrderPos: make([]int32, n),
 	}
 	for id, g := range c.Gates {
+		t.Op[id] = g.Type.Op()
 		t.Level[id] = int32(c.Level[id])
 		t.OrderPos[id] = -1
 		for _, f := range g.Fanin {
