@@ -132,10 +132,10 @@ func TestDetailResultFold(t *testing.T) {
 	}
 }
 
-// TestRunDetailSpanNamesBackendThatRan: a tiny detail grade would
-// resolve to serial under Auto, but Auto never sends a detail grade to
-// serial, so it runs on the parallel path; an explicit serial request
-// runs serially. The span must name the backend that ran.
+// TestRunDetailSpanNamesBackendThatRan: four faults on c17 share too
+// few reconvergent stems for cpt, so Auto runs the detail grade on the
+// parallel path; an explicit serial request runs serially. The span
+// must name the backend that ran.
 func TestRunDetailSpanNamesBackendThatRan(t *testing.T) {
 	c := circuits.C17()
 	faults := Universe(c)[:4]

@@ -60,20 +60,13 @@ type Engine struct {
 func NewEngine(c *logic.Circuit, opts Options) *Engine {
 	inputs, outputs := opts.View.resolve(c)
 	w := opts.workers()
-	reg := telemetry.OrDefault(opts.Metrics)
-	// Surface the compiled kernel's netlist-reduction stats on the
-	// run's own registry, so per-job run reports show how much smaller
-	// the simulated circuit is than the source netlist.
-	p := sim.CompiledFor(c)
-	reg.Gauge("sim.compile.folded_gates").Set(int64(p.Folded()))
-	reg.Gauge("sim.compile.hashed_gates").Set(int64(p.Hashed()))
 	return &Engine{
 		c:       c,
 		opts:    opts,
 		inputs:  inputs,
 		outputs: outputs,
 		workers: w,
-		reg:     reg,
+		reg:     telemetry.OrDefault(opts.Metrics),
 		sims:    make([]*ParallelSim, w),
 	}
 }

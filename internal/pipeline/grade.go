@@ -12,7 +12,6 @@ import (
 	"dft/internal/fault"
 	"dft/internal/fuzzdiff"
 	"dft/internal/logic"
-	"dft/internal/sim"
 	"dft/internal/telemetry"
 )
 
@@ -124,14 +123,11 @@ func (s FaultSim) Run(ctx context.Context, c *logic.Circuit, reg *telemetry.Regi
 		"patterns": n, "scan": s.Scan, "engine": backend.String(), "workers": s.Workers,
 		"drop": drop == fault.DropOn, "compact_mode": mode.String(),
 	}))
-	prog := sim.CompiledFor(d.Circuit)
 	rep.Results = map[string]any{
 		"coverage":      out.Coverage,
 		"kept_patterns": out.Kept,
 		"targets":       out.Targets,
 		"detected":      out.Detected,
-		"folded_gates":  prog.Folded(),
-		"hashed_gates":  prog.Hashed(),
 	}
 	if cst := out.Compaction; cst != nil {
 		rep.Results["patterns_in"] = cst.PatternsIn

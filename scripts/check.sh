@@ -49,7 +49,10 @@ for step in ${*:-$all}; do
 		# re-graded on the serial backend; its testgen workload, every
 		# ATPG pattern set re-graded on the serial backend and every
 		# advise plan checked; and its service workload, every dftd job
-		# checked against a direct library call.
+		# checked against a direct library call. First, one iteration
+		# of the compile and kernel benchmarks, so they keep building
+		# and running (a few seconds).
+		$GO test -run '^$' -bench 'BenchmarkCompile|BenchmarkKernelInterpVsCompiled' -benchtime 1x ./internal/sim .
 		for w in grade testgen service; do
 			out=$(bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0)
 			echo "$out"
